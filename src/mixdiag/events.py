@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -123,10 +124,10 @@ def parse_log(csv_text: str) -> SimulationLog:
             raise ParseError(f"expected 4 columns, got {len(row)}", line_no)
         raw_t, kind, rid, raw_value = row
         try:
-            t_s = float(raw_t)
-        except ValueError:
+            # round() rejects nan (ValueError) and values that overflow to inf
+            t_ms = round(float(raw_t) * 1000)
+        except (ValueError, OverflowError):
             raise ParseError(f"bad timestamp {raw_t!r}", line_no) from None
-        t_ms = round(t_s * 1000)
         if prev_ms is not None and t_ms < prev_ms:
             raise ParseError("timestamps not sorted", line_no)
         prev_ms = t_ms
@@ -141,6 +142,8 @@ def parse_log(csv_text: str) -> SimulationLog:
                 value = float(raw_value)
             except ValueError:
                 raise ParseError(f"bad sensor value {raw_value!r}", line_no) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite sensor value {raw_value!r}", line_no)
             sensor_records.append(SensorRecord(t_ms / 1000.0, rid, value))
         else:
             raise ParseError(f"unknown record kind {kind!r}", line_no)

@@ -5,8 +5,10 @@ The store keeps asserted triples as a frozenset; every mutation returns a
 new snapshot, so readers are never invalidated.  Query answering spans
 three layers: asserted triples, the forward-chained inference closure
 (subclass transitivity, type propagation, equivalence, and relation
-propagation), and virtual observation triples scanned on demand from bound
-sensor CSV files.
+propagation), and virtual observation triples from bound sensor CSV files.
+A bound log is parsed once per distinct file content into a small indexed
+view; queries read the file to check it is unchanged and answer observation
+patterns from the view, building triples only for the rows that match.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import MixdiagError, ParseError
 from .terms import (
+    PREFIXES,
     RDF_TYPE,
     RDFS_SUBCLASS_OF,
     XSD_BOOLEAN,
@@ -248,6 +251,69 @@ def _filter_accepts(binding: Mapping[str, Term], f: Filter) -> bool:
 # virtual sensor-data access
 
 
+_OBSERVATION_PREFIX = PREFIXES["ex"] + "obs_"
+_ROW_NUMBER = re.compile(r"0|[1-9][0-9]*")
+
+
+def _observation(row: int) -> Iri:
+    return Iri(f"{_OBSERVATION_PREFIX}{row}")
+
+
+class _Observations:
+    """The sensor records of one log text as columns of interned terms.
+
+    Row ``i`` is the observation ``ex:obs_{i}``.  Each column has an index
+    from object term to its rows in file order, so a bound subject or object
+    becomes a lookup and triples are built only for the rows that match.
+    """
+
+    def __init__(self, text: str, records: Sequence):
+        self.text = text
+        self.size = len(records)
+        self.columns: dict[Iri, list[Term]] = {
+            SOSA_RESULT_TIME: [],
+            SOSA_MADE_BY_SENSOR: [],
+            SOSA_HAS_SIMPLE_RESULT: [],
+        }
+        self.indexes: dict[Iri, dict[Term, list[int]]] = {p: {} for p in self.columns}
+        interned: dict[Term, Term] = {}
+        for row, record in enumerate(records):
+            for predicate, term in (
+                (SOSA_RESULT_TIME, Literal.double(record.t_s)),
+                (SOSA_MADE_BY_SENSOR, iri(f"ex:{record.sensor_id}")),
+                (SOSA_HAS_SIMPLE_RESULT, Literal.double(record.value)),
+            ):
+                term = interned.setdefault(term, term)
+                self.columns[predicate].append(term)
+                self.indexes[predicate].setdefault(term, []).append(row)
+
+    def __len__(self) -> int:
+        """The number of virtual triples: four per sensor record."""
+        return 4 * self.size
+
+    def _row_of(self, subject: Term) -> tuple[int, ...]:
+        if isinstance(subject, Iri) and subject.value.startswith(_OBSERVATION_PREFIX):
+            number = subject.value[len(_OBSERVATION_PREFIX):]
+            if _ROW_NUMBER.fullmatch(number) and int(number) < self.size:
+                return (int(number),)
+        return ()
+
+    def match(self, pattern: Pattern) -> list[Triple]:
+        """The triples of a served pattern's predicate, narrowed by its bound
+        subject or object, in file order.  Callers still unify the result."""
+        s, p, o = pattern
+        if not isinstance(s, Var):
+            rows: Iterable[int] = self._row_of(s)
+        elif p != RDF_TYPE and not isinstance(o, Var):
+            rows = self.indexes[p].get(o, ())
+        else:
+            rows = range(self.size)
+        if p == RDF_TYPE:
+            return [Triple(_observation(i), RDF_TYPE, SOSA_OBSERVATION) for i in rows]
+        column = self.columns[p]
+        return [Triple(_observation(i), p, column[i]) for i in rows]
+
+
 @dataclass(eq=False)
 class VirtualBinding:
     """On-demand access to sensor records in a log CSV.
@@ -256,12 +322,16 @@ class VirtualBinding:
     individuals ``ex:obs_{i}`` (one per sensor record, in file order):
     ``rdf:type sosa:Observation``, ``sosa:madeBySensor``,
     ``sosa:hasSimpleResult``, and ``sosa:resultTime``.  Nothing is ever
-    materialized into the asserted set; ``scan_count`` says how often the
-    source was read.
+    materialized into the asserted set.  The file is parsed once per
+    distinct content and served from an index; every query reads the file
+    again and compares it with the text last parsed, so an edit of any
+    size is seen at once.  ``scan_count`` says how often the source was
+    parsed, i.e. how many queries found new content.
     """
 
     csv_path: str | Path
     scan_count: int = field(default=0)
+    _view: _Observations | None = field(default=None, init=False, repr=False)
 
     def serves(self, pattern: Pattern) -> bool:
         _, p, o = pattern
@@ -271,23 +341,26 @@ class VirtualBinding:
             return o == SOSA_OBSERVATION
         return p in (SOSA_MADE_BY_SENSOR, SOSA_HAS_SIMPLE_RESULT, SOSA_RESULT_TIME)
 
-    def scan(self) -> list[Triple]:
+    def _read(self) -> str:
+        try:
+            return Path(self.csv_path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise SourceUnavailable(f"cannot read {self.csv_path}: {exc}") from None
+
+    def view(self) -> _Observations:
+        """The observations of the file as it is now.  A failed read or
+        parse raises; it never falls back to an earlier view."""
+        if self._view is None or self._read() != self._view.text:
+            self._view = self.scan()
+        return self._view
+
+    def scan(self) -> _Observations:
+        """Read and parse the source: the cache-miss path of :meth:`view`."""
         from .events import parse_log  # local import to avoid a cycle at load time
 
         self.scan_count += 1
-        try:
-            text = Path(self.csv_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise SourceUnavailable(f"cannot read {self.csv_path}: {exc}") from None
-        log = parse_log(text)
-        triples: list[Triple] = []
-        for index, record in enumerate(log.sensor_records):
-            obs = iri(f"ex:obs_{index}")
-            triples.append(Triple(obs, RDF_TYPE, SOSA_OBSERVATION))
-            triples.append(Triple(obs, SOSA_MADE_BY_SENSOR, iri(f"ex:{record.sensor_id}")))
-            triples.append(Triple(obs, SOSA_HAS_SIMPLE_RESULT, Literal.double(record.value)))
-            triples.append(Triple(obs, SOSA_RESULT_TIME, Literal.double(record.t_s)))
-        return triples
+        text = self._read()
+        return _Observations(text, parse_log(text).sensor_records)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +533,9 @@ class KnowledgeGraph:
             self._pred_index = index
         return self._pred_index.get(predicate, [])
 
-    def _candidates(self, pattern: Pattern) -> list[Triple]:
+    def _candidates(
+        self, pattern: Pattern, views: dict[VirtualBinding, _Observations]
+    ) -> list[Triple]:
         _, p, _ = pattern
         stored: list[Triple]
         if isinstance(p, Iri):
@@ -473,9 +548,9 @@ class KnowledgeGraph:
         virtual: list[Triple] = []
         for binding in self.virtual_sources:
             if binding.serves(pattern):
-                for t in binding.scan():
-                    if t.predicate == p and t not in known:
-                        virtual.append(t)
+                if binding not in views:
+                    views[binding] = binding.view()
+                virtual.extend(t for t in views[binding].match(pattern) if t not in known)
         return stored + virtual
 
     def serves_virtually(self, pattern: Pattern) -> bool:
@@ -501,12 +576,15 @@ class KnowledgeGraph:
             ordered.append(best)
             bound.update(t.name for t in best if isinstance(t, Var))
 
+        # A binding's view is fetched when a pattern first needs it and then
+        # kept for the whole query, so one query sees one snapshot of a file.
+        views: dict[VirtualBinding, _Observations] = {}
         rows: list[dict[str, Term]] = [{}]
         for pattern in ordered:
             next_rows: list[dict[str, Term]] = []
             for row in rows:
                 concrete = _substitute(pattern, row)
-                for candidate in self._candidates(concrete):
+                for candidate in self._candidates(concrete, views):
                     unified = _unify(concrete, candidate)
                     if unified is not None:
                         next_rows.append({**row, **unified})

@@ -61,6 +61,22 @@ def test_unsorted_timestamps_rejected():
     assert "sorted" in str(err.value)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e308"])
+def test_non_finite_timestamp_reports_line_number(raw):
+    doc = csv_doc((0, "actuator", "V1", 1), (raw, "actuator", "V1", 0))
+    with pytest.raises(ParseError) as err:
+        parse_log(doc)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_sensor_value_reports_line_number(raw):
+    doc = csv_doc((0, "actuator", "V1", 1), (1, "sensor", "L1", raw))
+    with pytest.raises(ParseError) as err:
+        parse_log(doc)
+    assert err.value.line == 3
+
+
 def test_wrong_column_count_rejected():
     with pytest.raises(ParseError):
         parse_log(HEADER + "1,actuator,V1\n")

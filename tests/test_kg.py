@@ -1,5 +1,7 @@
 """Triple store: queries, alignment, inference, updates, N-Triples, OBDA."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -415,17 +417,83 @@ def test_virtual_triples_never_enter_the_store(logged):
     assert "obs_" not in serialize_ntriples(graph)
 
 
+OBSERVATIONS = q(["?o"], [["?o", "rdf:type", "sosa:Observation"]])
+
+
 def test_scan_counter_tracks_source_reads(logged):
-    graph, _, _ = logged
+    graph, n_samples, path = logged
     binding = graph.virtual_sources[0]
     assert binding.scan_count == 0
-    graph.query(q(["?o"], [["?o", "rdf:type", "sosa:Observation"]]))
+    # a join over two virtual patterns parses the file once, not once per row
+    graph.query(
+        q(
+            ["?v"],
+            [
+                ["?o", "sosa:madeBySensor", "ex:L204"],
+                ["?o", "sosa:hasSimpleResult", "?v"],
+            ],
+        )
+    )
     assert binding.scan_count == 1
-    graph.query(q(["?o", "?v"], [["?o", "sosa:hasSimpleResult", "?v"]]))
-    assert binding.scan_count == 2
+    graph.query(OBSERVATIONS)
+    assert binding.scan_count == 1
     # a purely asserted query does not touch the source
     graph.query(q(["?s"], [["?s", "rdf:type", "sosa:Sensor"]]))
+    assert binding.scan_count == 1
+
+    # appending one record is new content: exactly one more scan
+    text = path.read_text(encoding="utf-8")
+    last = text.splitlines(keepends=True)[-1]
+    assert ",sensor," in last
+    path.write_text(text + last, encoding="utf-8")
+    assert len(graph.query(OBSERVATIONS)) == n_samples + 1
+    graph.query(OBSERVATIONS)
     assert binding.scan_count == 2
+
+    # a rewrite of the same size and mtime is still seen
+    before = path.stat()
+    head, value = last.rstrip("\n").rsplit(",", 1)
+    changed = "9" * len(value)
+    path.write_text(text + f"{head},{changed}\n", encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    rows = graph.query(
+        q(["?v"], [[f"ex:obs_{n_samples}", "sosa:hasSimpleResult", "?v"]])
+    )
+    assert rows == [{"v": Literal.double(float(changed))}]
+    assert binding.scan_count == 3
+
+
+def test_deleted_source_raises_after_a_successful_query(logged):
+    graph, n_samples, path = logged
+    assert len(graph.query(OBSERVATIONS)) == n_samples
+    path.unlink()
+    with pytest.raises(SourceUnavailable):
+        graph.query(OBSERVATIONS)
+
+
+def test_malformed_source_raises_until_fixed(logged):
+    graph, n_samples, path = logged
+    good = path.read_text(encoding="utf-8")
+    assert len(graph.query(OBSERVATIONS)) == n_samples
+    path.write_text(good + "not,a,valid,record\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            graph.query(OBSERVATIONS)
+    path.write_text(good, encoding="utf-8")
+    assert len(graph.query(OBSERVATIONS)) == n_samples
+
+
+def test_snapshots_sharing_a_binding_never_see_a_stale_view(logged):
+    graph, n_samples, path = logged
+    inserted = graph.insert([t("ex:L205", "rdf:type", "sosa:Sensor")])
+    doubled = graph.bind_virtual(VirtualBinding(path))
+    for g, copies in ((graph, 1), (inserted, 1), (doubled, 2)):
+        assert len(g.query(OBSERVATIONS)) == copies * n_samples
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + text.splitlines(keepends=True)[-1], encoding="utf-8")
+    for g, copies in ((doubled, 2), (inserted, 1), (graph, 1)):
+        assert len(g.query(OBSERVATIONS)) == copies * (n_samples + 1)
 
 
 def test_unbind_virtual_removes_observations(logged):

@@ -1,17 +1,31 @@
 """Query engine versus an independent brute-force evaluator.
 
-The production engine reorders patterns (most-constrained first) and uses a
-predicate index.  The oracle here deliberately does none of that: plain
-left-to-right nested loops over the full triple list.  Agreement on random
-graphs and queries is strong evidence the optimizations preserve semantics.
+The production engine reorders patterns (most-constrained first), uses a
+predicate index, and answers observation patterns from an indexed view of
+each bound log.  The oracle here deliberately does none of that: plain
+left-to-right nested loops over the full triple list, with observations
+read from the log by the stdlib ``csv`` module.  Agreement on random graphs
+and queries is strong evidence the optimizations preserve semantics.
 """
 
+import csv
+import io
 import random
 import time
 from collections import Counter
 
-from mixdiag.kg import Filter, KnowledgeGraph, Query
-from mixdiag.terms import Iri, Literal, Triple, Var, format_term, iri
+from mixdiag.kg import (
+    SOSA_HAS_SIMPLE_RESULT,
+    SOSA_MADE_BY_SENSOR,
+    SOSA_OBSERVATION,
+    SOSA_RESULT_TIME,
+    Filter,
+    KnowledgeGraph,
+    Query,
+    VirtualBinding,
+)
+from mixdiag.plant import default_config, simulate, write_log_csv
+from mixdiag.terms import RDF_TYPE, Iri, Literal, Triple, Var, format_term, iri
 
 # ---------------------------------------------------------------------------
 # the oracle
@@ -203,3 +217,144 @@ def test_engine_agrees_on_queries_with_order_and_limit():
         for row in map(canonical, rows):
             assert full_counts[row] > 0
             full_counts[row] -= 1
+
+
+# ---------------------------------------------------------------------------
+# asserted and virtual patterns mixed, over a bound log
+
+
+SOSA_SENSOR = iri("sosa:Sensor")
+PART_OF = iri("isa88:isPartOf")
+OBJECT_VARS = {
+    SOSA_MADE_BY_SENSOR: "s",
+    SOSA_HAS_SIMPLE_RESULT: "v",
+    SOSA_RESULT_TIME: "t",
+    PART_OF: "part",
+}
+
+
+def csv_observations(text):
+    """The four observation triples of every sensor row, in file order."""
+    triples = []
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        if row and row[1] == "sensor":
+            obs = iri(f"ex:obs_{len(triples) // 4}")
+            triples += [
+                Triple(obs, RDF_TYPE, SOSA_OBSERVATION),
+                Triple(obs, SOSA_MADE_BY_SENSOR, iri(f"ex:{row[2]}")),
+                Triple(obs, SOSA_HAS_SIMPLE_RESULT, Literal.double(float(row[3]))),
+                Triple(obs, SOSA_RESULT_TIME, Literal.double(float(row[0]))),
+            ]
+    return triples
+
+
+def objects_of(triples, predicate):
+    return sorted({t.object for t in triples if t.predicate == predicate}, key=str)
+
+
+def random_mixed_case(rng, observations):
+    """Asserted triples around the observations, and the terms queries use.
+
+    Some observation triples are also asserted; others are asserted for
+    observations the log does not have, or with objects the log disagrees on.
+    """
+    n_obs = len(observations) // 4
+    sensors = objects_of(observations, SOSA_MADE_BY_SENSOR)
+    objects = {
+        RDF_TYPE: [SOSA_OBSERVATION, SOSA_SENSOR],
+        SOSA_MADE_BY_SENSOR: sensors + [iri("ex:Nowhere"), Literal.string("L204")],
+        SOSA_HAS_SIMPLE_RESULT: objects_of(observations, SOSA_HAS_SIMPLE_RESULT)
+        + [Literal.double(-1.5), Literal.integer(8)],
+        SOSA_RESULT_TIME: objects_of(observations, SOSA_RESULT_TIME)
+        + [Literal.double(1e6)],
+        PART_OF: [iri(f"ex:B{i}") for i in range(3)],
+    }
+    subjects = [
+        iri("ex:obs_0"),
+        iri(f"ex:obs_{n_obs - 1}"),
+        iri(f"ex:obs_{rng.randrange(n_obs)}"),
+        iri("ex:obs_01"),
+        iri(f"ex:obs_{n_obs}"),
+        iri("ex:obs_-1"),
+        iri("ex:obs_"),
+        iri("ex:extra0"),
+        iri("ex:L204"),
+        Iri("http://other.example/obs_1"),
+        Literal.string("ex:obs_1"),
+        Literal.integer(1),
+    ]
+    asserted = set(rng.sample(observations, 6))
+    for _ in range(8):
+        predicate = rng.choice([SOSA_MADE_BY_SENSOR, SOSA_HAS_SIMPLE_RESULT, SOSA_RESULT_TIME])
+        subject = rng.choice(subjects[:3] + [iri("ex:extra0")])
+        asserted.add(Triple(subject, predicate, rng.choice(objects[predicate])))
+    asserted.add(Triple(iri("ex:extra0"), RDF_TYPE, SOSA_OBSERVATION))
+    for sensor in sensors:
+        asserted.add(Triple(sensor, RDF_TYPE, SOSA_SENSOR))
+        asserted.add(Triple(sensor, PART_OF, rng.choice(objects[PART_OF])))
+    return sorted(asserted, key=str), subjects, objects
+
+
+def random_mixed_query(rng, subjects, objects):
+    """Predicates, and the object of rdf:type, stay constant: the engine
+    serves virtual triples only to patterns that name their predicate."""
+    while True:
+        patterns = []
+        for _ in range(rng.randint(1, 3)):
+            p = rng.choice(list(objects))
+            if p == PART_OF:
+                s = Var("s") if rng.random() < 0.8 else rng.choice(objects[SOSA_MADE_BY_SENSOR])
+            else:
+                s = Var("o") if rng.random() < 0.65 else rng.choice(subjects)
+            if p == RDF_TYPE or rng.random() < 0.45:
+                o = rng.choice(objects[p])
+            else:
+                o = Var("o" if rng.random() < 0.05 else OBJECT_VARS[p])
+            patterns.append((s, p, o))
+        used = sorted({t.name for pattern in patterns for t in pattern if isinstance(t, Var)})
+        if used:
+            break
+    select = tuple(rng.sample(used, rng.randint(1, len(used))))
+    filters = ()
+    numeric = [name for name in used if name in ("v", "t")]
+    if numeric and rng.random() < 0.3:
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+        filters = (Filter(rng.choice(numeric), op, Literal.double(rng.choice([0.0, 5.0, 30.0]))),)
+    return Query(select, tuple(patterns), filters)
+
+
+def exact(row):
+    return tuple((name, row[name]) for name in sorted(row))
+
+
+def test_virtual_patterns_agree_with_bruteforce_oracle(tmp_path):
+    lines = write_log_csv(simulate(default_config(), 1, (), 7)).splitlines(keepends=True)
+    text = lines[0] + "".join(lines[300:350])
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    observations = csv_observations(text)
+    assert len(observations) >= 4 * 30
+    assert len(objects_of(observations, SOSA_HAS_SIMPLE_RESULT)) > 7
+
+    rng = random.Random(20261017)
+    first, second = VirtualBinding(path), VirtualBinding(path)
+    started = time.perf_counter()
+    for case in range(40):
+        asserted, subjects, objects = random_mixed_case(rng, observations)
+        bindings = [first] if case % 4 else [first, second]
+        graph = KnowledgeGraph(asserted, bindings)
+        known = set(asserted)
+        oracle_triples = asserted + len(bindings) * [
+            t for t in observations if t not in known
+        ]
+        for _ in range(5):
+            query = random_mixed_query(rng, subjects, objects)
+            engine_rows = graph.query(query)
+            oracle_rows = oracle_query(oracle_triples, query)
+            assert Counter(map(exact, engine_rows)) == Counter(
+                map(exact, oracle_rows)
+            ), f"case {case}: {query}"
+    # the file never changed, so each binding parsed it once
+    assert (first.scan_count, second.scan_count) == (1, 1)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0, f"oracle comparison too slow: {elapsed:.1f}s"
