@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, asdict
 
 from .automaton import TimedAutomaton
@@ -25,6 +26,7 @@ UNKNOWN_EVENT = "UnknownEvent"
 UNKNOWN_STATE = "UnknownState"
 
 TIMING_KINDS = (TIMING_ABOVE_MAX, TIMING_BELOW_MIN)
+ANOMALY_KINDS = TIMING_KINDS + (UNKNOWN_EVENT, UNKNOWN_STATE)
 
 
 @dataclass(frozen=True)
@@ -154,24 +156,45 @@ def anomalies_to_json(anomalies: list[Anomaly]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _optional(a: dict, key: str, types: type | tuple[type, ...]):
+    """``a[key]`` when it is absent, null, or a finite number of ``types``
+    (never a bool); anything else raises ValueError."""
+    value = a.get(key)
+    if value is None or (
+        isinstance(value, types) and not isinstance(value, bool) and math.isfinite(value)
+    ):
+        return value
+    raise ValueError(f"bad {key} {value!r}")
+
+
 def anomalies_from_json(text: str) -> list[Anomaly]:
+    """Parse an anomaly document.  Raises :class:`ParseError` on malformed
+    JSON, an unknown kind, a non-integer state id, or a non-finite time."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    anomalies = []
     try:
-        return [
-            Anomaly(
-                kind=str(a["kind"]),
-                event_label=str(a["event_label"]),
-                at_t_s=float(a["at_t_s"]),
-                source_state=a.get("source_state"),
-                target_state=a.get("target_state"),
-                observed_dwell_s=a.get("observed_dwell_s"),
-                bound_s=a.get("bound_s"),
-                deviation_s=a.get("deviation_s"),
+        for a in doc["anomalies"]:
+            kind = str(a["kind"])
+            if kind not in ANOMALY_KINDS:
+                raise ValueError(f"unknown anomaly kind {kind!r}")
+            at_t_s = float(a["at_t_s"])
+            if not math.isfinite(at_t_s):
+                raise ValueError(f"at_t_s must be finite, got {a['at_t_s']!r}")
+            anomalies.append(
+                Anomaly(
+                    kind=kind,
+                    event_label=str(a["event_label"]),
+                    at_t_s=at_t_s,
+                    source_state=_optional(a, "source_state", int),
+                    target_state=_optional(a, "target_state", int),
+                    observed_dwell_s=_optional(a, "observed_dwell_s", (int, float)),
+                    bound_s=_optional(a, "bound_s", (int, float)),
+                    deviation_s=_optional(a, "deviation_s", (int, float)),
+                )
             )
-            for a in doc["anomalies"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad anomaly document: {exc}") from None
+    return anomalies

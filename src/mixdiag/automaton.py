@@ -11,6 +11,7 @@ statistics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import MixdiagError, ParseError
@@ -25,6 +26,10 @@ class InconsistentTraces(MixdiagError):
 
 class DeterminismViolation(MixdiagError):
     """A step contradicts the event-determinism invariant."""
+
+
+class InvalidDwell(MixdiagError):
+    """A step's dwell time is not a positive finite number of seconds."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,8 @@ class TimedAutomaton:
         step lands in."""
         if current_state not in self.states:
             raise MixdiagError(f"unknown state id {current_state}")
-        if dwell_s <= 0:
-            raise ValueError("dwell_s must be positive")
+        if not math.isfinite(dwell_s) or dwell_s <= 0:
+            raise InvalidDwell(f"dwell_s must be positive and finite, got {dwell_s!r}")
         source = self.states[current_state]
         changes = parse_label(event.label)
         current_values = source.vector.as_dict()

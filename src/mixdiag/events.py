@@ -124,10 +124,13 @@ def parse_log(csv_text: str) -> SimulationLog:
             raise ParseError(f"expected 4 columns, got {len(row)}", line_no)
         raw_t, kind, rid, raw_value = row
         try:
+            t_s = float(raw_t)
             # round() rejects nan (ValueError) and values that overflow to inf
-            t_ms = round(float(raw_t) * 1000)
+            t_ms = round(t_s * 1000)
         except (ValueError, OverflowError):
             raise ParseError(f"bad timestamp {raw_t!r}", line_no) from None
+        if t_s < 0:
+            raise ParseError(f"negative timestamp {raw_t!r}", line_no)
         if prev_ms is not None and t_ms < prev_ms:
             raise ParseError("timestamps not sorted", line_no)
         prev_ms = t_ms

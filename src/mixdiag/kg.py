@@ -3,9 +3,10 @@ virtual sensor-data access.
 
 The store keeps asserted triples as a frozenset; every mutation returns a
 new snapshot, so readers are never invalidated.  Query answering spans
-three layers: asserted triples, the forward-chained inference closure
-(subclass transitivity, type propagation, equivalence, and relation
-propagation), and virtual observation triples from bound sensor CSV files.
+three layers: asserted triples, the inference closure (subclass
+transitivity, type propagation, equivalence, and relation propagation,
+forward-chained semi-naively), and virtual observation triples from bound
+sensor CSV files.
 A bound log is parsed once per distinct file content into a small indexed
 view; queries read the file to check it is unchanged and answer observation
 patterns from the view, building triples only for the rows that match.
@@ -17,6 +18,7 @@ import csv
 import io
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -368,75 +370,88 @@ class VirtualBinding:
 
 
 def _closure(asserted: frozenset[Triple]) -> frozenset[Triple]:
-    """Forward chaining to fixpoint.
+    """Semi-naive forward chaining to fixpoint.
 
-    Rules: subClassOf transitivity, type propagation along subClassOf,
-    equivalence symmetry/transitivity with instance sharing between
-    equivalent classes, and property propagation along ex:relationTo.
+    Rules: an attribute aligned to a class is an instance of it; subClassOf
+    is transitive and types propagate along it; equivalence is symmetric and
+    equivalent terms share every assertion in either position (which makes
+    it transitive); properties propagate along ex:relationTo.  Derived
+    triples with a literal subject are dropped.
+
+    Terms are numbered, so joins hash small ints.  Each round indexes the
+    facts new since the last one and joins only them against the indexes of
+    every fact so far; the indexes live only for this call.  Transitivity is
+    linear: an *edge* is a subClassOf fact that entered by any rule but
+    transitivity.  New subclass facts and types extend through edges, and
+    only a new edge joins to the left, against the subclasses and instances
+    of its subject, so a chain of n classes costs O(n^2), not O(n^3).
     """
-    facts: set[Triple] = set(asserted)
-    changed = True
-    while changed:
-        changed = False
-        subclass = [(t.subject, t.object) for t in facts if t.predicate == RDFS_SUBCLASS_OF]
-        equivalent = [(t.subject, t.object) for t in facts if t.predicate == EX_EQUIVALENT_TO]
-        relation = [
-            (t.subject, t.object)
-            for t in facts
-            if t.predicate == EX_RELATION_TO
-            and isinstance(t.subject, Iri)
-            and isinstance(t.object, Iri)
-        ]
-        types = [(t.subject, t.object) for t in facts if t.predicate == RDF_TYPE]
+    predicates = (
+        RDFS_SUBCLASS_OF, RDF_TYPE, EX_EQUIVALENT_TO, EX_RELATION_TO, EX_ATTRIBUTE_TO_CLASS
+    )
+    SUB, TYPE, EQUIV, RELATION, ATTRIBUTE = range(len(predicates))
+    number: dict[Term, int] = {term: i for i, term in enumerate(predicates)}
+    facts = {
+        tuple(number.setdefault(term, len(number)) for term in (t.subject, t.predicate, t.object))
+        for t in asserted
+    }
+    terms = list(number)
+    is_iri = [isinstance(term, Iri) for term in terms]
 
-        fresh: list[Triple] = []
-        # an attribute aligned to a class is an instance of that class
-        fresh.extend(
-            Triple(t.subject, RDF_TYPE, t.object)
-            for t in facts
-            if t.predicate == EX_ATTRIBUTE_TO_CLASS and isinstance(t.object, Iri)
-        )
-        super_of: dict[Term, set[Term]] = {}
-        for sub, sup in subclass:
-            super_of.setdefault(sub, set()).add(sup)
-        for sub, sup in subclass:
-            for supsup in super_of.get(sup, ()):
-                fresh.append(Triple(sub, RDFS_SUBCLASS_OF, supsup))
-        for instance, cls in types:
-            for sup in super_of.get(cls, ()):
-                fresh.append(Triple(instance, RDF_TYPE, sup))
+    def admit(candidates: list[tuple]) -> list[tuple]:
+        new = [t for t in dict.fromkeys(candidates) if t not in facts and is_iri[t[0]]]
+        facts.update(new)
+        return new
 
-        equiv_of: dict[Term, set[Term]] = {}
-        for a, b in equivalent:
-            equiv_of.setdefault(a, set()).add(b)
-        for a, b in equivalent:
-            fresh.append(Triple(b, EX_EQUIVALENT_TO, a))
-            for c in equiv_of.get(b, ()):
-                if c != a:
-                    fresh.append(Triple(a, EX_EQUIVALENT_TO, c))
-        if equiv_of:
-            # equivalent terms share every assertion, in either position
-            for fact in list(facts):
-                for other in equiv_of.get(fact.subject, ()):
-                    if isinstance(other, Iri):
-                        fresh.append(Triple(other, fact.predicate, fact.object))
-                for other in equiv_of.get(fact.object, ()):
-                    fresh.append(Triple(fact.subject, fact.predicate, other))
-
-        specific_to_general = {}
-        for p, q in relation:
-            specific_to_general.setdefault(p, set()).add(q)
-        for t in list(facts):
-            for general in specific_to_general.get(t.predicate, ()):
-                fresh.append(Triple(t.subject, general, t.object))
-
-        for t in fresh:
-            if isinstance(t.subject, Literal):
-                continue
-            if t not in facts:
-                facts.add(t)
-                changed = True
-    return frozenset(facts)
+    by_subject, by_object, by_predicate = (defaultdict(list) for _ in range(3))
+    subclasses, edges_from, instances = (defaultdict(list) for _ in range(3))
+    equivalents, generals = defaultdict(list), defaultdict(list)
+    derived: list[tuple] = []
+    delta = list(facts)
+    edges = [t for t in delta if t[1] == SUB]
+    while delta:
+        for s, _, o in edges:
+            edges_from[s].append(o)
+        for t in delta:
+            s, p, o = t
+            by_subject[s].append(t)
+            by_object[o].append(t)
+            by_predicate[p].append(t)
+            if p == SUB:
+                subclasses[o].append(s)
+            elif p == TYPE:
+                instances[o].append(s)
+            elif p == EQUIV:
+                equivalents[s].append(o)
+            elif p == RELATION and is_iri[s] and is_iri[o]:
+                generals[s].append(o)
+        fresh: list[tuple] = []
+        chained: list[tuple] = []  # transitivity's output: never an edge
+        for s, p, o in edges:
+            chained += [(sub, p, o) for sub in subclasses.get(s, ())]
+            fresh += [(x, TYPE, o) for x in instances.get(s, ())]
+        for s, p, o in delta:
+            fresh += [(s, general, o) for general in generals.get(p, ())]
+            fresh += [(x, p, o) for x in equivalents.get(s, ()) if is_iri[x]]
+            fresh += [(s, p, x) for x in equivalents.get(o, ())]
+            if p == ATTRIBUTE and is_iri[o]:
+                fresh.append((s, TYPE, o))
+            elif p == SUB:
+                chained += [(s, p, sup) for sup in edges_from.get(o, ())]
+            elif p == TYPE:
+                fresh += [(s, p, sup) for sup in edges_from.get(o, ())]
+            elif p == EQUIV:
+                fresh.append((o, p, s))
+                if is_iri[o]:
+                    fresh += [(o, fp, fo) for _, fp, fo in by_subject.get(s, ())]
+                fresh += [(fs, fp, o) for fs, fp, _ in by_object.get(s, ())]
+            elif p == RELATION and is_iri[s] and is_iri[o]:
+                fresh += [(fs, o, fo) for fs, _, fo in by_predicate.get(s, ())]
+        delta = admit(fresh)
+        edges = [t for t in delta if t[1] == SUB]
+        delta += admit(chained)
+        derived += delta
+    return asserted.union(Triple(terms[s], terms[p], terms[o]) for s, p, o in derived)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Detection against the learned envelope."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from mixdiag.anomalies import (
     anomalies_to_json,
     detect,
 )
+from mixdiag.errors import ParseError
 from mixdiag.events import ActuatorVector, Event, EventTrace, TraceStep, to_trace
 
 from conftest import state_by_active
@@ -189,3 +192,45 @@ def test_json_round_trip_handles_missing_fields():
     a = Anomaly(UNKNOWN_STATE, "x↑", 1.5)
     text = anomalies_to_json([a])
     assert anomalies_from_json(text) == [a]
+
+
+def anomaly_doc(**fields):
+    a = {
+        "kind": "TimingAboveMax",
+        "event_label": "P201↑",
+        "at_t_s": 1.5,
+        "source_state": 1,
+        "target_state": 2,
+        "observed_dwell_s": 9,
+        "bound_s": 5.0,
+        "deviation_s": 4.0,
+    }
+    return json.dumps({"anomalies": [{**a, **fields}]})
+
+
+def test_json_accepts_integral_dwell_fields():
+    [a] = anomalies_from_json(anomaly_doc())
+    assert (a.source_state, a.target_state, a.observed_dwell_s) == (1, 2, 9)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "TimingAboveMin"},
+        {"kind": "timingabovemax"},
+        {"source_state": "zz"},
+        {"source_state": "1"},
+        {"target_state": 2.5},
+        {"target_state": True},
+        {"at_t_s": float("nan")},
+        {"at_t_s": "inf"},
+        {"at_t_s": 10**400},
+        {"observed_dwell_s": float("nan")},
+        {"bound_s": float("inf")},
+        {"deviation_s": float("-inf")},
+        {"observed_dwell_s": "9.0"},
+    ],
+)
+def test_json_rejects_bad_anomaly_fields(fields):
+    with pytest.raises(ParseError):
+        anomalies_from_json(anomaly_doc(**fields))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mixdiag.automaton import (
     DeterminismViolation,
     InconsistentTraces,
+    InvalidDwell,
     TimedAutomaton,
     deserialize,
     learn,
@@ -115,8 +116,16 @@ def test_update_creates_states_and_tracks_stats():
 
 def test_update_rejects_nonpositive_dwell():
     a = TimedAutomaton(vec())
-    with pytest.raises(ValueError):
-        a.update(0, Event("x↑", 0.0), vec(x=True), 0.0)
+    for dwell in (0.0, -1.0):
+        with pytest.raises(InvalidDwell):
+            a.update(0, Event("x↑", 0.0), vec(x=True), dwell)
+
+
+@pytest.mark.parametrize("dwell", [float("nan"), float("inf")])
+def test_update_rejects_non_finite_dwell(dwell):
+    a = TimedAutomaton(vec())
+    with pytest.raises(InvalidDwell):
+        a.update(0, Event("x↑", 0.0), vec(x=True), dwell)
 
 
 def test_update_rejects_unknown_state():

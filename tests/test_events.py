@@ -69,6 +69,15 @@ def test_non_finite_timestamp_reports_line_number(raw):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("raw", ["-1", "-0.0004"])
+def test_negative_timestamp_reports_line_number(raw):
+    doc = csv_doc((raw, "actuator", "V1", 1), (0, "actuator", "V1", 0))
+    with pytest.raises(ParseError) as err:
+        parse_log(doc)
+    assert err.value.line == 2
+    assert "negative" in str(err.value)
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_sensor_value_reports_line_number(raw):
     doc = csv_doc((0, "actuator", "V1", 1), (1, "sensor", "L1", raw))

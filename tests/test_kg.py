@@ -211,6 +211,21 @@ def test_subclass_chain_is_transitively_closed():
     assert t("ex:thing", "rdf:type", "ex:c5") in all_triples
 
 
+def test_long_subclass_chain_closes_to_exactly_its_ancestors():
+    classes = [f"ex:c{i}" for i in range(200)]
+    instances = [f"ex:x{k}" for k in range(20)]
+    asserted = [t(a, "rdfs:subClassOf", b) for a, b in zip(classes, classes[1:])]
+    asserted += [t(x, "rdf:type", classes[0]) for x in instances]
+    expected = {
+        t(classes[i], "rdfs:subClassOf", classes[j])
+        for i in range(200)
+        for j in range(i + 1, 200)
+    } | {t(x, "rdf:type", c) for x in instances for c in classes}
+    closure = KnowledgeGraph(asserted).all_triples()
+    assert closure == expected
+    assert len(closure) == 23_900
+
+
 def test_equivalence_is_symmetric_transitive_and_shares_assertions():
     g = (
         KnowledgeGraph()

@@ -1,4 +1,4 @@
-"""Query engine versus an independent brute-force evaluator.
+"""Query engine and inference closure versus independent naive evaluators.
 
 The production engine reorders patterns (most-constrained first), uses a
 predicate index, and answers observation patterns from an indexed view of
@@ -6,6 +6,9 @@ each bound log.  The oracle here deliberately does none of that: plain
 left-to-right nested loops over the full triple list, with observations
 read from the log by the stdlib ``csv`` module.  Agreement on random graphs
 and queries is strong evidence the optimizations preserve semantics.
+
+Likewise the store's closure is semi-naive and index-driven; the oracle
+closure re-derives every rule over every fact until nothing changes.
 """
 
 import csv
@@ -14,7 +17,12 @@ import random
 import time
 from collections import Counter
 
+from hypothesis import example, given, settings, strategies as st
+
 from mixdiag.kg import (
+    EX_ATTRIBUTE_TO_CLASS,
+    EX_EQUIVALENT_TO,
+    EX_RELATION_TO,
     SOSA_HAS_SIMPLE_RESULT,
     SOSA_MADE_BY_SENSOR,
     SOSA_OBSERVATION,
@@ -25,7 +33,17 @@ from mixdiag.kg import (
     VirtualBinding,
 )
 from mixdiag.plant import default_config, simulate, write_log_csv
-from mixdiag.terms import RDF_TYPE, Iri, Literal, Triple, Var, format_term, iri
+from mixdiag.terms import (
+    RDF_TYPE,
+    RDFS_SUBCLASS_OF,
+    Iri,
+    Literal,
+    Term,
+    Triple,
+    Var,
+    format_term,
+    iri,
+)
 
 # ---------------------------------------------------------------------------
 # the oracle
@@ -358,3 +376,130 @@ def test_virtual_patterns_agree_with_bruteforce_oracle(tmp_path):
     assert (first.scan_count, second.scan_count) == (1, 1)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"oracle comparison too slow: {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# the inference closure
+
+
+def naive_closure(asserted: frozenset[Triple]) -> frozenset[Triple]:
+    """Forward chaining to fixpoint.
+
+    Rules: subClassOf transitivity, type propagation along subClassOf,
+    equivalence symmetry/transitivity with instance sharing between
+    equivalent classes, and property propagation along ex:relationTo.
+    """
+    facts: set[Triple] = set(asserted)
+    changed = True
+    while changed:
+        changed = False
+        subclass = [(t.subject, t.object) for t in facts if t.predicate == RDFS_SUBCLASS_OF]
+        equivalent = [(t.subject, t.object) for t in facts if t.predicate == EX_EQUIVALENT_TO]
+        relation = [
+            (t.subject, t.object)
+            for t in facts
+            if t.predicate == EX_RELATION_TO
+            and isinstance(t.subject, Iri)
+            and isinstance(t.object, Iri)
+        ]
+        types = [(t.subject, t.object) for t in facts if t.predicate == RDF_TYPE]
+
+        fresh: list[Triple] = []
+        # an attribute aligned to a class is an instance of that class
+        fresh.extend(
+            Triple(t.subject, RDF_TYPE, t.object)
+            for t in facts
+            if t.predicate == EX_ATTRIBUTE_TO_CLASS and isinstance(t.object, Iri)
+        )
+        super_of: dict[Term, set[Term]] = {}
+        for sub, sup in subclass:
+            super_of.setdefault(sub, set()).add(sup)
+        for sub, sup in subclass:
+            for supsup in super_of.get(sup, ()):
+                fresh.append(Triple(sub, RDFS_SUBCLASS_OF, supsup))
+        for instance, cls in types:
+            for sup in super_of.get(cls, ()):
+                fresh.append(Triple(instance, RDF_TYPE, sup))
+
+        equiv_of: dict[Term, set[Term]] = {}
+        for a, b in equivalent:
+            equiv_of.setdefault(a, set()).add(b)
+        for a, b in equivalent:
+            fresh.append(Triple(b, EX_EQUIVALENT_TO, a))
+            for c in equiv_of.get(b, ()):
+                if c != a:
+                    fresh.append(Triple(a, EX_EQUIVALENT_TO, c))
+        if equiv_of:
+            # equivalent terms share every assertion, in either position
+            for fact in list(facts):
+                for other in equiv_of.get(fact.subject, ()):
+                    if isinstance(other, Iri):
+                        fresh.append(Triple(other, fact.predicate, fact.object))
+                for other in equiv_of.get(fact.object, ()):
+                    fresh.append(Triple(fact.subject, fact.predicate, other))
+
+        specific_to_general = {}
+        for p, q in relation:
+            specific_to_general.setdefault(p, set()).add(q)
+        for t in list(facts):
+            for general in specific_to_general.get(t.predicate, ()):
+                fresh.append(Triple(t.subject, general, t.object))
+
+        for t in fresh:
+            if isinstance(t.subject, Literal):
+                continue
+            if t not in facts:
+                facts.add(t)
+                changed = True
+    return frozenset(facts)
+
+
+NODES = [iri(f"ex:n{i}") for i in range(5)]
+PLAIN_PREDICATES = [iri("ex:p"), iri("ex:q")]
+RULE_PREDICATES = [
+    RDF_TYPE, RDFS_SUBCLASS_OF, EX_EQUIVALENT_TO, EX_RELATION_TO, EX_ATTRIBUTE_TO_CLASS
+]
+CLOSURE_LITERALS = [Literal.integer(1), Literal.string("n0")]
+
+_nodes = st.sampled_from(NODES)
+# two nodes double as predicates, so ex:relationTo can also reach them late,
+# through equivalence sharing
+_predicates = st.sampled_from(RULE_PREDICATES + PLAIN_PREDICATES + NODES[:2])
+_any_fact = st.builds(Triple, _nodes, _predicates, st.sampled_from(NODES + CLOSURE_LITERALS))
+_self_loop = st.builds(lambda x, p: Triple(x, p, x), _nodes, _predicates)
+
+
+@st.composite
+def closure_inputs(draw):
+    """Random facts over every rule's predicate, plus one or two predicates
+    aligned by ex:relationTo, often onto a rule's own predicate, each used by
+    a fact whose subject gets up to two subclasses or instances.  That way a
+    subclass edge, a type or an equivalence enters by relationTo after the
+    facts it must join with."""
+    facts = set(draw(st.frozensets(st.one_of(_any_fact, _any_fact, _self_loop), max_size=14)))
+    specifics = st.sampled_from(PLAIN_PREDICATES + RULE_PREDICATES)
+    generals = st.sampled_from(PLAIN_PREDICATES + [RDFS_SUBCLASS_OF, RDF_TYPE, EX_EQUIVALENT_TO])
+    for specific in draw(st.lists(specifics, min_size=1, max_size=2, unique=True)):
+        subject = draw(_nodes)
+        facts.add(Triple(specific, EX_RELATION_TO, draw(generals)))
+        facts.add(Triple(subject, specific, draw(_nodes)))
+        for _ in range(draw(st.integers(0, 2))):
+            below = draw(st.sampled_from([RDFS_SUBCLASS_OF, RDF_TYPE]))
+            facts.add(Triple(draw(_nodes), below, subject))
+    return frozenset(facts)
+
+
+# a subclass edge n0 -> n1 enters by relationTo after n2 -> n0 is known
+@example(
+    frozenset(
+        {
+            Triple(PLAIN_PREDICATES[0], EX_RELATION_TO, RDFS_SUBCLASS_OF),
+            Triple(NODES[0], PLAIN_PREDICATES[0], NODES[1]),
+            Triple(NODES[2], RDFS_SUBCLASS_OF, NODES[0]),
+        }
+    )
+)
+@settings(max_examples=400, deadline=None)
+@given(closure_inputs())
+def test_closure_agrees_with_naive_oracle(asserted):
+    assert KnowledgeGraph(asserted).all_triples() == naive_closure(asserted)
