@@ -24,7 +24,6 @@ from .kg import (
     KnowledgeGraph,
     MappingRule,
     Query,
-    Update,
     VirtualBinding,
     apply_mappings,
     parse_ntriples,
@@ -84,7 +83,6 @@ __all__ = [
     "TIMING_BELOW_MIN",
     "UNKNOWN_EVENT",
     "UNKNOWN_STATE",
-    "Update",
     "Var",
     "VirtualBinding",
     "annotate_anomalies",

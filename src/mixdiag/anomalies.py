@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, asdict
 
 from .automaton import TimedAutomaton
-from .errors import ParseError
-from .events import EventTrace
+from .errors import MixdiagError, ParseError
+from .events import EventTrace, parse_label
 
 log = logging.getLogger(__name__)
 
@@ -169,7 +169,10 @@ def _optional(a: dict, key: str, types: type | tuple[type, ...]):
 
 def anomalies_from_json(text: str) -> list[Anomaly]:
     """Parse an anomaly document.  Raises :class:`ParseError` on malformed
-    JSON, an unknown kind, a non-integer state id, or a non-finite time."""
+    JSON, an unknown kind, a malformed event label, a non-integer state id,
+    or a time that is not a finite number.  The empty label is accepted
+    only for an UnknownState at the start of a trace, as ``detect`` emits
+    it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -180,14 +183,19 @@ def anomalies_from_json(text: str) -> list[Anomaly]:
             kind = str(a["kind"])
             if kind not in ANOMALY_KINDS:
                 raise ValueError(f"unknown anomaly kind {kind!r}")
-            at_t_s = float(a["at_t_s"])
-            if not math.isfinite(at_t_s):
-                raise ValueError(f"at_t_s must be finite, got {a['at_t_s']!r}")
+            at_t_s = _optional(a, "at_t_s", (int, float))
+            if at_t_s is None:
+                raise ValueError("at_t_s is required")
+            label = a["event_label"]
+            if not isinstance(label, str):
+                raise ValueError(f"bad event_label {label!r}")
+            if label or kind != UNKNOWN_STATE:
+                parse_label(label)
             anomalies.append(
                 Anomaly(
                     kind=kind,
-                    event_label=str(a["event_label"]),
-                    at_t_s=at_t_s,
+                    event_label=label,
+                    at_t_s=float(at_t_s),
                     source_state=_optional(a, "source_state", int),
                     target_state=_optional(a, "target_state", int),
                     observed_dwell_s=_optional(a, "observed_dwell_s", (int, float)),
@@ -195,6 +203,6 @@ def anomalies_from_json(text: str) -> list[Anomaly]:
                     deviation_s=_optional(a, "deviation_s", (int, float)),
                 )
             )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, MixdiagError) as exc:
         raise ParseError(f"bad anomaly document: {exc}") from None
     return anomalies

@@ -11,7 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import annotate as ann
 from .anomalies import DetectionSettings, anomalies_from_json, anomalies_to_json, detect
 from .automaton import deserialize, learn, serialize
 from .errors import MixdiagError
@@ -25,12 +24,13 @@ from .kg import (
 )
 from .pipeline import (
     SCENARIOS,
+    Report,
+    build_graph,
     catalog_from_json,
     context_service,
     default_catalog,
-    equipment_map_for,
+    export_mapping_sources,
     render_report,
-    report_service,
     run_pipeline,
     validate_catalog,
 )
@@ -157,11 +157,12 @@ def cmd_detect(args) -> int:
 
 def cmd_annotate(args) -> int:
     automaton = deserialize(Path(args.automaton).read_text(encoding="utf-8"))
-    triples = set(ann.annotate_automaton(automaton, equipment_map_for(automaton)))
-    if args.anomalies:
-        anomalies = anomalies_from_json(Path(args.anomalies).read_text(encoding="utf-8"))
-        triples |= set(ann.annotate_anomalies(anomalies, triples))
-    graph = KnowledgeGraph().insert(triples)
+    anomalies = (
+        anomalies_from_json(Path(args.anomalies).read_text(encoding="utf-8"))
+        if args.anomalies
+        else []
+    )
+    graph = build_graph(export_mapping_sources(default_config()), automaton, anomalies)
     _emit(serialize_ntriples(graph), args.out)
     return 0
 
@@ -205,10 +206,8 @@ def cmd_report(args) -> int:
     contexts = context_service(graph, anomalies) if anomalies else []
     cq_results = validate_catalog(graph, catalog)
     generated_at = f"report over {Path(args.anomalies).name} and {Path(args.graph).name}"
-    report, text = report_service(
-        anomalies, contexts, cq_results, args.scenario, generated_at
-    )
-    _emit(text, args.out)
+    report = Report(generated_at, args.scenario, anomalies, contexts, cq_results)
+    _emit(render_report(report), args.out)
     return 0
 
 
@@ -287,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="anomalies JSON path (default: stdout)")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("annotate", help="emit automaton (and anomalies) as N-Triples")
+    p = sub.add_parser("annotate", help="emit plant, automaton (and anomalies) as N-Triples")
     p.add_argument("--automaton", required=True, help="automaton JSON")
     p.add_argument("--anomalies", help="anomalies JSON to annotate as symptoms")
     p.add_argument("--out", help="N-Triples path (default: stdout)")

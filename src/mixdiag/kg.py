@@ -67,10 +67,6 @@ class QueryError(MixdiagError):
     """A query is structurally malformed."""
 
 
-class UpdateError(MixdiagError):
-    """An update template cannot be instantiated."""
-
-
 class MappingError(MixdiagError):
     """A mapping rule failed against its source."""
 
@@ -138,14 +134,6 @@ class Query:
             raise QueryError(f"ordering variable ?{self.order_by} not used in any pattern")
         if self.limit is not None and self.limit < 0:
             raise QueryError("limit must be >= 0")
-
-
-@dataclass(frozen=True)
-class Update:
-    """Ground or templated insertion; ``where`` binds template variables."""
-
-    insert: tuple[Pattern, ...]
-    where: tuple[Pattern, ...] = ()
 
 
 def _var_name(raw) -> str:
@@ -489,9 +477,6 @@ class KnowledgeGraph:
     def insert(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
         return KnowledgeGraph(self.asserted | frozenset(triples), self.virtual_sources)
 
-    def retract(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        return KnowledgeGraph(self.asserted - frozenset(triples), self.virtual_sources)
-
     def align(self, mechanism: str, a: Iri, b: Iri) -> "KnowledgeGraph":
         """Assert one of the four alignment mechanisms between two IRIs."""
         try:
@@ -502,25 +487,6 @@ class KnowledgeGraph:
 
     def bind_virtual(self, binding: VirtualBinding) -> "KnowledgeGraph":
         return KnowledgeGraph(self.asserted, self.virtual_sources + (binding,))
-
-    def unbind_virtual(self, binding: VirtualBinding) -> "KnowledgeGraph":
-        remaining = tuple(b for b in self.virtual_sources if b is not binding)
-        return KnowledgeGraph(self.asserted, remaining)
-
-    def update(self, u: Update) -> "KnowledgeGraph":
-        bindings = self._solve(u.where) if u.where else [{}]
-        new_triples: list[Triple] = []
-        for binding in bindings:
-            for template in u.insert:
-                ground = _substitute(template, binding)
-                for term in ground:
-                    if isinstance(term, Var):
-                        raise UpdateError(f"unbound template variable ?{term.name}")
-                s, p, o = ground
-                if not isinstance(s, Iri) or not isinstance(p, Iri):
-                    raise UpdateError("subject and predicate must be IRIs")
-                new_triples.append(Triple(s, p, o))
-        return self.insert(new_triples)
 
     # -- inference ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""End-to-end diagnosis pipeline and its three services.
+"""End-to-end diagnosis pipeline.
 
 ``run_pipeline`` wires the stages together: simulate a training run, learn
 the automaton, simulate an evaluation scenario, detect anomalies, populate
@@ -6,6 +6,8 @@ the knowledge graph (mappings, annotation, virtual sensor access), collect
 context for each anomaly, validate the competency-question catalog, and
 render a technician report.  An exclusive gateway skips context collection
 when no anomalies were found; the report is written either way.
+``build_graph`` is the one way the graph is populated; ``mixdiag annotate``
+uses it too.
 
 Every artifact is serialized canonically, so a pipeline run is
 byte-deterministic for a fixed seed and scenario.
@@ -25,9 +27,9 @@ from .anomalies import (
     anomalies_to_json,
     detect,
 )
-from .automaton import TimedAutomaton, deserialize, learn, serialize
+from .automaton import TimedAutomaton, learn, serialize
 from .errors import MixdiagError, ParseError
-from .events import split_cycles, to_trace, parse_log
+from .events import split_cycles, to_trace
 from .kg import (
     KnowledgeGraph,
     MappingRule,
@@ -363,22 +365,28 @@ def equipment_map_for(automaton: TimedAutomaton) -> dict[int, Iri]:
     return mapping
 
 
+def build_graph(
+    sources: dict[str, str],
+    automaton: TimedAutomaton,
+    anomalies: list[Anomaly],
+    log_path: str | Path | None = None,
+) -> KnowledgeGraph:
+    """Populate the knowledge graph: the plant mappings over ``sources``
+    (see :func:`export_mapping_sources`), the annotated automaton and, when
+    there are any, its anomalies.  ``log_path`` is bound as a virtual
+    observation source when given.  The graph comes back inferred."""
+    graph = KnowledgeGraph()
+    graph = graph.insert(apply_mappings(default_mapping_rules(), sources))
+    graph = graph.insert(ann.annotate_automaton(automaton, equipment_map_for(automaton)))
+    if anomalies:
+        graph = graph.insert(ann.annotate_anomalies(anomalies, graph.asserted))
+    if log_path is not None:
+        graph = graph.bind_virtual(VirtualBinding(log_path))
+    return graph.infer()
+
+
 # ---------------------------------------------------------------------------
 # services
-
-
-def anomaly_service(
-    automaton_path: str | Path,
-    log_path: str | Path,
-    settings: DetectionSettings | None = None,
-) -> tuple[list[Anomaly], bool]:
-    """Detect anomalies in a recorded log; the boolean is the gateway signal
-    (True when anomalies were found)."""
-    automaton = deserialize(Path(automaton_path).read_text(encoding="utf-8"))
-    log = parse_log(Path(log_path).read_text(encoding="utf-8"))
-    trace = to_trace(log, automaton.actuator_ids())
-    found = detect(automaton, trace, settings)
-    return found, bool(found)
 
 
 @dataclass
@@ -577,18 +585,6 @@ def render_report(report: Report) -> str:
     return "\n".join(lines)
 
 
-def report_service(
-    anomalies: list[Anomaly],
-    contexts: list[AnomalyContext],
-    cq_results: list[CqResult],
-    scenario: str,
-    generated_at: str,
-) -> tuple[Report, str]:
-    """Assemble the report object and its rendered text."""
-    report = Report(generated_at, scenario, anomalies, contexts, cq_results)
-    return report, render_report(report)
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 
@@ -648,7 +644,7 @@ def run_pipeline(
     automaton = stage("learn", lambda: learn(traces))
     write("automaton.json", serialize(automaton))
 
-    # evaluation run and anomaly service
+    # evaluation run and detection
     eval_log = stage(
         "evaluate", lambda: simulate(config, 1, SCENARIOS[scenario], seed)
     )
@@ -658,19 +654,12 @@ def run_pipeline(
     write("anomalies.json", anomalies_to_json(anomalies))
 
     # knowledge graph population
-    def build_graph() -> KnowledgeGraph:
-        sources = export_mapping_sources(config)
-        for name, text in sources.items():
-            write(f"sources/{name}", text)
-        graph = KnowledgeGraph()
-        graph = graph.insert(apply_mappings(default_mapping_rules(), sources))
-        graph = graph.insert(ann.annotate_automaton(automaton, equipment_map_for(automaton)))
-        if anomalies:
-            graph = graph.insert(ann.annotate_anomalies(anomalies, graph.asserted))
-        graph = graph.bind_virtual(VirtualBinding(eval_log_path))
-        return graph.infer()
-
-    graph = stage("annotate", build_graph)
+    sources = export_mapping_sources(config)
+    for name, text in sources.items():
+        write(f"sources/{name}", text)
+    graph = stage(
+        "annotate", lambda: build_graph(sources, automaton, anomalies, eval_log_path)
+    )
     write("graph.nt", serialize_ntriples(graph))
     write("cq_catalog.json", catalog_to_json(catalog))
 
@@ -693,10 +682,8 @@ def run_pipeline(
     )
 
     generated_at = f"plant run, seed {seed}, scenario {scenario}"
-    report, text = stage(
-        "report",
-        lambda: report_service(anomalies, contexts, cq_results, scenario, generated_at),
-    )
+    report = Report(generated_at, scenario, anomalies, contexts, cq_results)
+    text = stage("report", lambda: render_report(report))
     write(
         "report.json",
         json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",

@@ -189,9 +189,10 @@ def test_json_round_trip(automaton, config, leakage_log):
 
 
 def test_json_round_trip_handles_missing_fields():
-    a = Anomaly(UNKNOWN_STATE, "x↑", 1.5)
-    text = anomalies_to_json([a])
-    assert anomalies_from_json(text) == [a]
+    # the empty label is how detect reports a trace that starts in an unknown state
+    found = [Anomaly(UNKNOWN_STATE, "", 0.0), Anomaly(UNKNOWN_STATE, "x↑", 1.5)]
+    text = anomalies_to_json(found)
+    assert anomalies_from_json(text) == found
 
 
 def anomaly_doc(**fields):
@@ -229,6 +230,12 @@ def test_json_accepts_integral_dwell_fields():
         {"bound_s": float("inf")},
         {"deviation_s": float("-inf")},
         {"observed_dwell_s": "9.0"},
+        {"at_t_s": True},
+        {"at_t_s": "135.0"},
+        {"event_label": "garbage"},
+        {"event_label": 7},
+        {"event_label": "P201↑,P201↓"},
+        {"event_label": ""},
     ],
 )
 def test_json_rejects_bad_anomaly_fields(fields):

@@ -1,4 +1,4 @@
-"""Triple store: queries, alignment, inference, updates, N-Triples, OBDA."""
+"""Triple store: queries, alignment, inference, N-Triples, OBDA."""
 
 import os
 
@@ -11,7 +11,6 @@ from mixdiag.kg import (
     KnowledgeGraph,
     Query,
     SourceUnavailable,
-    Update,
     VirtualBinding,
     parse_ntriples,
     query_from_dict,
@@ -22,10 +21,8 @@ from mixdiag.plant import default_config, simulate, write_log_csv
 from mixdiag.terms import (
     Iri,
     Literal,
-    RDF_TYPE,
     RDFS_SUBCLASS_OF,
     Triple,
-    Var,
     iri,
 )
 
@@ -69,13 +66,6 @@ def test_insert_returns_new_snapshot(family):
     bigger = family.insert([t("ex:dave", "ex:parentOf", "ex:erin")])
     assert len(bigger) == len(family) + 1
     assert len(family) == 7  # original untouched
-
-
-def test_retract(family):
-    smaller = family.retract([t("ex:alice", "ex:parentOf", "ex:bob")])
-    assert len(smaller) == len(family) - 1
-    rows = smaller.query(q(["?c"], [["ex:alice", "ex:parentOf", "?c"]]))
-    assert [r["c"] for r in rows] == [iri("ex:carol")]
 
 
 # ---------------------------------------------------------------------------
@@ -305,48 +295,6 @@ def test_inference_properties_on_random_graphs(triples, extra):
 
 
 # ---------------------------------------------------------------------------
-# updates
-
-
-def test_update_inserts_for_every_match(family):
-    u = Update(
-        insert=((Var("p"), iri("rdf:type"), iri("ex:Parent")),),
-        where=((Var("p"), iri("ex:parentOf"), Var("c")),),
-    )
-    g = family.update(u)
-    rows = g.query(q(["?p"], [["?p", "rdf:type", "ex:Parent"]]))
-    assert {r["p"] for r in rows} == {iri("ex:alice"), iri("ex:bob")}
-
-
-def test_update_without_where_inserts_ground_triples(family):
-    u = Update(insert=((iri("ex:zoe"), RDF_TYPE, iri("ex:Person")),))
-    g = family.update(u)
-    assert t("ex:zoe", "rdf:type", "ex:Person") in g.all_triples()
-
-
-def test_update_with_unbound_template_variable_fails(family):
-    from mixdiag.kg import UpdateError
-
-    u = Update(
-        insert=((Var("nobody"), RDF_TYPE, iri("ex:Person")),),
-        where=((Var("p"), iri("ex:parentOf"), Var("c")),),
-    )
-    with pytest.raises(UpdateError):
-        family.update(u)
-
-
-def test_update_rejects_literal_subject(family):
-    from mixdiag.kg import UpdateError
-
-    u = Update(
-        insert=((Var("a"), RDF_TYPE, iri("ex:Number")),),
-        where=((Var("p"), iri("ex:age"), Var("a")),),
-    )
-    with pytest.raises(UpdateError):
-        family.update(u)
-
-
-# ---------------------------------------------------------------------------
 # N-Triples
 
 
@@ -509,14 +457,6 @@ def test_snapshots_sharing_a_binding_never_see_a_stale_view(logged):
     path.write_text(text + text.splitlines(keepends=True)[-1], encoding="utf-8")
     for g, copies in ((doubled, 2), (inserted, 1), (graph, 1)):
         assert len(g.query(OBSERVATIONS)) == copies * (n_samples + 1)
-
-
-def test_unbind_virtual_removes_observations(logged):
-    graph, _, _ = logged
-    binding = graph.virtual_sources[0]
-    unbound = graph.unbind_virtual(binding)
-    rows = unbound.query(q(["?o"], [["?o", "rdf:type", "sosa:Observation"]]))
-    assert rows == []
 
 
 def test_missing_source_raises_at_query_time(tmp_path):

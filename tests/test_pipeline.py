@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mixdiag.anomalies import Anomaly
+from mixdiag.anomalies import Anomaly, anomalies_from_json
 from mixdiag.cli import main
 from mixdiag.errors import ParseError
 from mixdiag.kg import KnowledgeGraph
@@ -13,7 +13,6 @@ from mixdiag.pipeline import (
     CqCatalog,
     CqItem,
     PipelineError,
-    anomaly_service,
     catalog_from_json,
     catalog_to_json,
     context_service,
@@ -98,23 +97,6 @@ def test_validation_on_empty_graph_fails_everything():
 
 # ---------------------------------------------------------------------------
 # services
-
-
-def test_anomaly_service_reads_artifacts(blockage_run):
-    anomalies, found = anomaly_service(
-        blockage_run.artifacts["automaton.json"],
-        blockage_run.artifacts["eval_log.csv"],
-    )
-    assert found is True
-    assert [a.kind for a in anomalies] == ["TimingAboveMax"]
-
-
-def test_anomaly_service_nominal_gateway(nominal_run):
-    anomalies, found = anomaly_service(
-        nominal_run.artifacts["automaton.json"],
-        nominal_run.artifacts["eval_log.csv"],
-    )
-    assert anomalies == [] and found is False
 
 
 def test_context_service_resolves_blockage(blockage_run):
@@ -260,18 +242,30 @@ def test_cli_pipeline_and_detect_exit_codes(tmp_path, capsys):
     )
     assert rc == 0  # clean log
     capsys.readouterr()
+    assert (tmp_path / "anom.json").read_bytes() == (out / "anomalies.json").read_bytes()
+    assert anomalies_from_json((tmp_path / "clean.json").read_text(encoding="utf-8")) == []
 
 
 def test_cli_simulate_learn_annotate_validate(tmp_path, capsys):
-    log = tmp_path / "train.csv"
-    aut = tmp_path / "aut.json"
-    graph = tmp_path / "graph.nt"
-    assert main(["simulate", "--cycles", "10", "--out", str(log)]) == 0
-    assert main(["learn", "--log", str(log), "--out", str(aut)]) == 0
-    assert main(["annotate", "--automaton", str(aut), "--out", str(graph)]) == 0
-    rc = main(["validate", "--graph", str(graph), "--phase", "contextualization"])
-    assert rc == 1  # plant topology triples are not in that graph
+    """The stepwise CLI builds the same graph as the blockage pipeline."""
+    train, aut = tmp_path / "train.csv", tmp_path / "aut.json"
+    log, anom, graph = tmp_path / "eval.csv", tmp_path / "anom.json", tmp_path / "graph.nt"
+    assert main(["simulate", "--cycles", "10", "--seed", "42", "--out", str(train)]) == 0
+    assert main(["learn", "--log", str(train), "--out", str(aut)]) == 0
+    assert main(
+        ["simulate", "--fault", "blockage:P201:0.5", "--seed", "42", "--out", str(log)]
+    ) == 0
+    assert main(
+        ["detect", "--automaton", str(aut), "--log", str(log), "--out", str(anom)]
+    ) == 2
+    assert main(
+        ["annotate", "--automaton", str(aut), "--anomalies", str(anom), "--out", str(graph)]
+    ) == 0
+    assert graph.read_bytes() == (GOLDEN_DIR / "graph.nt").read_bytes()
+    assert main(["validate", "--graph", str(graph), "--log", str(log)]) == 0
     capsys.readouterr()
+    assert main(["report", "--graph", str(graph), "--anomalies", str(anom)]) == 0
+    assert "functions: ex:Transfer" in capsys.readouterr().out
 
 
 def test_cli_query_subcommand(tmp_path, capsys):
