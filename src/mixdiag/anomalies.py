@@ -29,6 +29,10 @@ TIMING_KINDS = (TIMING_ABOVE_MAX, TIMING_BELOW_MIN)
 ANOMALY_KINDS = TIMING_KINDS + (UNKNOWN_EVENT, UNKNOWN_STATE)
 
 
+class ActuatorMismatch(MixdiagError):
+    """A trace and an automaton are over different actuator sets."""
+
+
 @dataclass(frozen=True)
 class DetectionSettings:
     """Tolerance settings.  The effective tolerance for a bound ``b`` is
@@ -76,7 +80,7 @@ def detect(
     """
     settings = settings or DetectionSettings()
     if set(trace.actuator_ids()) != set(automaton.actuator_ids()):
-        raise ValueError("trace and automaton disagree on actuator ids")
+        raise ActuatorMismatch("trace and automaton disagree on actuator ids")
 
     anomalies: list[Anomaly] = []
     initial = automaton.initial_state()

@@ -24,6 +24,13 @@ Conventions that downstream code relies on:
 * A phase that has not finished after ten times its nominal duration raises
   :class:`PhaseUnreachable`.  The nominal duration uses unfaulted rates, so
   a blockage multiplier at or below 0.1 trips the cap by design.
+* A cycle after the first that starts from the same tank levels, actuator
+  vector, sensor-sampling phase (``t_ms % 1000``) and fault activity as an
+  earlier simulated cycle is replayed: the earlier cycle's records are
+  re-emitted shifted in time, without integrating.  This holds only without
+  noise and without an ``on_step`` hook, and only when no fault starts or
+  ends strictly inside either cycle's window, so the log is byte-identical
+  to a stepwise run.
 """
 
 from __future__ import annotations
@@ -31,12 +38,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 import random
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Iterable, Mapping
 
 from .errors import MixdiagError, ParseError
+
+logger = logging.getLogger(__name__)
 
 AMBIENT_TEMPERATURE_C = 20.0
 
@@ -320,6 +330,56 @@ def _prepare_fault(f: FaultSpec) -> _PreparedFault:
     return _PreparedFault(f.kind, f.target, f.magnitude, onset_ms, end_ms)
 
 
+@dataclass
+class _StoredCycle:
+    """A simulated cycle kept for replay: its window, the state it ended in
+    and the index ranges of its records in the output lists.  The records
+    are copied as ``(ms offset from the cycle start, id, value)`` when the
+    cycle first repeats, so cycles that never repeat cost no second copy."""
+
+    start_ms: int
+    duration_ms: int
+    actuator_span: tuple[int, int]
+    sensor_span: tuple[int, int]
+    levels: dict[str, int]
+    vector: dict[str, bool]
+    actuator_offsets: list[tuple[int, str, bool]] | None = None
+    sensor_offsets: list[tuple[int, str, float]] | None = None
+
+    def replay(
+        self,
+        start_ms: int,
+        actuator_records: list[ActuatorRecord],
+        sensor_records: list[SensorRecord],
+    ) -> None:
+        """Append this cycle's records again, shifted to start at ``start_ms``.
+
+        ``(start_ms + offset) / 1000.0`` is the float a stepwise run
+        computes for the same record, so the output is byte-identical."""
+        if self.sensor_offsets is None:
+            self.actuator_offsets = [
+                (round(r.t_s * 1000) - self.start_ms, r.actuator_id, r.value)
+                for r in actuator_records[slice(*self.actuator_span)]
+            ]
+            self.sensor_offsets = [
+                (round(r.t_s * 1000) - self.start_ms, r.sensor_id, r.value)
+                for r in sensor_records[slice(*self.sensor_span)]
+            ]
+        actuator_records.extend(
+            [ActuatorRecord((start_ms + dt) / 1000.0, i, v) for dt, i, v in self.actuator_offsets]
+        )
+        sensor_records.extend(
+            [SensorRecord((start_ms + dt) / 1000.0, i, v) for dt, i, v in self.sensor_offsets]
+        )
+
+
+def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
+    """Whether a fault starts or ends strictly inside ``(lo_ms, hi_ms)``."""
+    return any(
+        lo_ms < b < hi_ms for f in prepared for b in (f.onset_ms, f.end_ms) if b is not None
+    )
+
+
 def _phase_cap_and_direction(
     phase: Phase,
     levels_ul: Mapping[str, int],
@@ -398,8 +458,8 @@ def simulate(
     byte-deterministic regardless of seed.
     """
     config.validate()
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
+    if isinstance(n_cycles, bool) or not isinstance(n_cycles, int) or n_cycles < 1:
+        raise ConfigError(f"n_cycles must be an int >= 1, got {n_cycles!r}")
     faults = tuple(faults)
     for f in faults:
         f.validate(config)
@@ -443,12 +503,38 @@ def simulate(
 
     sample_sensors({})
     establishing = True
+    # Without noise or a per-step hook, a cycle is a pure function of the
+    # key formed below, so a repeated key replays the stored cycle.
+    replayable = noise_sigma == 0 and on_step is None
+    stored: dict[tuple, _StoredCycle] = {}
+    replayed = 0
     for cycle in range(n_cycles):
         for tid in source_tanks:
             delta = initial_ul[tid] - levels[tid]
             if delta > 0:
                 levels[tid] = initial_ul[tid]
                 pending_inflow += delta
+        start_ms = t_ms
+        key = None
+        if replayable and not establishing:
+            key = (
+                tuple(levels.items()),
+                tuple(current.items()),
+                t_ms % 1000,
+                tuple(f.active(t_ms) for f in prepared),
+            )
+            hit = stored.get(key)
+            if hit is not None and not _fault_boundary_inside(
+                prepared, start_ms, start_ms + hit.duration_ms
+            ):
+                hit.replay(start_ms, actuator_records, sensor_records)
+                levels = dict(hit.levels)
+                current = dict(hit.vector)
+                t_ms = start_ms + hit.duration_ms
+                pending_inflow = 0
+                replayed += 1
+                continue
+        actuator_lo, sensor_lo = len(actuator_records), len(sensor_records)
         for phase in config.phases:
             enter_vector(phase.actuator_vector, establishing)
             establishing = False
@@ -517,14 +603,25 @@ def simulate(
                     raise PhaseUnreachable(
                         phase.name, cycle, "end condition not reached within 10x nominal time"
                     )
+        if key is not None and not _fault_boundary_inside(prepared, start_ms, t_ms):
+            stored[key] = _StoredCycle(
+                start_ms,
+                t_ms - start_ms,
+                (actuator_lo, len(actuator_records)),
+                (sensor_lo, len(sensor_records)),
+                dict(levels),
+                dict(current),
+            )
     # Close the final cycle by returning to the first phase's vector.
     enter_vector(config.phases[0].actuator_vector)
 
+    logger.debug("simulated %d cycles, replayed %d", n_cycles - replayed, replayed)
     meta = {
         "seed": seed,
         "n_cycles": n_cycles,
         "faults": [asdict(f) for f in faults],
         "noise_sigma": noise_sigma,
+        "replayed_cycles": replayed,
     }
     return SimulationLog(actuator_records, sensor_records, meta)
 
@@ -539,7 +636,10 @@ def format_timestamp(t_s: float) -> str:
 
 
 def write_log_csv(log: SimulationLog) -> str:
-    """Serialize a log to CSV, sorted by time, then record kind, then id."""
+    """Serialize a log to CSV, sorted by time, then record kind, then id.
+
+    Records that repeat the same time, kind and id are ordered by value.
+    """
     rows = [
         (round(r.t_s * 1000), "actuator", r.actuator_id, "1" if r.value else "0")
         for r in log.actuator_records
@@ -548,12 +648,13 @@ def write_log_csv(log: SimulationLog) -> str:
         (round(r.t_s * 1000), "sensor", r.sensor_id, repr(float(r.value)))
         for r in log.sensor_records
     )
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    rows.sort()
+    # Every sensor sample shares its stamp with the rest of the snapshot.
+    stamps = {t_ms: format_timestamp(t_ms / 1000.0) for t_ms in {row[0] for row in rows}}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LOG_HEADER)
-    for t_ms, kind, rid, value in rows:
-        writer.writerow((format_timestamp(t_ms / 1000.0), kind, rid, value))
+    writer.writerows((stamps[t_ms], kind, rid, value) for t_ms, kind, rid, value in rows)
     return out.getvalue()
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixdiag.anomalies import (
+    ActuatorMismatch,
     Anomaly,
     DetectionSettings,
     TIMING_ABOVE_MAX,
@@ -156,13 +157,17 @@ def test_known_but_noninitial_start_is_accepted(automaton, config):
     assert detect(automaton, trace, ZERO_TOL) == []
 
 
-def test_detect_requires_matching_actuator_sets(automaton):
+def test_detect_requires_matching_actuator_sets(automaton, config, blockage_log):
     other = EventTrace(
         ActuatorVector.from_mapping({"Q1": False}),
         (TraceStep(Event("Q1↑", 1.0), ActuatorVector.from_mapping({"Q1": True}), 1.0),),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ActuatorMismatch):
         detect(automaton, other)
+    # one actuator more than the automaton knows
+    extra = to_trace(blockage_log, sorted(config.actuator_ids()) + ["X9"])
+    with pytest.raises(ActuatorMismatch):
+        detect(automaton, extra)
 
 
 @settings(max_examples=30, deadline=None)

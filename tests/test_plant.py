@@ -1,17 +1,21 @@
 """Simulator behavior: exact phase timing, mass conservation, determinism."""
 
 import json
+import logging
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixdiag.events import to_trace
+from mixdiag.events import parse_log, to_trace
 from mixdiag.plant import (
+    ActuatorRecord,
     ConfigError,
     FaultSpec,
     PhaseUnreachable,
     PlantConfig,
+    SensorRecord,
+    SimulationLog,
     Tank,
     config_from_json,
     config_to_json,
@@ -154,8 +158,9 @@ def test_temperature_sensor_reads_ambient(config):
 
 
 def test_zero_cycles_rejected(config):
-    with pytest.raises(ValueError):
-        simulate(config, 0)
+    for n_cycles in (0, -1, True, 2.0):
+        with pytest.raises(ConfigError):
+            simulate(config, n_cycles)
 
 
 def test_total_leak_makes_dosing_unreachable(config):
@@ -266,3 +271,41 @@ def test_meta_does_not_affect_log_equality(config):
     b = simulate(config, 1, (), 0)
     b.meta["extra"] = "note"
     assert a == b
+
+
+def test_log_with_quoted_ids_round_trips(config):
+    log = SimulationLog(
+        [ActuatorRecord(0.0, 'V,1"a', True), ActuatorRecord(1.5, 'V,1"a', False)],
+        [SensorRecord(0.0, '"L",2', 0.25), SensorRecord(1.0, '"L",2', 1e-7)],
+    )
+    assert parse_log(write_log_csv(log)) == log
+
+
+def test_repeated_nominal_cycles_are_replayed(config, caplog):
+    with caplog.at_level(logging.DEBUG, logger="mixdiag.plant"):
+        log = simulate(config, 100)
+    # cycle 0 establishes the vector, cycle 1 is stored, 2..99 replay it
+    assert log.meta["replayed_cycles"] == 98
+    assert "simulated 2 cycles, replayed 98" in caplog.text
+
+
+def test_noise_and_step_hook_disable_replay(config):
+    assert simulate(config, 4, noise_sigma=0.01).meta["replayed_cycles"] == 0
+    hooked = simulate(config, 4, on_step=lambda *args: None)
+    assert hooked.meta["replayed_cycles"] == 0
+
+
+def test_cycle_with_fault_onset_inside_is_simulated(config):
+    # nominal cycles take 125 s; the blockage starts 15 s into the Transfer
+    # phase of cycle 3, which then moves its last 3 L at half rate
+    onset_s = 3 * 125.0 + 90.0
+    log = simulate(config, 6, (FaultSpec("blockage", "P201", 0.5, onset_s),))
+    # cycles 2 and 3 start from the nominal state, but only cycle 2 may
+    # replay cycle 1; cycle 4 establishes the blocked cycle that 5 replays
+    assert log.meta["replayed_cycles"] == 2
+    transfer_dwells = [
+        s.dwell_s for s in to_trace(log, config).steps if s.event.label == "P201↓,V205↑"
+    ]
+    assert transfer_dwells[:3] == [30.0] * 3
+    assert transfer_dwells[3] == 45.0
+    assert transfer_dwells[4:] == [60.0, 60.0]

@@ -1,0 +1,278 @@
+"""The simulator and the log writer versus their plain stepwise versions.
+
+``simulate`` replays a cycle that starts from the same state as an earlier
+one instead of integrating it again, and ``write_log_csv`` formats each
+distinct timestamp once.  The oracles below are the versions without
+either shortcut: every cycle is integrated step by step and every row is
+formatted on its own.  Equal records and byte-equal CSV on random runs,
+faults that start and end on, near and inside cycle boundaries included,
+are strong evidence the shortcuts preserve the log.
+"""
+
+import csv
+import io
+import random
+from dataclasses import asdict
+from typing import Callable, Iterable, Mapping
+
+from hypothesis import example, given, settings, strategies as st
+
+from mixdiag.plant import (
+    AMBIENT_TEMPERATURE_C,
+    LOG_HEADER,
+    _UL_PER_L,
+    ActuatorRecord,
+    FaultSpec,
+    PhaseUnreachable,
+    PlantConfig,
+    SensorRecord,
+    SimulationLog,
+    _condition_met,
+    _phase_cap_and_direction,
+    _prepare_fault,
+    _ul,
+    default_config,
+    format_timestamp,
+    simulate,
+    write_log_csv,
+)
+
+# ---------------------------------------------------------------------------
+# the oracles
+
+
+def naive_simulate(
+    config: PlantConfig,
+    n_cycles: int,
+    faults: Iterable[FaultSpec] = (),
+    seed: int = 0,
+    *,
+    noise_sigma: float = 0.0,
+    on_step: Callable[[float, dict[str, float], float, float, float], None] | None = None,
+) -> SimulationLog:
+    """Run ``n_cycles`` through the phase list and record the event log.
+
+    ``on_step`` is an instrumentation hook called after every integration
+    step with ``(t_s, levels, inflow_l, outflow_l, leaked_l)``; the three
+    volumes are what entered, left, and leaked from the plant during that
+    step, which lets callers audit mass conservation exactly.
+
+    ``noise_sigma`` adds Gaussian noise to sensor values only; actuator
+    records are always noise free.  With the default of zero the run is
+    byte-deterministic regardless of seed.
+    """
+    config.validate()
+    if n_cycles < 1:
+        raise ValueError("n_cycles must be >= 1")
+    faults = tuple(faults)
+    for f in faults:
+        f.validate(config)
+    prepared = [_prepare_fault(f) for f in faults]
+
+    dt_ms = config.dt_ms()
+    dt_s = dt_ms / 1000.0
+    rng = random.Random(seed)
+    acts = {a.id: a for a in config.actuators}
+    levels = {t.id: _ul(t.initial_l) for t in config.tanks}
+    initial_ul = {t.id: _ul(t.initial_l) for t in config.tanks}
+    capacity_ul = {t.id: _ul(t.capacity_l) for t in config.tanks}
+    source_tanks = sorted(config.source_tank_ids())
+    sensors = sorted(config.sensors, key=lambda s: s.id)
+
+    actuator_records: list[ActuatorRecord] = []
+    sensor_records: list[SensorRecord] = []
+    current: dict[str, bool] = {}
+    t_ms = 0
+    pending_inflow = 0
+
+    def enter_vector(vector: Mapping[str, bool], establishing: bool = False) -> None:
+        nonlocal current
+        full = {aid: bool(vector.get(aid, False)) for aid in sorted(acts)}
+        for aid in sorted(full):
+            if establishing or full[aid] != current[aid]:
+                actuator_records.append(ActuatorRecord(t_ms / 1000.0, aid, full[aid]))
+        current = full
+
+    def sample_sensors(step_rates: Mapping[str, float]) -> None:
+        for s in sensors:
+            if s.kind == "level":
+                value = levels[s.attached_to] / _UL_PER_L
+            elif s.kind == "flow":
+                value = step_rates.get(s.attached_to, 0.0)
+            else:
+                value = AMBIENT_TEMPERATURE_C
+            if noise_sigma > 0:
+                value += rng.gauss(0.0, noise_sigma)
+            sensor_records.append(SensorRecord(t_ms / 1000.0, s.id, value))
+
+    sample_sensors({})
+    establishing = True
+    for cycle in range(n_cycles):
+        for tid in source_tanks:
+            delta = initial_ul[tid] - levels[tid]
+            if delta > 0:
+                levels[tid] = initial_ul[tid]
+                pending_inflow += delta
+        for phase in config.phases:
+            enter_vector(phase.actuator_vector, establishing)
+            establishing = False
+            active = sorted(
+                (
+                    acts[aid]
+                    for aid, on in current.items()
+                    if on and aid in config.flows and (acts[aid].from_tank or acts[aid].to_tank)
+                ),
+                key=lambda a: a.id,
+            )
+            cap_steps, direction = _phase_cap_and_direction(
+                phase, levels, config, active, dt_ms, cycle
+            )
+            transferred = 0
+            steps = 0
+            while True:
+                step_start = t_ms
+                inflow, outflow, leaked = pending_inflow, 0, 0
+                pending_inflow = 0
+                rates: dict[str, float] = {}
+                for a in active:
+                    mult = 1.0
+                    for f in prepared:
+                        if f.kind == "blockage" and f.target == a.id and f.active(step_start):
+                            mult *= f.magnitude
+                    amount = _ul(config.flows[a.id] * mult * dt_s)
+                    if a.from_tank is not None:
+                        amount = min(amount, levels[a.from_tank])
+                    if a.to_tank is not None:
+                        amount = min(amount, capacity_ul[a.to_tank] - levels[a.to_tank])
+                    amount = max(amount, 0)
+                    if a.from_tank is not None:
+                        levels[a.from_tank] -= amount
+                    else:
+                        inflow += amount
+                    if a.to_tank is not None:
+                        levels[a.to_tank] += amount
+                    else:
+                        outflow += amount
+                    rates[a.id] = amount / _UL_PER_L / dt_s
+                    transferred += amount
+                for f in prepared:
+                    if f.kind == "leakage" and f.active(step_start):
+                        lost = min(_ul(f.magnitude * dt_s), levels[f.target])
+                        if lost > 0:
+                            levels[f.target] -= lost
+                            leaked += lost
+                t_ms += dt_ms
+                steps += 1
+                if on_step is not None:
+                    on_step(
+                        t_ms / 1000.0,
+                        {tid: ul / _UL_PER_L for tid, ul in levels.items()},
+                        inflow / _UL_PER_L,
+                        outflow / _UL_PER_L,
+                        leaked / _UL_PER_L,
+                    )
+                if t_ms % 1000 == 0:
+                    sample_sensors(rates)
+                if _condition_met(
+                    phase.end_condition, levels, steps, dt_ms, transferred, direction
+                ):
+                    break
+                if steps >= cap_steps:
+                    raise PhaseUnreachable(
+                        phase.name, cycle, "end condition not reached within 10x nominal time"
+                    )
+    # Close the final cycle by returning to the first phase's vector.
+    enter_vector(config.phases[0].actuator_vector)
+
+    meta = {
+        "seed": seed,
+        "n_cycles": n_cycles,
+        "faults": [asdict(f) for f in faults],
+        "noise_sigma": noise_sigma,
+    }
+    return SimulationLog(actuator_records, sensor_records, meta)
+
+
+def naive_write_log_csv(log: SimulationLog) -> str:
+    """Serialize a log to CSV, sorted by time, then record kind, then id."""
+    rows = [
+        (round(r.t_s * 1000), "actuator", r.actuator_id, "1" if r.value else "0")
+        for r in log.actuator_records
+    ]
+    rows.extend(
+        (round(r.t_s * 1000), "sensor", r.sensor_id, repr(float(r.value)))
+        for r in log.sensor_records
+    )
+    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LOG_HEADER)
+    for t_ms, kind, rid, value in rows:
+        writer.writerow((format_timestamp(t_ms / 1000.0), kind, rid, value))
+    return out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the differential test
+
+CYCLE_MS = 125_000  # one nominal cycle of the default plant
+
+# fault edges on a nominal cycle boundary, just before or after one, in
+# the middle of a cycle, or anywhere in the run
+edge_ms = st.builds(
+    lambda k, delta: max(0, k * CYCLE_MS + delta),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([-1000, -100, -1, 0, 1, 100, 1000, CYCLE_MS // 2]),
+) | st.integers(min_value=0, max_value=13 * CYCLE_MS)
+
+
+@st.composite
+def fault_specs(draw):
+    onset_ms = draw(edge_ms)
+    end_ms = draw(st.none() | edge_ms)
+    duration_s = None if end_ms is None or end_ms <= onset_ms else (end_ms - onset_ms) / 1000
+    if draw(st.booleans()):
+        kind = "blockage"
+        target = draw(st.sampled_from(sorted(default_config().flows)))
+        magnitude = draw(st.floats(0.15, 0.95))
+    else:
+        kind = "leakage"
+        target = draw(st.sampled_from(["B201", "B204", "B205"]))
+        # 0.7 L/s empties a full B204 within the 10 s Mix phase
+        magnitude = draw(st.sampled_from([0.02, 0.7]) | st.floats(0.001, 0.09))
+    return FaultSpec(kind, target, magnitude, onset_ms / 1000, duration_s)
+
+
+def _run(sim, n_cycles, faults, seed, noise_sigma):
+    try:
+        return sim(default_config(), n_cycles, faults, seed, noise_sigma=noise_sigma)
+    except PhaseUnreachable as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_cycles=st.integers(min_value=1, max_value=12),
+    faults=st.lists(fault_specs(), max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32),
+    noise_sigma=st.just(0.0) | st.floats(0.001, 0.5),
+)
+@example(n_cycles=100, faults=[], seed=0, noise_sigma=0.0)
+# a 137.9 s blocked cycle starts each cycle at a new sampling phase
+@example(n_cycles=4, faults=[FaultSpec("blockage", "P201", 0.7)], seed=0, noise_sigma=0.0)
+# a blockage that starts inside cycle 3 (mid-Transfer) and ends inside cycle 5
+@example(
+    n_cycles=8,
+    faults=[FaultSpec("blockage", "P201", 0.5, 3 * 125.0 + 90.0, 250.0)],
+    seed=0,
+    noise_sigma=0.0,
+)
+def test_simulate_agrees_with_naive_oracle(n_cycles, faults, seed, noise_sigma):
+    fast = _run(simulate, n_cycles, faults, seed, noise_sigma)
+    naive = _run(naive_simulate, n_cycles, faults, seed, noise_sigma)
+    if isinstance(naive, str):
+        assert fast == naive
+        return
+    assert fast.actuator_records == naive.actuator_records
+    assert fast.sensor_records == naive.sensor_records
+    assert write_log_csv(fast) == naive_write_log_csv(naive)
