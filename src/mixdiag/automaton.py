@@ -32,6 +32,10 @@ class InvalidDwell(MixdiagError):
     """A step's dwell time is not a positive finite number of seconds."""
 
 
+class InvalidWindow(MixdiagError):
+    """A convergence window is not a positive number of updates."""
+
+
 @dataclass(frozen=True)
 class State:
     id: int
@@ -49,11 +53,6 @@ class Transition:
     mean_s: float
     m2_s2: float
     count: int
-
-    def stddev_s(self) -> float:
-        if self.count < 1:
-            return 0.0
-        return (self.m2_s2 / self.count) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -154,34 +153,13 @@ class TimedAutomaton:
         """True when the last ``window`` updates created nothing new and no
         dwell bound moved by more than ``epsilon_s``."""
         if window < 1:
-            raise ValueError("window must be >= 1")
+            raise InvalidWindow(f"window must be >= 1, got {window!r}")
         if len(self._updates) < window:
             return False
         recent = self._updates[-window:]
         return not any(r.new_state or r.new_transition for r in recent) and all(
             r.bound_shift_s <= epsilon_s for r in recent
         )
-
-    # -- comparison helpers --------------------------------------------------
-
-    def state_set(self) -> set[tuple[tuple[tuple[str, bool], ...], bool]]:
-        return {(s.vector.signals, s.is_initial) for s in self.states.values()}
-
-    def transition_stats(self) -> dict:
-        """Structure keyed by (source vector, label), independent of the
-        numeric state ids assigned during learning."""
-        out = {}
-        for t in self.transitions.values():
-            key = (self.states[t.source].vector.signals, t.event_label)
-            out[key] = (
-                self.states[t.target].vector.signals,
-                t.t_min_s,
-                t.t_max_s,
-                t.mean_s,
-                t.m2_s2,
-                t.count,
-            )
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimedAutomaton):

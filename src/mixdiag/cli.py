@@ -121,7 +121,7 @@ def cmd_trace(args) -> int:
             for step in trace.steps
         ],
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", args.out)
     return 0
 
 
@@ -131,8 +131,8 @@ def cmd_learn(args) -> int:
     trace = to_trace(log, ids)
     traces = [trace] if args.no_split else split_cycles(trace, trace.initial_vector)
     automaton = learn(traces)
-    _emit(serialize(automaton), args.out)
     converged = automaton.has_converged(args.window, args.epsilon)
+    _emit(serialize(automaton), args.out)
     print(
         f"learned {len(automaton.states)} states, "
         f"{len(automaton.transitions)} transitions, "

@@ -139,7 +139,7 @@ def parse_log(csv_text: str) -> SimulationLog:
         if kind == "actuator":
             if raw_value not in ("0", "1"):
                 raise ParseError(f"actuator value must be 0 or 1, got {raw_value!r}", line_no)
-            actuator_records.append(ActuatorRecord(t_ms / 1000.0, rid, raw_value == "1"))
+            actuator_records.append(ActuatorRecord(t_ms, rid, raw_value == "1"))
         elif kind == "sensor":
             try:
                 value = float(raw_value)
@@ -147,10 +147,10 @@ def parse_log(csv_text: str) -> SimulationLog:
                 raise ParseError(f"bad sensor value {raw_value!r}", line_no) from None
             if not math.isfinite(value):
                 raise ParseError(f"non-finite sensor value {raw_value!r}", line_no)
-            sensor_records.append(SensorRecord(t_ms / 1000.0, rid, value))
+            sensor_records.append(SensorRecord(t_ms, rid, value))
         else:
             raise ParseError(f"unknown record kind {kind!r}", line_no)
-    return SimulationLog(actuator_records, sensor_records, {})
+    return SimulationLog(actuator_records, sensor_records)
 
 
 def to_trace(
@@ -181,11 +181,10 @@ def to_trace(
     merge_ms = round(merge_window_s * 1000)
     groups: list[tuple[int, dict[str, bool]]] = []
     for r in log.actuator_records:
-        t_ms = round(r.t_s * 1000)
-        if groups and t_ms - groups[-1][0] <= merge_ms:
+        if groups and r.t_ms - groups[-1][0] <= merge_ms:
             groups[-1][1][r.actuator_id] = r.value  # last value wins inside a group
         else:
-            groups.append((t_ms, {r.actuator_id: r.value}))
+            groups.append((r.t_ms, {r.actuator_id: r.value}))
 
     base = {aid: False for aid in ids}
     base.update(groups[0][1])

@@ -8,8 +8,9 @@ second.
 
 Conventions that downstream code relies on:
 
-* Timestamps are kept as integer milliseconds internally so that every
-  ``t_s`` in a log is exact at three decimal places.
+* Timestamps are kept as integer milliseconds so that every ``t_s`` in a
+  log is exact at three decimal places.  Records carry ``t_ms``; their
+  ``t_s`` is derived from it.
 * Volumes are kept as integer microliters internally; each per-step transfer
   amount is rounded to the nearest microliter once.  Mass bookkeeping is
   therefore exact and a constant-rate phase ends precisely on its nominal
@@ -41,8 +42,8 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field, asdict
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass, asdict
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import MixdiagError, ParseError
 
@@ -65,6 +66,13 @@ def _ul(liters: float) -> int:
 
 class ConfigError(MixdiagError):
     """A plant configuration violates a structural invariant."""
+
+
+def _require_finite(what: str, value: float, scale: float) -> None:
+    """Reject NaN, infinity and values that overflow once scaled to the
+    integer unit (milliseconds or microliters) the simulator rounds them to."""
+    if not math.isfinite(value * scale):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
 
 
 class PhaseUnreachable(MixdiagError):
@@ -174,6 +182,7 @@ class PlantConfig:
         tanks = set(tank_ids)
         acts = set(act_ids)
         for t in self.tanks:
+            _require_finite(f"tank {t.id}: capacity", t.capacity_l, _UL_PER_L)
             if not (0.0 <= t.initial_l <= t.capacity_l):
                 raise ConfigError(f"tank {t.id}: initial level outside [0, capacity]")
         for a in self.actuators:
@@ -186,6 +195,7 @@ class PlantConfig:
         for aid, rate in self.flows.items():
             if aid not in acts:
                 raise ConfigError(f"flow for unknown actuator {aid!r}")
+            _require_finite(f"flow rate for {aid}", rate, _UL_PER_L)
             if rate <= 0:
                 raise ConfigError(f"flow rate for {aid} must be positive")
         if not self.phases:
@@ -195,12 +205,17 @@ class PlantConfig:
                 if aid not in acts:
                     raise ConfigError(f"phase {p.name}: unknown actuator {aid!r}")
             cond = p.end_condition
+            if isinstance(cond, TimerElapsed):
+                _require_finite(f"phase {p.name}: timer", cond.seconds, 1000)
+            else:
+                _require_finite(f"phase {p.name}: liters", cond.liters, _UL_PER_L)
             if isinstance(cond, LevelReached) and cond.tank not in tanks:
                 raise ConfigError(f"phase {p.name}: unknown tank {cond.tank!r}")
             if isinstance(cond, TimerElapsed) and cond.seconds <= 0:
                 raise ConfigError(f"phase {p.name}: timer must be positive")
             if isinstance(cond, VolumeTransferred) and cond.liters <= 0:
                 raise ConfigError(f"phase {p.name}: volume must be positive")
+        _require_finite("dt_s", self.dt_s, 1000)
         self.dt_ms()
 
 
@@ -222,6 +237,10 @@ class FaultSpec:
     duration_s: float | None = None
 
     def validate(self, config: PlantConfig) -> None:
+        _require_finite("fault magnitude", self.magnitude, _UL_PER_L)
+        _require_finite("fault onset", self.onset_s, 1000)
+        if self.duration_s is not None:
+            _require_finite("fault duration", self.duration_s, 1000)
         if self.kind == "leakage":
             if self.target not in config.tank_ids():
                 raise ConfigError(f"leakage target {self.target!r} is not a tank")
@@ -240,28 +259,30 @@ class FaultSpec:
             raise ConfigError("fault duration must be positive or None")
 
 
-@dataclass(frozen=True)
-class ActuatorRecord:
-    t_s: float
+class ActuatorRecord(NamedTuple):
+    t_ms: int
     actuator_id: str
     value: bool
 
+    @property
+    def t_s(self) -> float:
+        return self.t_ms / 1000.0
 
-@dataclass(frozen=True)
-class SensorRecord:
-    t_s: float
+
+class SensorRecord(NamedTuple):
+    t_ms: int
     sensor_id: str
     value: float
+
+    @property
+    def t_s(self) -> float:
+        return self.t_ms / 1000.0
 
 
 @dataclass
 class SimulationLog:
-    """Recorded run.  ``meta`` is bookkeeping and excluded from equality
-    because the CSV interchange format does not carry it."""
-
     actuator_records: list[ActuatorRecord]
     sensor_records: list[SensorRecord]
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 def default_config() -> PlantConfig:
@@ -333,9 +354,7 @@ def _prepare_fault(f: FaultSpec) -> _PreparedFault:
 @dataclass
 class _StoredCycle:
     """A simulated cycle kept for replay: its window, the state it ended in
-    and the index ranges of its records in the output lists.  The records
-    are copied as ``(ms offset from the cycle start, id, value)`` when the
-    cycle first repeats, so cycles that never repeat cost no second copy."""
+    and the index ranges of its records in the output lists."""
 
     start_ms: int
     duration_ms: int
@@ -343,8 +362,6 @@ class _StoredCycle:
     sensor_span: tuple[int, int]
     levels: dict[str, int]
     vector: dict[str, bool]
-    actuator_offsets: list[tuple[int, str, bool]] | None = None
-    sensor_offsets: list[tuple[int, str, float]] | None = None
 
     def replay(
         self,
@@ -352,25 +369,12 @@ class _StoredCycle:
         actuator_records: list[ActuatorRecord],
         sensor_records: list[SensorRecord],
     ) -> None:
-        """Append this cycle's records again, shifted to start at ``start_ms``.
-
-        ``(start_ms + offset) / 1000.0`` is the float a stepwise run
-        computes for the same record, so the output is byte-identical."""
-        if self.sensor_offsets is None:
-            self.actuator_offsets = [
-                (round(r.t_s * 1000) - self.start_ms, r.actuator_id, r.value)
-                for r in actuator_records[slice(*self.actuator_span)]
-            ]
-            self.sensor_offsets = [
-                (round(r.t_s * 1000) - self.start_ms, r.sensor_id, r.value)
-                for r in sensor_records[slice(*self.sensor_span)]
-            ]
-        actuator_records.extend(
-            [ActuatorRecord((start_ms + dt) / 1000.0, i, v) for dt, i, v in self.actuator_offsets]
-        )
-        sensor_records.extend(
-            [SensorRecord((start_ms + dt) / 1000.0, i, v) for dt, i, v in self.sensor_offsets]
-        )
+        """Append this cycle's records again, shifted to start at ``start_ms``."""
+        shift = start_ms - self.start_ms
+        actuators = actuator_records[slice(*self.actuator_span)]
+        sensors = sensor_records[slice(*self.sensor_span)]
+        actuator_records.extend([ActuatorRecord(t + shift, i, v) for t, i, v in actuators])
+        sensor_records.extend([SensorRecord(t + shift, i, v) for t, i, v in sensors])
 
 
 def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
@@ -486,7 +490,7 @@ def simulate(
         full = {aid: bool(vector.get(aid, False)) for aid in sorted(acts)}
         for aid in sorted(full):
             if establishing or full[aid] != current[aid]:
-                actuator_records.append(ActuatorRecord(t_ms / 1000.0, aid, full[aid]))
+                actuator_records.append(ActuatorRecord(t_ms, aid, full[aid]))
         current = full
 
     def sample_sensors(step_rates: Mapping[str, float]) -> None:
@@ -499,7 +503,7 @@ def simulate(
                 value = AMBIENT_TEMPERATURE_C
             if noise_sigma > 0:
                 value += rng.gauss(0.0, noise_sigma)
-            sensor_records.append(SensorRecord(t_ms / 1000.0, s.id, value))
+            sensor_records.append(SensorRecord(t_ms, s.id, value))
 
     sample_sensors({})
     establishing = True
@@ -616,20 +620,13 @@ def simulate(
     enter_vector(config.phases[0].actuator_vector)
 
     logger.debug("simulated %d cycles, replayed %d", n_cycles - replayed, replayed)
-    meta = {
-        "seed": seed,
-        "n_cycles": n_cycles,
-        "faults": [asdict(f) for f in faults],
-        "noise_sigma": noise_sigma,
-        "replayed_cycles": replayed,
-    }
-    return SimulationLog(actuator_records, sensor_records, meta)
+    return SimulationLog(actuator_records, sensor_records)
 
 
-def format_timestamp(t_s: float) -> str:
-    """Render a timestamp with at most three fractional digits."""
-    ms = round(t_s * 1000)
-    whole, frac = divmod(ms, 1000)
+def format_timestamp(t_ms: int) -> str:
+    """Render integer milliseconds as seconds with at most three fractional
+    digits."""
+    whole, frac = divmod(t_ms, 1000)
     if frac == 0:
         return str(whole)
     return f"{whole}.{frac:03d}".rstrip("0")
@@ -641,16 +638,15 @@ def write_log_csv(log: SimulationLog) -> str:
     Records that repeat the same time, kind and id are ordered by value.
     """
     rows = [
-        (round(r.t_s * 1000), "actuator", r.actuator_id, "1" if r.value else "0")
+        (r.t_ms, "actuator", r.actuator_id, "1" if r.value else "0")
         for r in log.actuator_records
     ]
     rows.extend(
-        (round(r.t_s * 1000), "sensor", r.sensor_id, repr(float(r.value)))
-        for r in log.sensor_records
+        (r.t_ms, "sensor", r.sensor_id, repr(float(r.value))) for r in log.sensor_records
     )
     rows.sort()
     # Every sensor sample shares its stamp with the rest of the snapshot.
-    stamps = {t_ms: format_timestamp(t_ms / 1000.0) for t_ms in {row[0] for row in rows}}
+    stamps = {t_ms: format_timestamp(t_ms) for t_ms in {row[0] for row in rows}}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LOG_HEADER)
@@ -743,17 +739,3 @@ def config_from_json(text: str) -> PlantConfig:
         raise ParseError(f"bad plant config: {exc}") from None
     config.validate()
     return config
-
-
-def fault_from_dict(raw: dict) -> FaultSpec:
-    try:
-        duration = raw.get("duration_s")
-        return FaultSpec(
-            str(raw["kind"]),
-            str(raw["target"]),
-            float(raw["magnitude"]),
-            float(raw.get("onset_s", 0.0)),
-            None if duration is None else float(duration),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad fault spec: {exc}") from None

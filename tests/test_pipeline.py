@@ -289,8 +289,20 @@ def test_cli_trace_subcommand(tmp_path, capsys):
     log = tmp_path / "one.csv"
     assert main(["simulate", "--cycles", "1", "--out", str(log)]) == 0
     assert main(["trace", "--log", str(log)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert len(doc["steps"]) == 7
+    # labels are written as UTF-8, like every other artifact
+    assert '"event": "V201↑"' in text and "\\u" not in text
+
+
+def test_cli_learn_rejects_window_before_writing(tmp_path, capsys):
+    log = tmp_path / "train.csv"
+    out = tmp_path / "automaton.json"
+    assert main(["simulate", "--cycles", "2", "--out", str(log)]) == 0
+    assert main(["learn", "--log", str(log), "--window", "0", "--out", str(out)]) == 1
+    assert "window must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_report_subcommand(tmp_path, capsys):

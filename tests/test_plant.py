@@ -3,20 +3,25 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixdiag.cli import main
 from mixdiag.events import parse_log, to_trace
 from mixdiag.plant import (
     ActuatorRecord,
     ConfigError,
     FaultSpec,
+    LevelReached,
     PhaseUnreachable,
     PlantConfig,
     SensorRecord,
     SimulationLog,
     Tank,
+    TimerElapsed,
+    VolumeTransferred,
     config_from_json,
     config_to_json,
     default_config,
@@ -184,6 +189,83 @@ def test_fault_validation(config):
         FaultSpec("melting", "B204", 0.1).validate(config)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        FaultSpec("leakage", "B204", NAN),
+        FaultSpec("leakage", "B204", INF),
+        FaultSpec("blockage", "P201", NAN),
+        FaultSpec("blockage", "P201", 0.5, INF),
+        FaultSpec("blockage", "P201", 0.5, NAN),
+        FaultSpec("blockage", "P201", 0.5, 0.0, INF),
+        FaultSpec("blockage", "P201", 0.5, 0.0, NAN),
+        FaultSpec("blockage", "P201", 0.5, 1e306),  # overflows in milliseconds
+    ],
+    ids=repr,
+)
+def test_non_finite_fault_rejected(config, fault):
+    with pytest.raises(ConfigError, match="must be finite"):
+        fault.validate(config)
+    with pytest.raises(ConfigError, match="must be finite"):
+        simulate(config, 1, (fault,))
+
+
+def _first_phase_ends(config, cond):
+    first = replace(config.phases[0], end_condition=cond)
+    return replace(config, phases=(first,) + config.phases[1:])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda c: replace(c, dt_s=NAN), id="dt_s=nan"),
+        pytest.param(lambda c: replace(c, dt_s=INF), id="dt_s=inf"),
+        pytest.param(lambda c: replace(c, flows={**c.flows, "P201": NAN}), id="flow=nan"),
+        pytest.param(lambda c: replace(c, flows={**c.flows, "P201": INF}), id="flow=inf"),
+        pytest.param(
+            lambda c: replace(c, tanks=(Tank("B201", INF, 8.0),) + c.tanks[1:]), id="capacity=inf"
+        ),
+        pytest.param(
+            lambda c: replace(c, tanks=(Tank("B201", NAN, 8.0),) + c.tanks[1:]), id="capacity=nan"
+        ),
+        pytest.param(
+            lambda c: replace(c, tanks=(Tank("B201", 10.0, NAN),) + c.tanks[1:]), id="initial=nan"
+        ),
+        pytest.param(lambda c: _first_phase_ends(c, TimerElapsed(NAN)), id="timer=nan"),
+        pytest.param(lambda c: _first_phase_ends(c, TimerElapsed(INF)), id="timer=inf"),
+        pytest.param(lambda c: _first_phase_ends(c, LevelReached("B204", NAN)), id="level=nan"),
+        pytest.param(lambda c: _first_phase_ends(c, LevelReached("B204", INF)), id="level=inf"),
+        pytest.param(lambda c: _first_phase_ends(c, VolumeTransferred(NAN)), id="volume=nan"),
+        pytest.param(lambda c: _first_phase_ends(c, VolumeTransferred(INF)), id="volume=inf"),
+    ],
+)
+def test_non_finite_config_rejected(config, change):
+    with pytest.raises(ConfigError):
+        change(config).validate()
+
+
+def test_config_json_with_nan_dt_is_rejected(config):
+    doc = json.loads(config_to_json(config))
+    doc["dt_s"] = NAN
+    with pytest.raises(ConfigError):
+        config_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "spec", ["blockage:P201:0.5:inf", "leakage:B204:nan", "blockage:P201:0.5:0:inf"]
+)
+def test_cli_rejects_non_finite_fault(spec, tmp_path, capsys):
+    out = tmp_path / "log.csv"
+    assert main(["simulate", "--cycles", "1", "--fault", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_log_is_byte_deterministic_for_fixed_seed(config):
     a = write_log_csv(simulate(config, 2, (), 7))
     b = write_log_csv(simulate(config, 2, (), 7))
@@ -237,17 +319,16 @@ def test_config_validation_catches_structural_errors(config):
 
 
 def test_format_timestamp_examples():
-    assert format_timestamp(5.0) == "5"
-    assert format_timestamp(20.1) == "20.1"
-    assert format_timestamp(0.25) == "0.25"
-    assert format_timestamp(1.234) == "1.234"
-    assert format_timestamp(0.0) == "0"
+    assert format_timestamp(5000) == "5"
+    assert format_timestamp(20100) == "20.1"
+    assert format_timestamp(250) == "0.25"
+    assert format_timestamp(1234) == "1.234"
+    assert format_timestamp(0) == "0"
 
 
 @given(ms=st.integers(min_value=0, max_value=10_000_000))
 def test_format_timestamp_round_trips_through_float(ms):
-    t_s = ms / 1000.0
-    assert float(format_timestamp(t_s)) == pytest.approx(t_s, abs=0)
+    assert float(format_timestamp(ms)) == ms / 1000.0
 
 
 def test_phase_cap_trips_after_ten_times_nominal(config):
@@ -266,43 +347,46 @@ def test_config_json_rejects_garbage():
         config_from_json(json.dumps({"tanks": []}))
 
 
-def test_meta_does_not_affect_log_equality(config):
-    a = simulate(config, 1, (), 0)
-    b = simulate(config, 1, (), 0)
-    b.meta["extra"] = "note"
-    assert a == b
-
-
 def test_log_with_quoted_ids_round_trips(config):
     log = SimulationLog(
-        [ActuatorRecord(0.0, 'V,1"a', True), ActuatorRecord(1.5, 'V,1"a', False)],
-        [SensorRecord(0.0, '"L",2', 0.25), SensorRecord(1.0, '"L",2', 1e-7)],
+        [ActuatorRecord(0, 'V,1"a', True), ActuatorRecord(1500, 'V,1"a', False)],
+        [SensorRecord(0, '"L",2', 0.25), SensorRecord(1000, '"L",2', 1e-7)],
     )
     assert parse_log(write_log_csv(log)) == log
+    assert [r.t_s for r in log.actuator_records] == [0.0, 1.5]
+
+
+def _simulate_counting_replays(caplog, *args, **kwargs):
+    """Run ``simulate`` and return its log and the replay count it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mixdiag.plant"):
+        log = simulate(*args, **kwargs)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "mixdiag.plant"]
+    return log, int(line.rsplit(" ", 1)[1])
 
 
 def test_repeated_nominal_cycles_are_replayed(config, caplog):
-    with caplog.at_level(logging.DEBUG, logger="mixdiag.plant"):
-        log = simulate(config, 100)
+    _, replayed = _simulate_counting_replays(caplog, config, 100)
     # cycle 0 establishes the vector, cycle 1 is stored, 2..99 replay it
-    assert log.meta["replayed_cycles"] == 98
+    assert replayed == 98
     assert "simulated 2 cycles, replayed 98" in caplog.text
 
 
-def test_noise_and_step_hook_disable_replay(config):
-    assert simulate(config, 4, noise_sigma=0.01).meta["replayed_cycles"] == 0
-    hooked = simulate(config, 4, on_step=lambda *args: None)
-    assert hooked.meta["replayed_cycles"] == 0
+def test_noise_and_step_hook_disable_replay(config, caplog):
+    assert _simulate_counting_replays(caplog, config, 4, noise_sigma=0.01)[1] == 0
+    assert _simulate_counting_replays(caplog, config, 4, on_step=lambda *args: None)[1] == 0
 
 
-def test_cycle_with_fault_onset_inside_is_simulated(config):
+def test_cycle_with_fault_onset_inside_is_simulated(config, caplog):
     # nominal cycles take 125 s; the blockage starts 15 s into the Transfer
     # phase of cycle 3, which then moves its last 3 L at half rate
     onset_s = 3 * 125.0 + 90.0
-    log = simulate(config, 6, (FaultSpec("blockage", "P201", 0.5, onset_s),))
+    log, replayed = _simulate_counting_replays(
+        caplog, config, 6, (FaultSpec("blockage", "P201", 0.5, onset_s),)
+    )
     # cycles 2 and 3 start from the nominal state, but only cycle 2 may
     # replay cycle 1; cycle 4 establishes the blocked cycle that 5 replays
-    assert log.meta["replayed_cycles"] == 2
+    assert replayed == 2
     transfer_dwells = [
         s.dwell_s for s in to_trace(log, config).steps if s.event.label == "P201↓,V205↑"
     ]
