@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import MixdiagError, ParseError
 from .plant import LOG_HEADER, ActuatorRecord, PlantConfig, SensorRecord, SimulationLog
@@ -23,6 +23,10 @@ FALL = "↓"
 
 class EmptyLog(MixdiagError):
     """The log holds no actuator records, so no trace can be built."""
+
+
+class InvalidMergeWindow(MixdiagError):
+    """A merge window that is NaN, infinite or negative."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,16 @@ class EventTrace:
 
 def parse_log(csv_text: str) -> SimulationLog:
     """Parse the record CSV.  Raises :class:`ParseError` with the offending
-    line number on malformed input."""
+    line number on malformed input, a line the ``csv`` module cannot read
+    (a field over its size limit, a bare carriage return) included."""
     reader = csv.reader(io.StringIO(csv_text))
+    try:
+        return _read_records(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
+
+
+def _read_records(reader: Iterator[list[str]]) -> SimulationLog:
     try:
         header = next(reader)
     except StopIteration:
@@ -163,8 +175,13 @@ def to_trace(
     The earliest group of actuator records establishes the initial vector on
     an all-off base; every later group becomes one step.  Records that
     restate the current value are dropped, and a group consisting only of
-    such records produces no event.
+    such records produces no event.  A NaN, infinite or negative
+    ``merge_window_s`` raises :class:`InvalidMergeWindow`.
     """
+    if not math.isfinite(merge_window_s) or merge_window_s < 0:
+        raise InvalidMergeWindow(
+            f"merge window must be finite and >= 0, got {merge_window_s!r}"
+        )
     if isinstance(config_or_ids, PlantConfig):
         ids = sorted(config_or_ids.actuator_ids())
     else:

@@ -36,13 +36,14 @@ Conventions that downstream code relies on:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, asdict
+from itertools import compress, count, islice
+from operator import gt
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import MixdiagError, ParseError
@@ -459,11 +460,15 @@ def simulate(
 
     ``noise_sigma`` adds Gaussian noise to sensor values only; actuator
     records are always noise free.  With the default of zero the run is
-    byte-deterministic regardless of seed.
+    byte-deterministic regardless of seed.  A NaN, infinite or negative
+    ``noise_sigma`` raises :class:`ConfigError`.
     """
     config.validate()
     if isinstance(n_cycles, bool) or not isinstance(n_cycles, int) or n_cycles < 1:
         raise ConfigError(f"n_cycles must be an int >= 1, got {n_cycles!r}")
+    _require_finite("noise_sigma", noise_sigma, 1)
+    if noise_sigma < 0:
+        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
     faults = tuple(faults)
     for f in faults:
         f.validate(config)
@@ -623,6 +628,22 @@ def simulate(
     return SimulationLog(actuator_records, sensor_records)
 
 
+class InvalidRecord(MixdiagError):
+    """A log record that the CSV format cannot represent."""
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def format_timestamp(t_ms: int) -> str:
     """Render integer milliseconds as seconds with at most three fractional
     digits."""
@@ -632,26 +653,73 @@ def format_timestamp(t_ms: int) -> str:
     return f"{whole}.{frac:03d}".rstrip("0")
 
 
+def _csv_field(text: str) -> str:
+    """Quote ``text`` where ``csv.writer(lineterminator="\\n")`` would."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _order_ties(records: list[tuple], lines: list[str]) -> None:
+    """Put the lines of records that share time and id in text order.
+
+    ``records`` are sorted natively, so such a run of lines is in value
+    order, while a sort on the line fields puts ``10.0`` before ``9.0`` and
+    ``-0.0`` before ``0.0``.  A run's lines differ only in the value text,
+    and ``\\n`` sorts below every character of it, so sorting the lines
+    sorts by that text.  A run out of order holds a descending pair.
+    """
+    for k in list(compress(count(), map(gt, lines, islice(lines, 1, None)))):
+        key = records[k][:2]
+        if records[k + 1][:2] != key or lines[k] <= lines[k + 1]:
+            continue
+        lo = hi = k
+        while lo and records[lo - 1][:2] == key:
+            lo -= 1
+        while hi < len(records) and records[hi][:2] == key:
+            hi += 1
+        lines[lo:hi] = sorted(lines[lo:hi])
+
+
 def write_log_csv(log: SimulationLog) -> str:
     """Serialize a log to CSV, sorted by time, then record kind, then id.
 
-    Records that repeat the same time, kind and id are ordered by value.
+    Records that repeat the same time, kind and id are ordered by the text
+    of their value.  An id is quoted exactly where ``csv.writer`` with
+    ``lineterminator="\\n"`` quotes it: when it holds ``,``, ``"`` or
+    ``\\n``, with each ``"`` doubled; a ``\\r`` is written as it is.  A
+    record with a negative time raises :class:`InvalidRecord`.
     """
-    rows = [
-        (r.t_ms, "actuator", r.actuator_id, "1" if r.value else "0")
-        for r in log.actuator_records
-    ]
-    rows.extend(
-        (r.t_ms, "sensor", r.sensor_id, repr(float(r.value))) for r in log.sensor_records
+    actuators = sorted(log.actuator_records)
+    sensors = sorted(log.sensor_records)
+    for first in actuators[:1] + sensors[:1]:
+        if first.t_ms < 0:
+            raise InvalidRecord(f"record {first!r} has a negative time")
+    # Each distinct millisecond and each distinct (id, value) is formatted
+    # once.  A zero value is keyed with its sign: -0.0 == 0.0 as a key, but
+    # not as text.
+    stamps = _Memo(format_timestamp)
+    actuator_tails = _Memo(
+        lambda key: f",actuator,{_csv_field(key[0])},{'1' if key[1] else '0'}\n"
     )
-    rows.sort()
-    # Every sensor sample shares its stamp with the rest of the snapshot.
-    stamps = {t_ms: format_timestamp(t_ms) for t_ms in {row[0] for row in rows}}
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LOG_HEADER)
-    writer.writerows((stamps[t_ms], kind, rid, value) for t_ms, kind, rid, value in rows)
-    return out.getvalue()
+    sensor_tails = _Memo(lambda key: f",sensor,{_csv_field(key[0])},{float(key[1])!r}\n")
+    actuator_lines = [stamps[t] + actuator_tails[rid, v] for t, rid, v in actuators]
+    sensor_lines = [
+        stamps[t] + sensor_tails[(rid, v) if v else (rid, v, math.copysign(1.0, v))]
+        for t, rid, v in sensors
+    ]
+    _order_ties(actuators, actuator_lines)
+    _order_ties(sensors, sensor_lines)
+    # Actuator lines go before the sensor lines of the same millisecond.
+    pieces = [",".join(LOG_HEADER) + "\n"]
+    start = 0
+    for record, line in zip(actuators, actuator_lines):
+        end = bisect_left(sensors, (record.t_ms,), start)
+        pieces += sensor_lines[start:end]
+        pieces.append(line)
+        start = end
+    pieces += sensor_lines[start:]
+    return "".join(pieces)
 
 
 def _end_condition_to_dict(cond: EndCondition) -> dict:

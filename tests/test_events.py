@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixdiag.cli import main
 from mixdiag.errors import MixdiagError, ParseError
 from mixdiag.events import (
     ActuatorVector,
@@ -13,7 +14,7 @@ from mixdiag.events import (
     split_cycles,
     to_trace,
 )
-from mixdiag.plant import write_log_csv
+from mixdiag.plant import simulate, write_log_csv
 
 HEADER = "t_s,kind,id,value\n"
 
@@ -95,6 +96,27 @@ def test_blank_lines_tolerated():
     doc = HEADER + "\n" + "0,actuator,V1,1\n" + "\n"
     log = parse_log(doc)
     assert len(log.actuator_records) == 1
+
+
+# lines the csv module cannot read: a field over its 131,072-character
+# limit, and a carriage return inside an unquoted field
+OVERSIZED_FIELD = f"1,sensor,{'x' * 131_073},1.0\n"
+BARE_CR = "1,sensor,L1\rx,1.0\n"
+
+
+@pytest.mark.parametrize("line", [OVERSIZED_FIELD, BARE_CR], ids=["oversized", "bare-cr"])
+def test_unreadable_csv_line_reports_line_number(line):
+    with pytest.raises(ParseError) as err:
+        parse_log(csv_doc((0, "actuator", "V1", 1)) + line)
+    assert err.value.line == 3
+
+
+def test_cli_reports_unreadable_csv_line(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text(csv_doc((0, "actuator", "V1", 1)) + OVERSIZED_FIELD, encoding="utf-8")
+    assert main(["trace", "--log", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +202,19 @@ def test_merge_window_groups_nearby_changes():
     assert trace.steps[0].event.t_s == 10.0
     without = to_trace(parse_log(doc), ["V1", "V2"])
     assert [s.event.label for s in without.steps] == ["V1↑", "V2↑"]
+
+
+@pytest.mark.parametrize("window", ["inf", "nan", "-5"])
+def test_cli_trace_rejects_bad_merge_window(window, config, tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text(write_log_csv(simulate(config, 1)), encoding="utf-8")
+    out = tmp_path / "trace.json"
+    argv = ["trace", "--log", str(path), "--merge-window", window, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: merge window must be finite and >= 0")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_last_value_wins_inside_a_merge_group():

@@ -14,6 +14,7 @@ from mixdiag.plant import (
     ActuatorRecord,
     ConfigError,
     FaultSpec,
+    InvalidRecord,
     LevelReached,
     PhaseUnreachable,
     PlantConfig,
@@ -266,6 +267,17 @@ def test_cli_rejects_non_finite_fault(spec, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", [NAN, INF, -INF, -1.0], ids=repr)
+def test_bad_noise_sigma_rejected(config, sigma, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="noise_sigma"):
+        simulate(config, 1, noise_sigma=sigma)
+    out = tmp_path / "log.csv"
+    assert main(["simulate", f"--noise={sigma!r}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise_sigma") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_log_is_byte_deterministic_for_fixed_seed(config):
     a = write_log_csv(simulate(config, 2, (), 7))
     b = write_log_csv(simulate(config, 2, (), 7))
@@ -354,6 +366,21 @@ def test_log_with_quoted_ids_round_trips(config):
     )
     assert parse_log(write_log_csv(log)) == log
     assert [r.t_s for r in log.actuator_records] == [0.0, 1.5]
+
+
+@pytest.mark.parametrize(
+    "log",
+    [
+        SimulationLog([ActuatorRecord(-1, "V1", True)], [SensorRecord(0, "L1", 1.0)]),
+        SimulationLog([ActuatorRecord(0, "V1", True)], [SensorRecord(-1000, "L1", 1.0)]),
+    ],
+    ids=["actuator", "sensor"],
+)
+def test_negative_record_time_rejected(log):
+    (record,) = [r for r in log.actuator_records + log.sensor_records if r.t_ms < 0]
+    with pytest.raises(InvalidRecord) as err:
+        write_log_csv(log)
+    assert repr(record) in str(err.value)
 
 
 def _simulate_counting_replays(caplog, *args, **kwargs):

@@ -9,16 +9,23 @@ timestamp formatting, so they do not share the integer-millisecond record
 type they check.  Equal records and byte-equal CSV on random runs, faults
 that start and end on, near and inside cycle boundaries included, are
 strong evidence the shortcuts preserve the log.
+
+``write_log_csv`` builds each line from cached pieces and joins them once.
+``head_write_log_csv`` is the writer it replaced, ``csv.writer`` over
+sorted rows, and the two must agree byte for byte on any log, hand-built
+ones with quoted ids, tied records and signed zeros included.
 """
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from hypothesis import example, given, settings, strategies as st
 
+from mixdiag import plant
 from mixdiag.plant import (
     AMBIENT_TEMPERATURE_C,
     LOG_HEADER,
@@ -301,3 +308,88 @@ def test_simulate_agrees_with_naive_oracle(n_cycles, faults, seed, noise_sigma):
         (r.t_s, r.sensor_id, r.value) for r in naive.sensor_records
     ]
     assert write_log_csv(fast) == naive_write_log_csv(naive)
+
+
+# ---------------------------------------------------------------------------
+# the writer versus csv.writer
+
+
+def head_write_log_csv(log: plant.SimulationLog) -> str:
+    """Serialize a log to CSV, sorted by time, then record kind, then id.
+
+    Records that repeat the same time, kind and id are ordered by value.
+    """
+    rows = [
+        (r.t_ms, "actuator", r.actuator_id, "1" if r.value else "0")
+        for r in log.actuator_records
+    ]
+    rows.extend(
+        (r.t_ms, "sensor", r.sensor_id, repr(float(r.value))) for r in log.sensor_records
+    )
+    rows.sort()
+    # Every sensor sample shares its stamp with the rest of the snapshot.
+    stamps = {t_ms: plant.format_timestamp(t_ms) for t_ms in {row[0] for row in rows}}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LOG_HEADER)
+    writer.writerows((stamps[t_ms], kind, rid, value) for t_ms, kind, rid, value in rows)
+    return out.getvalue()
+
+
+RECORD_IDS = ["L201", "a,b", 'q"x', "n\nl", "r\rb", " s", '""', "é"]
+record_values = st.sampled_from(
+    [0.0, -0.0, 9.0, 10.0, math.nan, math.inf, -math.inf, 3, True]
+) | st.floats()
+record_kinds = st.sampled_from([plant.ActuatorRecord, plant.SensorRecord])
+# a narrow range makes records share a millisecond
+record_ms = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=10**9)
+
+
+def _split(records):
+    return plant.SimulationLog(
+        [r for r in records if isinstance(r, plant.ActuatorRecord)],
+        [r for r in records if isinstance(r, plant.SensorRecord)],
+    )
+
+
+@st.composite
+def hand_built_logs(draw):
+    """Unsorted logs in which some records repeat the time and id of another,
+    placed before or after it."""
+    records = draw(
+        st.lists(
+            st.builds(
+                lambda kind, t_ms, rid, value: kind(t_ms, rid, value),
+                record_kinds,
+                record_ms,
+                st.sampled_from(RECORD_IDS),
+                record_values,
+            ),
+            max_size=30,
+        )
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=6)) if records else 0):
+        i = draw(st.integers(min_value=0, max_value=len(records) - 1))
+        t_ms, rid, _ = records[i]
+        twin = type(records[i])(t_ms, rid, draw(record_values))
+        records.insert(i + draw(st.integers(min_value=0, max_value=1)), twin)
+    return _split(records)
+
+
+def _tied(kind, rid, values):
+    return [kind(7, rid, value) for value in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=hand_built_logs())
+@example(log=_split([]))
+@example(
+    log=_split(
+        _tied(plant.SensorRecord, "L201", [0.0, -0.0, 10.0, 9.0, math.nan, -1.0, -2.0])
+        + _tied(plant.SensorRecord, 'q"x', [9.0, 10.0, -0.0, 0.0, -math.inf, 1.0])
+        + _tied(plant.ActuatorRecord, "a,b", [True, 0.0, math.nan, -0.0, 2])
+        + [plant.SensorRecord(3, "r\rb", 1e-7), plant.ActuatorRecord(3, "n\nl", False)]
+    )
+)
+def test_write_log_csv_matches_csv_writer(log):
+    assert write_log_csv(log) == head_write_log_csv(log)
