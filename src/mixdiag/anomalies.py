@@ -109,30 +109,20 @@ def detect(
             continue
         transition = automaton.transitions.get((current, label))
         if transition is not None:
-            if step.dwell_s > transition.t_max_s + settings.tolerance_for(transition.t_max_s):
+            dwell_s = step.dwell_s
+            above = dwell_s > transition.t_max_s + settings.tolerance_for(transition.t_max_s)
+            if above or dwell_s < transition.t_min_s - settings.tolerance_for(transition.t_min_s):
+                bound_s = transition.t_max_s if above else transition.t_min_s
                 anomalies.append(
                     Anomaly(
-                        TIMING_ABOVE_MAX,
+                        TIMING_ABOVE_MAX if above else TIMING_BELOW_MIN,
                         label,
                         t_s,
                         source_state=current,
                         target_state=transition.target,
-                        observed_dwell_s=step.dwell_s,
-                        bound_s=transition.t_max_s,
-                        deviation_s=step.dwell_s - transition.t_max_s,
-                    )
-                )
-            elif step.dwell_s < transition.t_min_s - settings.tolerance_for(transition.t_min_s):
-                anomalies.append(
-                    Anomaly(
-                        TIMING_BELOW_MIN,
-                        label,
-                        t_s,
-                        source_state=current,
-                        target_state=transition.target,
-                        observed_dwell_s=step.dwell_s,
-                        bound_s=transition.t_min_s,
-                        deviation_s=transition.t_min_s - step.dwell_s,
+                        observed_dwell_s=dwell_s,
+                        bound_s=bound_s,
+                        deviation_s=dwell_s - bound_s if above else bound_s - dwell_s,
                     )
                 )
             current = transition.target

@@ -31,6 +31,7 @@ from .pipeline import (
     default_catalog,
     export_mapping_sources,
     render_report,
+    rows_doc,
     run_pipeline,
     validate_catalog,
 )
@@ -41,7 +42,6 @@ from .plant import (
     simulate,
     write_log_csv,
 )
-from .terms import format_term
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -61,8 +61,17 @@ def _load_log(path: str):
     return parse_log(Path(path).read_text(encoding="utf-8"))
 
 
-def _log_actuator_ids(log) -> list[str]:
+def _actuator_ids(args, log):
+    """The actuator ids of ``--config`` when given, else those in the log."""
+    if args.config:
+        return _load_config(args.config).actuator_ids()
     return sorted({record.actuator_id for record in log.actuator_records})
+
+
+def _load_catalog(path: str | None):
+    if not path:
+        return default_catalog()
+    return catalog_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_fault(spec: str) -> FaultSpec:
@@ -107,8 +116,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_trace(args) -> int:
     log = _load_log(args.log)
-    ids = _load_config(args.config).actuator_ids() if args.config else _log_actuator_ids(log)
-    trace = to_trace(log, ids, merge_window_s=args.merge_window)
+    trace = to_trace(log, _actuator_ids(args, log), merge_window_s=args.merge_window)
     doc = {
         "initial_vector": trace.initial_vector.as_dict(),
         "steps": [
@@ -127,8 +135,7 @@ def cmd_trace(args) -> int:
 
 def cmd_learn(args) -> int:
     log = _load_log(args.log)
-    ids = _load_config(args.config).actuator_ids() if args.config else _log_actuator_ids(log)
-    trace = to_trace(log, ids)
+    trace = to_trace(log, _actuator_ids(args, log))
     traces = [trace] if args.no_split else split_cycles(trace, trace.initial_vector)
     automaton = learn(traces)
     converged = automaton.has_converged(args.window, args.epsilon)
@@ -170,23 +177,14 @@ def cmd_annotate(args) -> int:
 def cmd_query(args) -> int:
     graph = _load_graph(args.graph, args.log)
     query = query_from_dict(json.loads(Path(args.query).read_text(encoding="utf-8")))
-    rows = graph.query(query)
-    doc = [
-        {f"?{name}": format_term(value) for name, value in sorted(row.items())}
-        for row in rows
-    ]
+    doc = rows_doc(graph.query(query))
     _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", args.out)
     return 0
 
 
 def cmd_validate(args) -> int:
     graph = _load_graph(args.graph, args.log)
-    catalog = (
-        catalog_from_json(Path(args.catalog).read_text(encoding="utf-8"))
-        if args.catalog
-        else default_catalog()
-    )
-    results = validate_catalog(graph, catalog)
+    results = validate_catalog(graph, _load_catalog(args.catalog))
     if args.phase:
         results = [result for result in results if result.phase == args.phase]
     for result in results:
@@ -198,11 +196,7 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     graph = _load_graph(args.graph, args.log)
     anomalies = anomalies_from_json(Path(args.anomalies).read_text(encoding="utf-8"))
-    catalog = (
-        catalog_from_json(Path(args.catalog).read_text(encoding="utf-8"))
-        if args.catalog
-        else default_catalog()
-    )
+    catalog = _load_catalog(args.catalog)
     contexts = context_service(graph, anomalies) if anomalies else []
     cq_results = validate_catalog(graph, catalog)
     generated_at = f"report over {Path(args.anomalies).name} and {Path(args.graph).name}"
@@ -217,7 +211,7 @@ def cmd_pipeline(args) -> int:
         args.out_dir,
         seed=args.seed,
         train_cycles=args.train_cycles,
-        settings=DetectionSettings(abs_tol_s=args.abs_tol, rel_tol=args.rel_tol),
+        settings=_settings(args),
     )
     print(f"scenario:    {result.scenario}")
     print(

@@ -151,7 +151,7 @@ def query_from_dict(doc: Mapping) -> Query:
             tuple(term_from_jsonable(term) for term in pattern) for pattern in doc["where"]
         )
         filters = tuple(
-            Filter(_var_name(f[0]), str(f[1]), _as_constant(term_from_jsonable(f[2])))
+            Filter(_var_name(f[0]), str(f[1]), term_from_jsonable(f[2]))
             for f in doc.get("filters", ())
         )
         order_raw = doc.get("order_by")
@@ -162,12 +162,6 @@ def query_from_dict(doc: Mapping) -> Query:
         raise
     except (KeyError, TypeError, ValueError, MixdiagError) as exc:
         raise QueryError(f"malformed query: {exc}") from None
-
-
-def _as_constant(term: PatternTerm) -> Term:
-    if isinstance(term, Var):
-        raise QueryError("filter constants cannot be variables")
-    return term
 
 
 def query_to_dict(q: Query) -> dict:
@@ -320,7 +314,7 @@ class VirtualBinding:
     """
 
     csv_path: str | Path
-    scan_count: int = field(default=0)
+    scan_count: int = field(default=0, init=False)
     _view: _Observations | None = field(default=None, init=False, repr=False)
 
     def serves(self, pattern: Pattern) -> bool:
@@ -346,7 +340,9 @@ class VirtualBinding:
 
     def scan(self) -> _Observations:
         """Read and parse the source: the cache-miss path of :meth:`view`."""
-        from .events import parse_log  # local import to avoid a cycle at load time
+        # Looked up per call, not at load time (there is no import cycle), so
+        # that bench/tracing.py's wrapper around events.parse_log is seen.
+        from .events import parse_log
 
         self.scan_count += 1
         text = self._read()
@@ -491,12 +487,9 @@ class KnowledgeGraph:
     # -- inference ----------------------------------------------------------
 
     def infer(self) -> "KnowledgeGraph":
-        """Return a snapshot with the inference closure materialized."""
-        if self._inferred is not None:
-            return self
-        graph = KnowledgeGraph(self.asserted, self.virtual_sources)
-        graph._inferred = _closure(self.asserted)
-        return graph
+        """Materialize the inference closure on this snapshot and return it."""
+        self.all_triples()
+        return self
 
     def all_triples(self) -> frozenset[Triple]:
         """Asserted plus inferred triples (closure computed on demand)."""
@@ -518,24 +511,15 @@ class KnowledgeGraph:
         self, pattern: Pattern, views: dict[VirtualBinding, _Observations]
     ) -> list[Triple]:
         _, p, _ = pattern
-        stored: list[Triple]
-        if isinstance(p, Iri):
-            stored = self._index_for(p)
-        else:
-            stored = list(self.all_triples())
-        if not self.virtual_sources or not self.serves_virtually(pattern):
-            return stored
-        known = self.all_triples()
+        stored = self._index_for(p) if isinstance(p, Iri) else list(self.all_triples())
         virtual: list[Triple] = []
         for binding in self.virtual_sources:
             if binding.serves(pattern):
                 if binding not in views:
                     views[binding] = binding.view()
+                known = self.all_triples()
                 virtual.extend(t for t in views[binding].match(pattern) if t not in known)
-        return stored + virtual
-
-    def serves_virtually(self, pattern: Pattern) -> bool:
-        return any(b.serves(pattern) for b in self.virtual_sources)
+        return stored + virtual if virtual else stored
 
     def _solve(self, patterns: Sequence[Pattern]) -> list[dict[str, Term]]:
         # Evaluate the most constrained pattern first; result multiplicity

@@ -483,6 +483,11 @@ def context_service(graph: KnowledgeGraph, anomalies: list[Anomaly]) -> list[Ano
     return contexts
 
 
+def rows_doc(rows: list[dict[str, Term]]) -> list[dict[str, str]]:
+    """Result rows as ``{"?var": text}`` objects for JSON output."""
+    return [{f"?{k}": format_term(v) for k, v in sorted(row.items())} for row in rows]
+
+
 @dataclass
 class Report:
     generated_at: str
@@ -497,18 +502,7 @@ class Report:
             "scenario": self.scenario,
             "anomalies": [asdict(a) for a in self.anomalies],
             "contexts": [
-                {
-                    "anomaly_index": i,
-                    "resolved": c.resolved,
-                    "transition": c.transition,
-                    "source_state": c.source_state,
-                    "target_state": c.target_state,
-                    "source_signals": list(c.source_signals),
-                    "target_signals": list(c.target_signals),
-                    "equipment": list(c.equipment),
-                    "functions": list(c.functions),
-                    "sensors": list(c.sensors),
-                }
+                {k: v for k, v in asdict(c).items() if k != "anomaly"} | {"anomaly_index": i}
                 for i, c in enumerate(self.contexts)
             ],
             "competency_questions": [
@@ -517,16 +511,8 @@ class Report:
                     "phase": r.phase,
                     "question": r.question,
                     "passed": r.passed,
-                    "actual": [
-                        {f"?{k}": format_term(v) for k, v in sorted(row.items())}
-                        for row in r.actual
-                    ],
-                    "expected": None
-                    if r.expected is None
-                    else [
-                        {f"?{k}": format_term(v) for k, v in sorted(row.items())}
-                        for row in r.expected
-                    ],
+                    "actual": rows_doc(r.actual),
+                    "expected": None if r.expected is None else rows_doc(r.expected),
                 }
                 for r in self.cq_results
             ],
@@ -606,17 +592,15 @@ def run_pipeline(
     scenario: str,
     out_dir: str | Path,
     *,
-    config: PlantConfig | None = None,
     seed: int = 42,
     train_cycles: int = 10,
     settings: DetectionSettings | None = None,
-    catalog: CqCatalog | None = None,
 ) -> PipelineResult:
     if scenario not in SCENARIOS:
         raise PipelineError(f"unknown scenario {scenario!r} (choose from {sorted(SCENARIOS)})")
-    config = config or default_config()
+    config = default_config()
     settings = settings or DetectionSettings()
-    catalog = catalog or default_catalog()
+    catalog = default_catalog()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}

@@ -461,7 +461,8 @@ def simulate(
     ``noise_sigma`` adds Gaussian noise to sensor values only; actuator
     records are always noise free.  With the default of zero the run is
     byte-deterministic regardless of seed.  A NaN, infinite or negative
-    ``noise_sigma`` raises :class:`ConfigError`.
+    ``noise_sigma``, or one so large that a noisy sample is not finite,
+    raises :class:`ConfigError`.
     """
     config.validate()
     if isinstance(n_cycles, bool) or not isinstance(n_cycles, int) or n_cycles < 1:
@@ -508,6 +509,8 @@ def simulate(
                 value = AMBIENT_TEMPERATURE_C
             if noise_sigma > 0:
                 value += rng.gauss(0.0, noise_sigma)
+                if not math.isfinite(value):
+                    raise ConfigError(f"noise_sigma {noise_sigma!r} gives a non-finite sample")
             sensor_records.append(SensorRecord(t_ms, s.id, value))
 
     sample_sensors({})
@@ -646,7 +649,9 @@ class _Memo(dict):
 
 def format_timestamp(t_ms: int) -> str:
     """Render integer milliseconds as seconds with at most three fractional
-    digits."""
+    digits.  Negative milliseconds raise :class:`InvalidRecord`."""
+    if t_ms < 0:
+        raise InvalidRecord(f"negative timestamp {t_ms} ms")
     whole, frac = divmod(t_ms, 1000)
     if frac == 0:
         return str(whole)

@@ -103,15 +103,6 @@ class Literal:
     def is_numeric(self) -> bool:
         return self.datatype in _NUMERIC_DATATYPES
 
-    def value(self):
-        if self.datatype == XSD_DOUBLE:
-            return float(self.lexical)
-        if self.datatype == XSD_INTEGER:
-            return int(self.lexical)
-        if self.datatype == XSD_BOOLEAN:
-            return self.lexical == "true"
-        return self.lexical
-
     def __str__(self) -> str:
         return self.lexical
 
@@ -167,7 +158,7 @@ def term_to_jsonable(term: PatternTerm):
     if isinstance(term, Var):
         return f"?{term.name}"
     if isinstance(term, Iri):
-        return term.prefixed() or f"<{term.value}>"
+        return str(term)
     return {"lexical": term.lexical, "datatype": str(term.datatype)}
 
 
@@ -193,10 +184,8 @@ def term_from_jsonable(raw) -> PatternTerm:
             if len(raw) < 2:
                 raise MixdiagError("empty variable name")
             return Var(raw[1:])
-        if raw.startswith("<") and raw.endswith(">"):
-            return Iri(raw[1:-1])
-        if ":" in raw:
-            return Iri.from_prefixed(raw)
+        if (raw.startswith("<") and raw.endswith(">")) or ":" in raw:
+            return iri(raw)
         return Literal.string(raw)
     if isinstance(raw, dict):
         try:

@@ -267,7 +267,7 @@ def test_cli_rejects_non_finite_fault(spec, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma", [NAN, INF, -INF, -1.0], ids=repr)
+@pytest.mark.parametrize("sigma", [NAN, INF, -INF, -1.0, 1e308], ids=repr)
 def test_bad_noise_sigma_rejected(config, sigma, tmp_path, capsys):
     with pytest.raises(ConfigError, match="noise_sigma"):
         simulate(config, 1, noise_sigma=sigma)
@@ -336,6 +336,12 @@ def test_format_timestamp_examples():
     assert format_timestamp(250) == "0.25"
     assert format_timestamp(1234) == "1.234"
     assert format_timestamp(0) == "0"
+
+
+@pytest.mark.parametrize("ms", [-1, -1500])
+def test_format_timestamp_rejects_negative(ms):
+    with pytest.raises(InvalidRecord, match="negative"):
+        format_timestamp(ms)
 
 
 @given(ms=st.integers(min_value=0, max_value=10_000_000))
