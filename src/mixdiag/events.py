@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import MixdiagError, ParseError
 from .plant import LOG_HEADER, ActuatorRecord, PlantConfig, SensorRecord, SimulationLog
@@ -108,61 +108,79 @@ class EventTrace:
 
 
 def parse_log(csv_text: str) -> SimulationLog:
-    """Parse the record CSV.  Raises :class:`ParseError` with the offending
-    line number on malformed input, a line the ``csv`` module cannot read
+    """Parse the record CSV.  Raises :class:`ParseError` with the physical
+    line number of the offending row (its last line, when a quoted field
+    spans lines) on malformed input, a line the ``csv`` module cannot read
     (a field over its size limit, a bare carriage return) included."""
     reader = csv.reader(io.StringIO(csv_text))
     try:
-        return _read_records(reader)
+        header = next(reader, None)
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", reader.line_num) from None
-
-
-def _read_records(reader: Iterator[list[str]]) -> SimulationLog:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("missing header", 1) from None
+    if header is None:
+        raise ParseError("missing header", 1)
     if tuple(header) != LOG_HEADER:
         raise ParseError(f"bad header {header!r}", 1)
+    actuator_records, sensor_records, _ = _read_records(reader, 0, None)
+    return SimulationLog(actuator_records, sensor_records)
+
+
+def _parse_rows(
+    text: str, first_line: int, prev_ms: int | None
+) -> tuple[list[ActuatorRecord], list[SensorRecord], int | None]:
+    """Parse header-less record rows exactly as :func:`parse_log` parses them
+    inside a whole log where ``text`` starts, at a row boundary, on line
+    ``first_line`` after a record at ``prev_ms``.  Also returns the last
+    record's ``t_ms`` (``prev_ms`` when ``text`` holds no record)."""
+    return _read_records(csv.reader(io.StringIO(text)), first_line - 1, prev_ms)
+
+
+def _read_records(
+    reader, line_offset: int, prev_ms: int | None
+) -> tuple[list[ActuatorRecord], list[SensorRecord], int | None]:
+    def error(message: str) -> ParseError:
+        # the reader's line_num is the last physical line of the row
+        return ParseError(message, line_offset + reader.line_num)
 
     actuator_records: list[ActuatorRecord] = []
     sensor_records: list[SensorRecord] = []
-    prev_ms = None
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue  # tolerate blank lines
-        if len(row) != 4:
-            raise ParseError(f"expected 4 columns, got {len(row)}", line_no)
-        raw_t, kind, rid, raw_value = row
-        try:
-            t_s = float(raw_t)
-            # round() rejects nan (ValueError) and values that overflow to inf
-            t_ms = round(t_s * 1000)
-        except (ValueError, OverflowError):
-            raise ParseError(f"bad timestamp {raw_t!r}", line_no) from None
-        if t_s < 0:
-            raise ParseError(f"negative timestamp {raw_t!r}", line_no)
-        if prev_ms is not None and t_ms < prev_ms:
-            raise ParseError("timestamps not sorted", line_no)
-        prev_ms = t_ms
-        if not rid:
-            raise ParseError("empty record id", line_no)
-        if kind == "actuator":
-            if raw_value not in ("0", "1"):
-                raise ParseError(f"actuator value must be 0 or 1, got {raw_value!r}", line_no)
-            actuator_records.append(ActuatorRecord(t_ms, rid, raw_value == "1"))
-        elif kind == "sensor":
+    try:
+        for row in reader:
+            if not row:
+                continue  # tolerate blank lines
+            if len(row) != 4:
+                raise error(f"expected 4 columns, got {len(row)}")
+            raw_t, kind, rid, raw_value = row
             try:
-                value = float(raw_value)
-            except ValueError:
-                raise ParseError(f"bad sensor value {raw_value!r}", line_no) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite sensor value {raw_value!r}", line_no)
-            sensor_records.append(SensorRecord(t_ms, rid, value))
-        else:
-            raise ParseError(f"unknown record kind {kind!r}", line_no)
-    return SimulationLog(actuator_records, sensor_records)
+                t_s = float(raw_t)
+                # round() rejects nan (ValueError) and values that overflow to inf
+                t_ms = round(t_s * 1000)
+            except (ValueError, OverflowError):
+                raise error(f"bad timestamp {raw_t!r}") from None
+            if t_s < 0:
+                raise error(f"negative timestamp {raw_t!r}")
+            if prev_ms is not None and t_ms < prev_ms:
+                raise error("timestamps not sorted")
+            prev_ms = t_ms
+            if not rid:
+                raise error("empty record id")
+            if kind == "actuator":
+                if raw_value not in ("0", "1"):
+                    raise error(f"actuator value must be 0 or 1, got {raw_value!r}")
+                actuator_records.append(ActuatorRecord(t_ms, rid, raw_value == "1"))
+            elif kind == "sensor":
+                try:
+                    value = float(raw_value)
+                except ValueError:
+                    raise error(f"bad sensor value {raw_value!r}") from None
+                if not math.isfinite(value):
+                    raise error(f"non-finite sensor value {raw_value!r}")
+                sensor_records.append(SensorRecord(t_ms, rid, value))
+            else:
+                raise error(f"unknown record kind {kind!r}")
+    except csv.Error as exc:
+        raise error(f"malformed CSV: {exc}") from None
+    return actuator_records, sensor_records, prev_ms
 
 
 def to_trace(

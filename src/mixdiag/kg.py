@@ -10,6 +10,8 @@ sensor CSV files.
 A bound log is parsed once per distinct file content into a small indexed
 view; queries read the file to check it is unchanged and answer observation
 patterns from the view, building triples only for the rows that match.
+When the file only grew, a safe append is parsed on its own and extends
+the view in place.
 """
 
 from __future__ import annotations
@@ -243,33 +245,67 @@ def _observation(row: int) -> Iri:
     return Iri(f"{_OBSERVATION_PREFIX}{row}")
 
 
+# The term of each served column from a record's raw key: its t_ms, its
+# sensor id, or the repr of its value.  A parse builds one term per key.
+_TERM_OF = {
+    SOSA_RESULT_TIME: lambda t_ms: Literal.double(t_ms / 1000.0),
+    SOSA_MADE_BY_SENSOR: lambda sensor_id: iri(f"ex:{sensor_id}"),
+    SOSA_HAS_SIMPLE_RESULT: lambda lexical: Literal(lexical, XSD_DOUBLE),
+}
+
+
 class _Observations:
     """The sensor records of one log text as columns of interned terms.
 
     Row ``i`` is the observation ``ex:obs_{i}``.  Each column has an index
     from object term to its rows in file order, so a bound subject or object
     becomes a lookup and triples are built only for the rows that match.
+    For appends it also keeps the last record's ``t_ms`` (of either kind),
+    the number of newlines, and whether the text holds a quote.
     """
 
-    def __init__(self, text: str, records: Sequence):
+    def __init__(self, text: str, records: Sequence, last_ms: int | None):
+        self.text = ""
+        self.size = 0
+        self.lines = 0
+        self.quoted = False
+        self.columns: dict[Iri, list[Term]] = {p: [] for p in _TERM_OF}
+        self.indexes: dict[Iri, dict[Term, list[int]]] = {p: {} for p in _TERM_OF}
+        self.extend(text, records, last_ms)
+
+    def appendable(self, text: str) -> bool:
+        """Whether ``text`` is this view's text plus an append that parses on
+        its own: the view's text ends a row and holds no quote, which could
+        leave a field open into the append."""
+        return not self.quoted and self.text.endswith("\n") and text.startswith(self.text)
+
+    def extend(self, text: str, records: Sequence, last_ms: int | None) -> None:
+        """Grow the view to ``text``, whose part past the current text holds
+        ``records`` (sensor records, in file order) and ends at ``last_ms``."""
+        old = len(self.text)
+        self.lines += text.count("\n", old)
+        self.quoted = self.quoted or text.find('"', old) >= 0
+        self.last_ms = last_ms
+        if records:
+            times, sensors, values = zip(*records)
+            # repr keeps -0.0 apart from 0.0, which float keys would merge
+            keyed = (times, sensors, map(repr, values))
+            # one int object per row, shared by the three indexes
+            row_ids = list(range(self.size, self.size + len(records)))
+            for (predicate, make), keys in zip(_TERM_OF.items(), keyed):
+                column, index = self.columns[predicate], self.indexes[predicate]
+                interned: dict = {}  # raw key -> (term, the term's rows)
+                for row, key in zip(row_ids, keys):
+                    entry = interned.get(key)
+                    if entry is None:
+                        term = make(key)
+                        rows = index.setdefault(term, [])
+                        # an indexed term keeps the object its first row holds
+                        entry = interned[key] = (column[rows[0]] if rows else term, rows)
+                    column.append(entry[0])
+                    entry[1].append(row)
+            self.size += len(records)
         self.text = text
-        self.size = len(records)
-        self.columns: dict[Iri, list[Term]] = {
-            SOSA_RESULT_TIME: [],
-            SOSA_MADE_BY_SENSOR: [],
-            SOSA_HAS_SIMPLE_RESULT: [],
-        }
-        self.indexes: dict[Iri, dict[Term, list[int]]] = {p: {} for p in self.columns}
-        interned: dict[Term, Term] = {}
-        for row, record in enumerate(records):
-            for predicate, term in (
-                (SOSA_RESULT_TIME, Literal.double(record.t_s)),
-                (SOSA_MADE_BY_SENSOR, iri(f"ex:{record.sensor_id}")),
-                (SOSA_HAS_SIMPLE_RESULT, Literal.double(record.value)),
-            ):
-                term = interned.setdefault(term, term)
-                self.columns[predicate].append(term)
-                self.indexes[predicate].setdefault(term, []).append(row)
 
     def __len__(self) -> int:
         """The number of virtual triples: four per sensor record."""
@@ -309,12 +345,16 @@ class VirtualBinding:
     materialized into the asserted set.  The file is parsed once per
     distinct content and served from an index; every query reads the file
     again and compares it with the text last parsed, so an edit of any
-    size is seen at once.  ``scan_count`` says how often the source was
-    parsed, i.e. how many queries found new content.
+    size is seen at once.  When the text last parsed is a prefix of the new
+    text, ends on a newline and holds no quote, only the appended part is
+    parsed; any other change is parsed whole.  ``scan_count`` counts the
+    parses of new content, whole or appended part, i.e. how many queries
+    found new content; ``append_count`` counts the appended-part parses.
     """
 
     csv_path: str | Path
     scan_count: int = field(default=0, init=False)
+    append_count: int = field(default=0, init=False)
     _view: _Observations | None = field(default=None, init=False, repr=False)
 
     def serves(self, pattern: Pattern) -> bool:
@@ -334,19 +374,32 @@ class VirtualBinding:
     def view(self) -> _Observations:
         """The observations of the file as it is now.  A failed read or
         parse raises; it never falls back to an earlier view."""
-        if self._view is None or self._read() != self._view.text:
-            self._view = self.scan()
+        text = self._read()
+        if self._view is None or text != self._view.text:
+            self._view = self.scan(text)
         return self._view
 
-    def scan(self) -> _Observations:
-        """Read and parse the source: the cache-miss path of :meth:`view`."""
+    def scan(self, text: str) -> _Observations:
+        """Parse ``text``, the new content :meth:`view` read: its cache-miss
+        path.  A safe append extends the current view in place; anything
+        else is parsed whole into a new view.  A parse that fails changes
+        no view."""
         # Looked up per call, not at load time (there is no import cycle), so
         # that bench/tracing.py's wrapper around events.parse_log is seen.
-        from .events import parse_log
+        from .events import _parse_rows, parse_log
 
         self.scan_count += 1
-        text = self._read()
-        return _Observations(text, parse_log(text).sensor_records)
+        view = self._view
+        if view is not None and view.appendable(text):
+            self.append_count += 1
+            _, records, last_ms = _parse_rows(
+                text[len(view.text):], view.lines + 1, view.last_ms
+            )
+            view.extend(text, records, last_ms)
+            return view
+        log = parse_log(text)
+        lasts = [r[-1].t_ms for r in (log.actuator_records, log.sensor_records) if r]
+        return _Observations(text, log.sensor_records, max(lasts, default=None))
 
 
 # ---------------------------------------------------------------------------

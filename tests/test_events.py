@@ -8,6 +8,7 @@ from mixdiag.errors import MixdiagError, ParseError
 from mixdiag.events import (
     ActuatorVector,
     EmptyLog,
+    _parse_rows,
     build_label,
     parse_label,
     parse_log,
@@ -117,6 +118,58 @@ def test_cli_reports_unreadable_csv_line(tmp_path, capsys):
     assert main(["trace", "--log", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: ") and "Traceback" not in err
+
+
+def test_row_errors_report_physical_line_numbers():
+    # the quoted id spans lines 2-3, so the bad row is on line 4
+    doc = HEADER + '0.000,sensor,"a\nb",1.0\n0.001,sensor,x,bad\n'
+    with pytest.raises(ParseError) as err:
+        parse_log(doc)
+    assert str(err.value) == "line 4: bad sensor value 'bad'"
+
+
+# Text near the log format: header, record-like rows built from fields that
+# hit each check, quotes that open multi-line fields, and stray characters.
+LOG_FIELDS = st.sampled_from(
+    ["0", "1", "2", "0.004", "-1", "nan", "1e400", "actuator", "sensor", "gauge",
+     "V1", "L1", "", '"', '"a\nb"', "\r", "\x00", "x" * 131_073]
+)
+LOG_LINES = st.one_of(
+    st.just(HEADER.rstrip("\n")),
+    st.lists(LOG_FIELDS, max_size=5).map(",".join),
+    st.text(max_size=12),
+)
+LOG_TEXTS = st.one_of(
+    st.text(),
+    st.builds(
+        lambda lines, end: "\n".join(lines) + end,
+        st.lists(LOG_LINES, max_size=8),
+        st.sampled_from(["", "\n", "\r\n"]),
+    ),
+)
+
+
+def assert_parses_or_raises_within(parse, text, first_line):
+    """``parse`` returns, or raises ParseError on a line of ``text``, which
+    starts on ``first_line``; any other exception fails the test."""
+    try:
+        parse()
+    except ParseError as exc:
+        assert first_line <= exc.line <= first_line + text.count("\n"), exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOG_TEXTS)
+def test_parse_log_returns_a_log_or_a_located_parse_error(text):
+    assert_parses_or_raises_within(lambda: parse_log(text), text, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LOG_TEXTS, st.integers(1, 10**6), st.one_of(st.none(), st.integers(0, 10)))
+def test_suffix_parse_returns_rows_or_a_located_parse_error(text, first_line, prev_ms):
+    assert_parses_or_raises_within(
+        lambda: _parse_rows(text, first_line, prev_ms), text, first_line
+    )
 
 
 # ---------------------------------------------------------------------------

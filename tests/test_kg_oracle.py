@@ -5,7 +5,9 @@ predicate index, and answers observation patterns from an indexed view of
 each bound log.  The oracle here deliberately does none of that: plain
 left-to-right nested loops over the full triple list, with observations
 read from the log by the stdlib ``csv`` module.  Agreement on random graphs
-and queries is strong evidence the optimizations preserve semantics.
+and queries is strong evidence the optimizations preserve semantics.  A log
+that changes between queries, where a binding may extend its view in place,
+is checked against a fresh binding's full scan and the ``csv`` module.
 
 Likewise the store's closure is semi-naive and index-driven; the oracle
 closure re-derives every rule over every fact until nothing changes.
@@ -19,6 +21,7 @@ from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
+from mixdiag.errors import MixdiagError
 from mixdiag.kg import (
     EX_ATTRIBUTE_TO_CLASS,
     EX_EQUIVALENT_TO,
@@ -376,6 +379,170 @@ def test_virtual_patterns_agree_with_bruteforce_oracle(tmp_path):
     assert (first.scan_count, second.scan_count) == (1, 1)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"oracle comparison too slow: {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# a bound log that changes between queries: the view a binding keeps (and
+# extends in place on an append) versus a fresh binding's full scan
+
+
+LIVE_HEADER = "t_s,kind,id,value\n"
+O, S, V, T = Var("o"), Var("s"), Var("v"), Var("t")
+LIVE_QUERIES = (
+    Query(
+        ("o", "s", "v", "t"),
+        ((O, SOSA_MADE_BY_SENSOR, S), (O, SOSA_HAS_SIMPLE_RESULT, V), (O, SOSA_RESULT_TIME, T)),
+    ),
+    Query(("o",), ((O, RDF_TYPE, SOSA_OBSERVATION),)),
+    *(
+        Query(("o",), ((O, SOSA_MADE_BY_SENSOR, iri(f"ex:{sensor}")),))
+        for sensor in ("L1", 'q"d', "L204")
+    ),
+    *(
+        Query(("o",), ((O, SOSA_HAS_SIMPLE_RESULT, Literal.double(value)),))
+        for value in (0.0, -0.0, 1.0)
+    ),
+    *(
+        Query(("o",), ((O, SOSA_RESULT_TIME, Literal.double(t_s)),))
+        for t_s in (0.1, 0.102, 0.105)
+    ),
+    *(
+        Query(("v",), ((iri(f"ex:obs_{row}"), SOSA_HAS_SIMPLE_RESULT, V),))
+        for row in (0, 3, 9)
+    ),
+)
+
+
+def live_answers(graph):
+    """Every live query's rows, or the error (its message holds the line)."""
+    try:
+        return [graph.query(query) for query in LIVE_QUERIES]
+    except MixdiagError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_agrees_with_a_fresh_scan(graph, path):
+    """The graph answers as a fresh binding of ``path`` does and, when the
+    file parses, its observations are those the stdlib ``csv`` module reads."""
+    answers = live_answers(graph)
+    assert answers == live_answers(KnowledgeGraph((), [VirtualBinding(path)]))
+    if isinstance(answers, list):
+        observations = csv_observations(path.read_text(encoding="utf-8"))
+        expected = [
+            {"o": typed.subject, "s": s.object, "v": v.object, "t": t.object}
+            for typed, s, v, t in zip(*[iter(observations)] * 4)
+        ]
+        assert Counter(map(exact, answers[0])) == Counter(map(exact, expected))
+    return answers
+
+
+# (ms after the previous row, kind, id, value) of valid rows; ids with a
+# quote or a comma are written quoted
+LIVE_DELTAS = st.sampled_from([0, 1, 1, 2])
+LIVE_SENSOR_ROW = st.tuples(
+    LIVE_DELTAS,
+    st.just("sensor"),
+    st.sampled_from(["L1", "L1", "L204", 'q"d', "a,b"]),
+    st.sampled_from(["0", "1", "-0.0", "0.0", "2.5"]),
+)
+LIVE_ROWS = st.lists(
+    st.one_of(
+        *[LIVE_SENSOR_ROW] * 3,
+        st.tuples(LIVE_DELTAS, st.just("actuator"), st.just("V1"), st.sampled_from("01")),
+    ),
+    min_size=1,
+    max_size=5,
+)
+LIVE_OPS = st.lists(
+    st.one_of(
+        *[st.tuples(st.just("rows"), LIVE_ROWS)] * 3,
+        st.tuples(
+            st.just("raw"),  # blank lines, partial lines, quotes, a quoted tail
+            st.sampled_from(
+                ["\n", "\r\n", "0.2", "00,sensor,L1,", "1.0\n", '"', ',"1\n',
+                 '0.000,sensor,x,"1\n', "x,y\n", "0.300,sensor,L1,2"]
+            ),
+        ),
+        st.tuples(st.just("rewrite"), LIVE_ROWS),
+        st.tuples(st.just("truncate"), st.floats(0, 1)),
+        st.tuples(
+            st.just("break"),  # a malformed or unsorted tail, then its repair
+            st.sampled_from(
+                ["0.000,sensor,L1,1.0\n", "9.000,sensor,L1,bad\n", "9,actuator,V1\n",
+                 "9.000,gauge,L1,1\n", f"9,sensor,{'x' * 131_073},1\n"]
+            ),
+        ),
+    ),
+    max_size=12,
+)
+
+
+def render_rows(rows, clock):
+    """CSV lines for ``rows``, timed from ``clock`` on; and the last time."""
+    lines = []
+    for delta, kind, rid, value in rows:
+        clock += delta
+        if '"' in rid or "," in rid:
+            rid = '"' + rid.replace('"', '""') + '"'
+        lines.append(f"{clock / 1000:.3f},{kind},{rid},{value}\n")
+    return "".join(lines), clock
+
+
+@example(  # a view of a partial last line is not a row boundary
+    [("raw", "0.300,sensor,L1,2"), ("raw", "1.0\n")]
+)
+@example(  # a quoted tail is not a row boundary: only a full parse sees it
+    [("raw", '0.000,sensor,x,"1\n'), ("rows", [(0, "sensor", "L1", "1")])]
+)
+@example(  # an error in an append carries the line number of the whole file
+    [("rows", [(0, "sensor", "L1", "1"), (1, "sensor", "L1", "0")]),
+     ("rows", [(1, "sensor", "L204", "bad")])]
+)
+@example(  # an append is checked against the last row of a full parse,
+    # an actuator one here
+    [("rows", [(0, "sensor", "L1", "0")]),
+     ("rewrite", [(0, "sensor", "L1", "1"), (2, "actuator", "V1", "1")]),
+     ("rows", [(-1, "sensor", "L1", "0")])]
+)
+@settings(max_examples=200, deadline=None)
+@given(LIVE_OPS)
+def test_changing_log_agrees_with_a_fresh_scan(tmp_path_factory, ops):
+    path = tmp_path_factory.getbasetemp() / "changing_log.csv"
+    text, clock = LIVE_HEADER, 100
+    path.write_text(text, encoding="utf-8")
+    graph = KnowledgeGraph((), [VirtualBinding(path)])
+    assert_agrees_with_a_fresh_scan(graph, path)
+    for op, arg in ops:
+        if op == "rows":
+            rows, clock = render_rows(arg, clock)
+            text += rows
+        elif op == "raw":
+            text += arg
+        elif op == "rewrite":
+            rows, clock = render_rows(arg, 100)
+            text = LIVE_HEADER + rows
+        elif op == "truncate":  # anywhere after the header
+            text = text[: len(LIVE_HEADER) + int((len(text) - len(LIVE_HEADER)) * arg)]
+        else:
+            path.write_text(text + arg, encoding="utf-8")
+            for _ in range(2):  # a bad tail raises on every query
+                assert_agrees_with_a_fresh_scan(graph, path)
+        path.write_text(text, encoding="utf-8")
+        assert_agrees_with_a_fresh_scan(graph, path)
+
+
+def test_plant_log_appends_extend_the_view(tmp_path):
+    lines = write_log_csv(simulate(default_config(), 1, (), 7)).splitlines(keepends=True)
+    path = tmp_path / "live_log.csv"
+    path.write_text("".join(lines[:200]), encoding="utf-8")
+    binding = VirtualBinding(path)
+    graph = KnowledgeGraph((), [binding])
+    assert_agrees_with_a_fresh_scan(graph, path)
+    for appends, start in enumerate(range(200, 410, 21), start=1):
+        with path.open("a", encoding="utf-8") as f:
+            f.write("".join(lines[start:start + 21]))
+        assert isinstance(assert_agrees_with_a_fresh_scan(graph, path), list)
+        assert (binding.scan_count, binding.append_count) == (1 + appends, appends)
 
 
 # ---------------------------------------------------------------------------
