@@ -299,7 +299,7 @@ def deserialize(text: str) -> TimedAutomaton:
             for t in doc["transitions"]
         ]
         alphabet = {str(label) for label in doc.get("alphabet", [])}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad automaton document: {exc}") from None
     id_vectors = {s.id: s.vector.ids() for s in states}
     if len({v for v in id_vectors.values()}) > 1:

@@ -7,6 +7,10 @@ three layers: asserted triples, the inference closure (subclass
 transitivity, type propagation, equivalence, and relation propagation,
 forward-chained semi-naively), and virtual observation triples from bound
 sensor CSV files.
+The closure lives on the snapshot, numbered and indexed for joins and
+queries.  The store is insert-only, so a child's closure is its parent's
+closed over the inserted triples: a child of a materialized snapshot takes
+that closure over and joins only the delta (see ``_Closure``).
 A bound log is parsed once per distinct file content into a small indexed
 view; queries read the file to check it is unchanged and answer observation
 patterns from the view, building triples only for the rows that match.
@@ -22,8 +26,9 @@ import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import MixdiagError, ParseError
 from .terms import (
@@ -188,9 +193,9 @@ def _substitute(pattern: Pattern, binding: Mapping[str, Term]) -> Pattern:
     )  # type: ignore[return-value]
 
 
-def _unify(pattern: Pattern, triple: Triple) -> dict[str, Term] | None:
+def _unify(pattern: Pattern, triple: tuple[Term, Term, Term]) -> dict[str, Term] | None:
     binding: dict[str, Term] = {}
-    for pat_term, value in zip(pattern, (triple.subject, triple.predicate, triple.object)):
+    for pat_term, value in zip(pattern, triple):
         if isinstance(pat_term, Var):
             bound = binding.get(pat_term.name)
             if bound is None:
@@ -318,9 +323,10 @@ class _Observations:
                 return (int(number),)
         return ()
 
-    def match(self, pattern: Pattern) -> list[Triple]:
+    def match(self, pattern: Pattern) -> list[tuple[Term, Term, Term]]:
         """The triples of a served pattern's predicate, narrowed by its bound
-        subject or object, in file order.  Callers still unify the result."""
+        subject or object, in file order, as term tuples.  Callers still
+        unify the result."""
         s, p, o = pattern
         if not isinstance(s, Var):
             rows: Iterable[int] = self._row_of(s)
@@ -329,9 +335,9 @@ class _Observations:
         else:
             rows = range(self.size)
         if p == RDF_TYPE:
-            return [Triple(_observation(i), RDF_TYPE, SOSA_OBSERVATION) for i in rows]
+            return [(_observation(i), RDF_TYPE, SOSA_OBSERVATION) for i in rows]
         column = self.columns[p]
-        return [Triple(_observation(i), p, column[i]) for i in rows]
+        return [(_observation(i), p, column[i]) for i in rows]
 
 
 @dataclass(eq=False)
@@ -406,8 +412,14 @@ class VirtualBinding:
 # inference
 
 
-def _closure(asserted: frozenset[Triple]) -> frozenset[Triple]:
-    """Semi-naive forward chaining to fixpoint.
+_RULE_PREDICATES = (
+    RDFS_SUBCLASS_OF, RDF_TYPE, EX_EQUIVALENT_TO, EX_RELATION_TO, EX_ATTRIBUTE_TO_CLASS
+)
+_SUB, _TYPE, _EQUIV, _RELATION, _ATTRIBUTE = range(len(_RULE_PREDICATES))
+
+
+class _Closure:
+    """A numbered inference closure with its join and query indexes.
 
     Rules: an attribute aligned to a class is an instance of it; subClassOf
     is transitive and types propagate along it; equivalence is symmetric and
@@ -415,80 +427,149 @@ def _closure(asserted: frozenset[Triple]) -> frozenset[Triple]:
     it transitive); properties propagate along ex:relationTo.  Derived
     triples with a literal subject are dropped.
 
-    Terms are numbered, so joins hash small ints.  Each round indexes the
-    facts new since the last one and joins only them against the indexes of
-    every fact so far; the indexes live only for this call.  Transitivity is
-    linear: an *edge* is a subClassOf fact that entered by any rule but
-    transitivity.  New subclass facts and types extend through edges, and
-    only a new edge joins to the left, against the subclasses and instances
-    of its subject, so a chain of n classes costs O(n^2), not O(n^3).
+    Terms are numbered, so joins hash small ints.  ``extend`` adds asserted
+    triples and runs semi-naive forward chaining seeded with those not yet
+    known: each round indexes the facts new since the last one and joins
+    only them against the indexes of every fact so far.
+
+    The state outlives the call: it stays on the snapshot that computed it.
+    A graph with no materialized ancestor runs the loop once, seeded with
+    every asserted triple.  A snapshot made by ``insert`` from a
+    materialized one (through any snapshots not yet materialized) takes its
+    ancestor's state over when it is inferred and seeds the loop with only
+    the triples asserted since.  Facts and index lists only ever grow, and
+    ``facts`` keeps the order they entered in, so the ancestor's closure
+    stays the first ``n`` facts; when it needs its indexes again (a query,
+    or another child) it copies that prefix.
+
+    Transitivity is linear: an *edge* is a subClassOf fact that entered by
+    any rule but transitivity.  New subclass facts and types extend through
+    edges, and only a new edge joins to the left, against the subclasses and
+    instances of its subject, so a chain of n classes costs O(n^2), not
+    O(n^3).
+
+    Queries read the same indexes: a bound subject or object narrows a
+    pattern to that term's facts, a bound predicate alone to its facts.
     """
-    predicates = (
-        RDFS_SUBCLASS_OF, RDF_TYPE, EX_EQUIVALENT_TO, EX_RELATION_TO, EX_ATTRIBUTE_TO_CLASS
-    )
-    SUB, TYPE, EQUIV, RELATION, ATTRIBUTE = range(len(predicates))
-    number: dict[Term, int] = {term: i for i, term in enumerate(predicates)}
-    facts = {
-        tuple(number.setdefault(term, len(number)) for term in (t.subject, t.predicate, t.object))
-        for t in asserted
-    }
-    terms = list(number)
-    is_iri = [isinstance(term, Iri) for term in terms]
 
-    def admit(candidates: list[tuple]) -> list[tuple]:
-        new = [t for t in dict.fromkeys(candidates) if t not in facts and is_iri[t[0]]]
-        facts.update(new)
-        return new
+    def __init__(self, prefix_of: "_Closure | None" = None, size: int = 0):
+        """An empty closure, or a copy of the first ``size`` facts of
+        ``prefix_of`` with their indexes.  Copies share the term numbering,
+        which only ever grows."""
+        if prefix_of is None:
+            self.number: dict[Term, int] = {t: i for i, t in enumerate(_RULE_PREDICATES)}
+            self.terms: list[Term] = list(_RULE_PREDICATES)
+            self.is_iri: list[bool] = [True] * len(_RULE_PREDICATES)
+        else:
+            self.number, self.terms, self.is_iri = (
+                prefix_of.number, prefix_of.terms, prefix_of.is_iri
+            )
+        # each fact maps to whether transitivity derived it, in order of entry
+        self.facts: dict[tuple, bool] = {}
+        self.by_subject, self.by_object, self.by_predicate = (defaultdict(list) for _ in range(3))
+        self.subclasses, self.edges_from, self.instances = (defaultdict(list) for _ in range(3))
+        self.equivalents, self.generals = defaultdict(list), defaultdict(list)
+        if prefix_of is not None:
+            self.facts = dict(islice(prefix_of.facts.items(), size))
+            self._index(
+                list(self.facts),
+                [t for t, chained in self.facts.items() if t[1] == _SUB and not chained],
+            )
 
-    by_subject, by_object, by_predicate = (defaultdict(list) for _ in range(3))
-    subclasses, edges_from, instances = (defaultdict(list) for _ in range(3))
-    equivalents, generals = defaultdict(list), defaultdict(list)
-    derived: list[tuple] = []
-    delta = list(facts)
-    edges = [t for t in delta if t[1] == SUB]
-    while delta:
+    def _index(self, delta: list[tuple], edges: list[tuple]) -> None:
+        is_iri = self.is_iri
         for s, _, o in edges:
-            edges_from[s].append(o)
+            self.edges_from[s].append(o)
         for t in delta:
             s, p, o = t
-            by_subject[s].append(t)
-            by_object[o].append(t)
-            by_predicate[p].append(t)
-            if p == SUB:
-                subclasses[o].append(s)
-            elif p == TYPE:
-                instances[o].append(s)
-            elif p == EQUIV:
-                equivalents[s].append(o)
-            elif p == RELATION and is_iri[s] and is_iri[o]:
-                generals[s].append(o)
-        fresh: list[tuple] = []
-        chained: list[tuple] = []  # transitivity's output: never an edge
-        for s, p, o in edges:
-            chained += [(sub, p, o) for sub in subclasses.get(s, ())]
-            fresh += [(x, TYPE, o) for x in instances.get(s, ())]
-        for s, p, o in delta:
-            fresh += [(s, general, o) for general in generals.get(p, ())]
-            fresh += [(x, p, o) for x in equivalents.get(s, ()) if is_iri[x]]
-            fresh += [(s, p, x) for x in equivalents.get(o, ())]
-            if p == ATTRIBUTE and is_iri[o]:
-                fresh.append((s, TYPE, o))
-            elif p == SUB:
-                chained += [(s, p, sup) for sup in edges_from.get(o, ())]
-            elif p == TYPE:
-                fresh += [(s, p, sup) for sup in edges_from.get(o, ())]
-            elif p == EQUIV:
-                fresh.append((o, p, s))
-                if is_iri[o]:
-                    fresh += [(o, fp, fo) for _, fp, fo in by_subject.get(s, ())]
-                fresh += [(fs, fp, o) for fs, fp, _ in by_object.get(s, ())]
-            elif p == RELATION and is_iri[s] and is_iri[o]:
-                fresh += [(fs, o, fo) for fs, _, fo in by_predicate.get(s, ())]
-        delta = admit(fresh)
-        edges = [t for t in delta if t[1] == SUB]
-        delta += admit(chained)
-        derived += delta
-    return asserted.union(Triple(terms[s], terms[p], terms[o]) for s, p, o in derived)
+            self.by_subject[s].append(t)
+            self.by_object[o].append(t)
+            self.by_predicate[p].append(t)
+            if p == _SUB:
+                self.subclasses[o].append(s)
+            elif p == _TYPE:
+                self.instances[o].append(s)
+            elif p == _EQUIV:
+                self.equivalents[s].append(o)
+            elif p == _RELATION and is_iri[s] and is_iri[o]:
+                self.generals[s].append(o)
+
+    def extend(self, asserted: Iterable[Triple]) -> list[tuple]:
+        """Add ``asserted`` and close over it; return the derived facts that
+        entered."""
+        number, terms, is_iri, facts = self.number, self.terms, self.is_iri, self.facts
+        seeds = {
+            tuple(number.setdefault(term, len(number)) for term in (t.subject, t.predicate, t.object))
+            for t in asserted
+        }
+        added = list(islice(number, len(terms), None))
+        terms += added
+        is_iri += [isinstance(term, Iri) for term in added]
+
+        def admit(candidates: list[tuple], chained: bool) -> list[tuple]:
+            new = [t for t in dict.fromkeys(candidates) if t not in facts and is_iri[t[0]]]
+            facts.update(dict.fromkeys(new, chained))
+            return new
+
+        # asserted facts enter as they are, literal subjects too
+        delta = [t for t in seeds if t not in facts]
+        facts.update(dict.fromkeys(delta, False))
+        by_subject, by_object, by_predicate = self.by_subject, self.by_object, self.by_predicate
+        subclasses, edges_from, instances = self.subclasses, self.edges_from, self.instances
+        equivalents, generals = self.equivalents, self.generals
+        derived: list[tuple] = []
+        edges = [t for t in delta if t[1] == _SUB]
+        while delta:
+            self._index(delta, edges)
+            fresh: list[tuple] = []
+            chained: list[tuple] = []  # transitivity's output: never an edge
+            for s, p, o in edges:
+                chained += [(sub, p, o) for sub in subclasses.get(s, ())]
+                fresh += [(x, _TYPE, o) for x in instances.get(s, ())]
+            for s, p, o in delta:
+                fresh += [(s, general, o) for general in generals.get(p, ())]
+                fresh += [(x, p, o) for x in equivalents.get(s, ()) if is_iri[x]]
+                fresh += [(s, p, x) for x in equivalents.get(o, ())]
+                if p == _ATTRIBUTE and is_iri[o]:
+                    fresh.append((s, _TYPE, o))
+                elif p == _SUB:
+                    chained += [(s, p, sup) for sup in edges_from.get(o, ())]
+                elif p == _TYPE:
+                    fresh += [(s, p, sup) for sup in edges_from.get(o, ())]
+                elif p == _EQUIV:
+                    fresh.append((o, p, s))
+                    if is_iri[o]:
+                        fresh += [(o, fp, fo) for _, fp, fo in by_subject.get(s, ())]
+                    fresh += [(fs, fp, o) for fs, fp, _ in by_object.get(s, ())]
+                elif p == _RELATION and is_iri[s] and is_iri[o]:
+                    fresh += [(fs, o, fo) for fs, _, fo in by_predicate.get(s, ())]
+            delta = admit(fresh, False)
+            edges = [t for t in delta if t[1] == _SUB]
+            delta += admit(chained, True)
+            derived += delta
+        return derived
+
+    def select(self, pattern: Pattern) -> Collection[tuple]:
+        """The numbered facts that fit ``pattern``'s constants, read from the
+        narrowest index."""
+        s, p, o = [None if isinstance(t, Var) else self.number.get(t, -1) for t in pattern]
+        if s is None and o is None:
+            return self.facts if p is None else self.by_predicate.get(p, ())
+        found = self.by_subject.get(s, ()) if s is not None else None
+        if o is not None and (found is None or len(self.by_object.get(o, ())) < len(found)):
+            found = self.by_object.get(o, ())
+        return found if p is None or not found else [t for t in found if t[1] == p]
+
+    def match(self, pattern: Pattern) -> list[tuple[Term, Term, Term]]:
+        """The known triples that fit ``pattern``'s constants, as term
+        tuples.  Callers still unify the result."""
+        terms = self.terms
+        return [(terms[s], terms[p], terms[o]) for s, p, o in self.select(pattern)]
+
+    def knows(self, triple: tuple[Term, Term, Term]) -> bool:
+        number = self.number
+        s = number.get(triple[0])
+        return s is not None and (s, number.get(triple[1]), number.get(triple[2])) in self.facts
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +587,11 @@ class KnowledgeGraph:
         self.asserted: frozenset[Triple] = frozenset(asserted)
         self.virtual_sources: tuple[VirtualBinding, ...] = tuple(virtual_sources)
         self._inferred: frozenset[Triple] | None = None
-        self._pred_index: dict[Iri, list[Triple]] | None = None
+        # the numbered closure whose first _size facts are this snapshot's
+        self._closure: _Closure | None = None
+        self._size = 0
+        # the materialized snapshot this one extends, until it materializes
+        self._base: KnowledgeGraph | None = None
 
     def __len__(self) -> int:
         return len(self.asserted)
@@ -524,7 +609,9 @@ class KnowledgeGraph:
     # -- mutations (copy-on-write) ------------------------------------------
 
     def insert(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        return KnowledgeGraph(self.asserted | frozenset(triples), self.virtual_sources)
+        child = KnowledgeGraph(self.asserted | frozenset(triples), self.virtual_sources)
+        child._base = self if self._inferred is not None else self._base
+        return child
 
     def align(self, mechanism: str, a: Iri, b: Iri) -> "KnowledgeGraph":
         """Assert one of the four alignment mechanisms between two IRIs."""
@@ -547,62 +634,74 @@ class KnowledgeGraph:
     def all_triples(self) -> frozenset[Triple]:
         """Asserted plus inferred triples (closure computed on demand)."""
         if self._inferred is None:
-            self._inferred = _closure(self.asserted)
+            base, self._base = self._base, None
+            if base is None:
+                closure, known, delta = _Closure(), frozenset(), self.asserted
+            else:
+                closure, known = base._state(), base.all_triples()
+                delta = self.asserted - base.asserted
+            terms = closure.terms
+            derived = closure.extend(delta)
+            self._inferred = known.union(
+                delta, (Triple(terms[s], terms[p], terms[o]) for s, p, o in derived)
+            )
+            self._closure, self._size = closure, len(closure.facts)
         return self._inferred
+
+    def _state(self) -> _Closure:
+        """The numbered closure of this snapshot, copied from the prefix of
+        the shared one when a child has extended that since."""
+        self.all_triples()
+        if len(self._closure.facts) != self._size:
+            self._closure = _Closure(self._closure, self._size)
+        return self._closure
 
     # -- query answering ------------------------------------------------------
 
-    def _index_for(self, predicate: Iri) -> list[Triple]:
-        if self._pred_index is None:
-            index: dict[Iri, list[Triple]] = {}
-            for t in self.all_triples():
-                index.setdefault(t.predicate, []).append(t)
-            self._pred_index = index
-        return self._pred_index.get(predicate, [])
-
     def _candidates(
-        self, pattern: Pattern, views: dict[VirtualBinding, _Observations]
-    ) -> list[Triple]:
-        _, p, _ = pattern
-        stored = self._index_for(p) if isinstance(p, Iri) else list(self.all_triples())
-        virtual: list[Triple] = []
+        self, state: _Closure, pattern: Pattern, views: dict[VirtualBinding, _Observations]
+    ) -> list[tuple[Term, Term, Term]]:
+        found = state.match(pattern)
         for binding in self.virtual_sources:
             if binding.serves(pattern):
                 if binding not in views:
                     views[binding] = binding.view()
-                known = self.all_triples()
-                virtual.extend(t for t in views[binding].match(pattern) if t not in known)
-        return stored + virtual if virtual else stored
+                found += [t for t in views[binding].match(pattern) if not state.knows(t)]
+        return found
 
     def _solve(self, patterns: Sequence[Pattern]) -> list[dict[str, Term]]:
-        # Evaluate the most constrained pattern first; result multiplicity
-        # does not depend on join order.
+        # Evaluate the most constrained pattern first, and of those the one
+        # with the fewest stored candidates for its constants; result
+        # multiplicity does not depend on join order.
+        state = self._state()
         remaining = list(patterns)
-        ordered: list[Pattern] = []
+        ordered: list[tuple[Pattern, bool]] = []
         bound: set[str] = set()
 
-        def constrained(pattern: Pattern) -> int:
-            return sum(
-                1
-                for t in pattern
-                if not isinstance(t, Var) or t.name in bound
-            )
+        def constrained(pattern: Pattern) -> tuple[int, int]:
+            fixed = sum(1 for t in pattern if not isinstance(t, Var) or t.name in bound)
+            return fixed, -len(state.select(pattern))
 
         while remaining:
             best = max(remaining, key=constrained)
             remaining.remove(best)
-            ordered.append(best)
-            bound.update(t.name for t in best if isinstance(t, Var))
+            names = {t.name for t in best if isinstance(t, Var)}
+            ordered.append((best, not names & bound))
+            bound |= names
 
         # A binding's view is fetched when a pattern first needs it and then
         # kept for the whole query, so one query sees one snapshot of a file.
         views: dict[VirtualBinding, _Observations] = {}
         rows: list[dict[str, Term]] = [{}]
-        for pattern in ordered:
+        for pattern, unjoined in ordered:
+            # a pattern that shares no variable with the rows so far has the
+            # same candidates for every row
+            shared = self._candidates(state, pattern, views) if unjoined else None
             next_rows: list[dict[str, Term]] = []
             for row in rows:
-                concrete = _substitute(pattern, row)
-                for candidate in self._candidates(concrete, views):
+                concrete = pattern if unjoined else _substitute(pattern, row)
+                candidates = shared if unjoined else self._candidates(state, concrete, views)
+                for candidate in candidates:
                     unified = _unify(concrete, candidate)
                     if unified is not None:
                         next_rows.append({**row, **unified})

@@ -808,7 +808,7 @@ def config_from_json(text: str) -> PlantConfig:
             ),
             dt_s=float(doc["dt_s"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad plant config: {exc}") from None
     config.validate()
     return config

@@ -331,6 +331,16 @@ def test_deserialize_rejects_inconsistent_stats(automaton):
         deserialize(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field", ["count", "source", "target"])
+def test_deserialize_rejects_infinite_integer_fields(automaton, field):
+    import json
+
+    doc = json.loads(serialize(automaton))
+    doc["transitions"][0][field] = float("inf")  # written as Infinity
+    with pytest.raises(ParseError, match="bad automaton document"):
+        deserialize(json.dumps(doc))
+
+
 def test_deserialize_rejects_duplicate_state_ids(automaton):
     import json
 

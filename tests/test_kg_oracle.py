@@ -670,3 +670,125 @@ def closure_inputs(draw):
 @given(closure_inputs())
 def test_closure_agrees_with_naive_oracle(asserted):
     assert KnowledgeGraph(asserted).all_triples() == naive_closure(asserted)
+
+
+# ---------------------------------------------------------------------------
+# insert sequences: every snapshot against the naive closure of its own
+# asserted set, however its closure was carried over from its parents
+
+
+_any_subject = st.sampled_from(NODES + CLOSURE_LITERALS)  # literals too
+_batch_fact = st.builds(
+    lambda s, p, o: [Triple(s, p, o)], _any_subject, _predicates,
+    st.sampled_from(NODES + CLOSURE_LITERALS),
+)
+_hierarchy_fact = st.builds(
+    lambda s, p, o: [Triple(s, p, o)], _nodes, st.sampled_from([RDFS_SUBCLASS_OF, RDF_TYPE]),
+    _nodes,
+)
+_equivalence_cycle = st.lists(_nodes, min_size=1, max_size=3, unique=True).map(
+    lambda ring: [Triple(a, EX_EQUIVALENT_TO, b) for a, b in zip(ring, ring[1:] + ring[:1])]
+)
+_onto_rule = st.builds(
+    lambda specific, rule: [Triple(specific, EX_RELATION_TO, rule)],
+    st.sampled_from(PLAIN_PREDICATES + NODES[:2]), st.sampled_from(RULE_PREDICATES),
+)
+_batches = st.lists(
+    st.one_of(_batch_fact, _hierarchy_fact, _hierarchy_fact, _equivalence_cycle, _onto_rule),
+    min_size=1, max_size=4,
+).map(lambda parts: [t for part in parts for t in part])
+# taken modulo the number of snapshots so far: the root, its first children,
+# or the newest ones, so that parents branch often
+_snapshot = st.integers(-2, 2)
+_probe_terms = st.sampled_from(NODES + CLOSURE_LITERALS)
+_insert = st.tuples(st.just("insert"), _snapshot, _batches)
+INSERT_OPS = st.lists(
+    st.one_of(
+        _insert, _insert, _insert,
+        # a triple the parent already knows: asserted, derived, or derived
+        # by subclass transitivity
+        st.tuples(st.just("reinsert"), _snapshot, st.sampled_from(["known", "chained"]),
+                  st.integers(0, 999)),
+        st.tuples(st.just("infer"), _snapshot),
+        st.tuples(st.just("all_triples"), _snapshot),
+        *[st.tuples(st.just("query"), _snapshot,
+                    st.sampled_from(["?x p C", "C p ?x", "?x ?p C"]),
+                    st.sampled_from(RULE_PREDICATES + PLAIN_PREDICATES), _probe_terms)] * 2,
+    ),
+    max_size=14,
+)
+
+
+def probe_query(shape, predicate, term) -> Query:
+    x, p = Var("x"), Var("p")
+    if shape == "?x p C":
+        return Query(("x",), ((x, predicate, term),))
+    if shape == "C p ?x":
+        return Query(("x",), ((term, predicate, x),))
+    return Query(("x", "p"), ((x, p, term),))
+
+
+A, B, C = NODES[:3]
+SUB, EQUIV = RDFS_SUBCLASS_OF, EX_EQUIVALENT_TO
+
+
+# two children of one parent, the second typing under the parent's subclass
+# edge after the first extended, then the parent queried
+@example(
+    frozenset({Triple(A, SUB, B), Triple(C, RDF_TYPE, A)}), True,
+    [("insert", 0, [Triple(B, SUB, C)]), ("infer", 1),
+     ("insert", 0, [Triple(NODES[3], RDF_TYPE, A)]), ("query", 2, "?x p C", RDF_TYPE, B),
+     ("query", 0, "?x p C", RDF_TYPE, B), ("all_triples", 0)],
+)
+# a derived subclass fact asserted again, under a child not yet inferred
+@example(
+    frozenset({Triple(A, SUB, B), Triple(B, SUB, C)}), True,
+    [("reinsert", 0, "chained", 0), ("insert", 1, [Triple(C, SUB, A)]),
+     ("query", 2, "?x p C", SUB, A), ("query", 1, "C p ?x", SUB, A)],
+)
+# a literal subject and an equivalence cycle that carries it on
+@example(
+    frozenset(), False,
+    [("insert", 0, [Triple(CLOSURE_LITERALS[0], PLAIN_PREDICATES[0], A)]), ("infer", 1),
+     ("insert", 1, [Triple(A, EQUIV, B), Triple(B, EQUIV, A)]),
+     ("query", 2, "?x ?p C", RDF_TYPE, B)],
+)
+@settings(max_examples=200, deadline=None)
+@given(closure_inputs(), st.booleans(), INSERT_OPS)
+def test_insert_sequences_agree_with_naive_closure(initial, materialized, ops):
+    start = KnowledgeGraph(initial)
+    snapshots = [start.infer() if materialized else start]
+    naive = [naive_closure(start.asserted)]
+    checked = {0} if materialized else set()  # snapshots whose closure was read
+    answers: dict[tuple[int, Query], list] = {}
+
+    for op, index, *args in ops:
+        index %= len(snapshots)
+        graph = snapshots[index]
+        if op in ("insert", "reinsert"):
+            if op == "insert":
+                batch = args[0]
+            else:
+                kind, k = args
+                pool = sorted(naive[index], key=str)
+                if kind == "chained":
+                    pool = [t for t in pool if t.predicate == SUB and t not in graph.asserted]
+                batch = [pool[k % len(pool)]] if pool else []
+            snapshots.append(graph.insert(batch))
+            naive.append(naive_closure(snapshots[-1].asserted))
+        elif op == "infer":
+            assert graph.infer() is graph
+            checked.add(index)
+        elif op == "all_triples":
+            checked.add(index)
+        else:
+            query = probe_query(*args)
+            rows = graph.query(query)
+            expected = oracle_query(list(naive[index]), query)
+            assert Counter(map(canonical, rows)) == Counter(map(canonical, expected))
+            answers.setdefault((index, query), rows)
+            checked.add(index)
+        for i in checked:
+            assert snapshots[i].all_triples() == naive[i], f"snapshot {i} after {op}"
+        for (i, query), rows in answers.items():
+            assert snapshots[i].query(query) == rows, f"snapshot {i} changed its answer"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixdiag.cli import main
+from mixdiag.errors import ParseError
 from mixdiag.events import parse_log, to_trace
 from mixdiag.plant import (
     ActuatorRecord,
@@ -253,6 +254,30 @@ def test_config_json_with_nan_dt_is_rejected(config):
     doc["dt_s"] = NAN
     with pytest.raises(ConfigError):
         config_from_json(json.dumps(doc))
+
+
+def _phase_vector_as_list(doc):
+    doc["phases"][0]["actuator_vector"] = list(doc["phases"][0]["actuator_vector"])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda doc: doc.update(flows=[]), id="flows=[]"),
+        pytest.param(_phase_vector_as_list, id="actuator_vector=[...]"),
+    ],
+)
+def test_config_json_of_wrong_shape_is_rejected(config, change, tmp_path, capsys):
+    doc = json.loads(config_to_json(config))
+    change(doc)
+    with pytest.raises(ParseError, match="bad plant config"):
+        config_from_json(json.dumps(doc))
+    path, out = tmp_path / "config.json", tmp_path / "log.csv"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
