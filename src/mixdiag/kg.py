@@ -438,9 +438,10 @@ class _Closure:
     materialized one (through any snapshots not yet materialized) takes its
     ancestor's state over when it is inferred and seeds the loop with only
     the triples asserted since.  Facts and index lists only ever grow, and
-    ``facts`` keeps the order they entered in, so the ancestor's closure
-    stays the first ``n`` facts; when it needs its indexes again (a query,
-    or another child) it copies that prefix.
+    ``facts`` and the numbering keep the order they entered in, so the
+    ancestor's closure stays the first ``n`` facts over the first ``m``
+    terms; when it needs its indexes again (a query, or another child) it
+    copies those prefixes, so terms a discarded branch numbered go with it.
 
     Transitivity is linear: an *edge* is a subClassOf fact that entered by
     any rule but transitivity.  New subclass facts and types extend through
@@ -452,25 +453,24 @@ class _Closure:
     pattern to that term's facts, a bound predicate alone to its facts.
     """
 
-    def __init__(self, prefix_of: "_Closure | None" = None, size: int = 0):
-        """An empty closure, or a copy of the first ``size`` facts of
-        ``prefix_of`` with their indexes.  Copies share the term numbering,
-        which only ever grows."""
+    def __init__(self, prefix_of: "_Closure | None" = None, size: tuple[int, int] = (0, 0)):
+        """An empty closure, or a copy of ``prefix_of``'s first facts and
+        terms, ``size`` counting each, with their indexes."""
         if prefix_of is None:
             self.number: dict[Term, int] = {t: i for i, t in enumerate(_RULE_PREDICATES)}
             self.terms: list[Term] = list(_RULE_PREDICATES)
             self.is_iri: list[bool] = [True] * len(_RULE_PREDICATES)
         else:
-            self.number, self.terms, self.is_iri = (
-                prefix_of.number, prefix_of.terms, prefix_of.is_iri
-            )
+            n_facts, n_terms = size
+            self.number = dict(islice(prefix_of.number.items(), n_terms))
+            self.terms, self.is_iri = prefix_of.terms[:n_terms], prefix_of.is_iri[:n_terms]
         # each fact maps to whether transitivity derived it, in order of entry
         self.facts: dict[tuple, bool] = {}
         self.by_subject, self.by_object, self.by_predicate = (defaultdict(list) for _ in range(3))
         self.subclasses, self.edges_from, self.instances = (defaultdict(list) for _ in range(3))
         self.equivalents, self.generals = defaultdict(list), defaultdict(list)
         if prefix_of is not None:
-            self.facts = dict(islice(prefix_of.facts.items(), size))
+            self.facts = dict(islice(prefix_of.facts.items(), n_facts))
             self._index(
                 list(self.facts),
                 [t for t, chained in self.facts.items() if t[1] == _SUB and not chained],
@@ -493,6 +493,11 @@ class _Closure:
                 self.equivalents[s].append(o)
             elif p == _RELATION and is_iri[s] and is_iri[o]:
                 self.generals[s].append(o)
+
+    def size(self) -> tuple[int, int]:
+        """How many facts and terms are known: the prefix that stands for
+        this closure after another ``extend``."""
+        return len(self.facts), len(self.terms)
 
     def extend(self, asserted: Iterable[Triple]) -> list[tuple]:
         """Add ``asserted`` and close over it; return the derived facts that
@@ -587,9 +592,10 @@ class KnowledgeGraph:
         self.asserted: frozenset[Triple] = frozenset(asserted)
         self.virtual_sources: tuple[VirtualBinding, ...] = tuple(virtual_sources)
         self._inferred: frozenset[Triple] | None = None
-        # the numbered closure whose first _size facts are this snapshot's
+        # the numbered closure whose first _size facts and terms are this
+        # snapshot's
         self._closure: _Closure | None = None
-        self._size = 0
+        self._size = (0, 0)
         # the materialized snapshot this one extends, until it materializes
         self._base: KnowledgeGraph | None = None
 
@@ -645,14 +651,14 @@ class KnowledgeGraph:
             self._inferred = known.union(
                 delta, (Triple(terms[s], terms[p], terms[o]) for s, p, o in derived)
             )
-            self._closure, self._size = closure, len(closure.facts)
+            self._closure, self._size = closure, closure.size()
         return self._inferred
 
     def _state(self) -> _Closure:
         """The numbered closure of this snapshot, copied from the prefix of
         the shared one when a child has extended that since."""
         self.all_triples()
-        if len(self._closure.facts) != self._size:
+        if self._closure.size() != self._size:
             self._closure = _Closure(self._closure, self._size)
         return self._closure
 
@@ -675,7 +681,7 @@ class KnowledgeGraph:
         # multiplicity does not depend on join order.
         state = self._state()
         remaining = list(patterns)
-        ordered: list[tuple[Pattern, bool]] = []
+        ordered: list[Pattern] = []
         bound: set[str] = set()
 
         def constrained(pattern: Pattern) -> tuple[int, int]:
@@ -685,23 +691,18 @@ class KnowledgeGraph:
         while remaining:
             best = max(remaining, key=constrained)
             remaining.remove(best)
-            names = {t.name for t in best if isinstance(t, Var)}
-            ordered.append((best, not names & bound))
-            bound |= names
+            ordered.append(best)
+            bound.update(t.name for t in best if isinstance(t, Var))
 
         # A binding's view is fetched when a pattern first needs it and then
         # kept for the whole query, so one query sees one snapshot of a file.
         views: dict[VirtualBinding, _Observations] = {}
         rows: list[dict[str, Term]] = [{}]
-        for pattern, unjoined in ordered:
-            # a pattern that shares no variable with the rows so far has the
-            # same candidates for every row
-            shared = self._candidates(state, pattern, views) if unjoined else None
+        for pattern in ordered:
             next_rows: list[dict[str, Term]] = []
             for row in rows:
-                concrete = pattern if unjoined else _substitute(pattern, row)
-                candidates = shared if unjoined else self._candidates(state, concrete, views)
-                for candidate in candidates:
+                concrete = _substitute(pattern, row)
+                for candidate in self._candidates(state, concrete, views):
                     unified = _unify(concrete, candidate)
                     if unified is not None:
                         next_rows.append({**row, **unified})

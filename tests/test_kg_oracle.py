@@ -792,3 +792,16 @@ def test_insert_sequences_agree_with_naive_closure(initial, materialized, ops):
             assert snapshots[i].all_triples() == naive[i], f"snapshot {i} after {op}"
         for (i, query), rows in answers.items():
             assert snapshots[i].query(query) == rows, f"snapshot {i} changed its answer"
+
+
+def test_branches_with_fresh_terms_leave_their_parent_numbering_bounded():
+    root = KnowledgeGraph([Triple(A, SUB, B), Triple(C, RDF_TYPE, A)]).infer()
+    start_terms = len(root._state().terms)
+    for round_ in range(20):
+        child = root.insert([Triple(iri(f"ex:fresh{round_}"), RDF_TYPE, A)]).infer()
+        grandchild = child.insert([Triple(iri(f"ex:more{round_}"), SUB, B)]).infer()
+        assert len(grandchild._state().terms) == start_terms + 2
+        # the root answers as before, from its own numbering only
+        assert len(root._state().terms) == start_terms
+        assert root.all_triples() == naive_closure(root.asserted)
+        assert child.all_triples() == naive_closure(child.asserted)
