@@ -24,9 +24,11 @@ import csv
 import io
 import json
 import re
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -437,71 +439,118 @@ class _Closure:
     every asserted triple.  A snapshot made by ``insert`` from a
     materialized one (through any snapshots not yet materialized) takes its
     ancestor's state over when it is inferred and seeds the loop with only
-    the triples asserted since.  Facts and index lists only ever grow, and
-    ``facts`` and the numbering keep the order they entered in, so the
+    the triples asserted since.  ``extend`` only appends, and ``facts``, the
+    numbering and every index list keep the order they entered in, so the
     ancestor's closure stays the first ``n`` facts over the first ``m``
-    terms; when it needs its indexes again (a query, or another child) it
-    copies those prefixes, so terms a discarded branch numbered go with it.
+    terms.  When it needs its indexes again (a query, or another child) it
+    cuts the state back to those prefixes, popping the appends of the later
+    facts newest first, so the terms a discarded branch numbered go with
+    it.  While a live snapshot still stands for a longer prefix
+    (``sharers``), it leaves the state to that one and runs the loop afresh
+    with every asserted triple instead.
 
     Transitivity is linear: an *edge* is a subClassOf fact that entered by
-    any rule but transitivity.  New subclass facts and types extend through
-    edges, and only a new edge joins to the left, against the subclasses and
-    instances of its subject, so a chain of n classes costs O(n^2), not
-    O(n^3).
+    any rule but transitivity and equivalence sharing.  New subclass facts
+    and types extend through edges, and only a new edge joins to the left,
+    against the subclasses and instances of its subject, so a chain of n
+    classes costs O(n^2), not O(n^3).  That closes subClassOf under
+    transitivity, by induction on the order ``b subClassOf c`` entered, for
+    every known ``a subClassOf b``: an edge is joined; a transitive fact
+    came from an earlier ``b subClassOf w`` and an edge from ``w``; a copy
+    came from an earlier fact of a term equivalent to ``b`` or ``c``, which
+    ``a``'s fact is shared with too.  The same holds for types.  So an alias
+    of a class adds no edges and no joins through the class's hierarchy.
 
     Queries read the same indexes: a bound subject or object narrows a
     pattern to that term's facts, a bound predicate alone to its facts.
     """
 
-    def __init__(self, prefix_of: "_Closure | None" = None, size: tuple[int, int] = (0, 0)):
-        """An empty closure, or a copy of ``prefix_of``'s first facts and
-        terms, ``size`` counting each, with their indexes."""
-        if prefix_of is None:
-            self.number: dict[Term, int] = {t: i for i, t in enumerate(_RULE_PREDICATES)}
-            self.terms: list[Term] = list(_RULE_PREDICATES)
-            self.is_iri: list[bool] = [True] * len(_RULE_PREDICATES)
-        else:
-            n_facts, n_terms = size
-            self.number = dict(islice(prefix_of.number.items(), n_terms))
-            self.terms, self.is_iri = prefix_of.terms[:n_terms], prefix_of.is_iri[:n_terms]
-        # each fact maps to whether transitivity derived it, in order of entry
+    def __init__(self):
+        self.number: dict[Term, int] = {t: i for i, t in enumerate(_RULE_PREDICATES)}
+        self.terms: list[Term] = list(_RULE_PREDICATES)
+        self.is_iri: list[bool] = [True] * len(_RULE_PREDICATES)
+        # each fact maps to whether transitivity or equivalence sharing
+        # derived it (a subClassOf fact that is not an edge), in order of entry
         self.facts: dict[tuple, bool] = {}
         self.by_subject, self.by_object, self.by_predicate = (defaultdict(list) for _ in range(3))
         self.subclasses, self.edges_from, self.instances = (defaultdict(list) for _ in range(3))
         self.equivalents, self.generals = defaultdict(list), defaultdict(list)
-        if prefix_of is not None:
-            self.facts = dict(islice(prefix_of.facts.items(), n_facts))
-            self._index(
-                list(self.facts),
-                [t for t, chained in self.facts.items() if t[1] == _SUB and not chained],
-            )
+        # the snapshots whose closure this is, by id, each standing for a prefix
+        self.sharers: weakref.WeakValueDictionary[int, KnowledgeGraph] = (
+            weakref.WeakValueDictionary()
+        )
+
+    def _indexes(self) -> tuple[defaultdict, ...]:
+        return (
+            self.by_subject, self.by_object, self.by_predicate, self.subclasses,
+            self.edges_from, self.instances, self.equivalents, self.generals,
+        )
 
     def _index(self, delta: list[tuple], edges: list[tuple]) -> None:
         is_iri = self.is_iri
+        (by_subject, by_object, by_predicate, subclasses, edges_from, instances, equivalents,
+         generals) = self._indexes()
         for s, _, o in edges:
-            self.edges_from[s].append(o)
+            edges_from[s].append(o)
         for t in delta:
             s, p, o = t
-            self.by_subject[s].append(t)
-            self.by_object[o].append(t)
-            self.by_predicate[p].append(t)
+            by_subject[s].append(t)
+            by_object[o].append(t)
+            by_predicate[p].append(t)
             if p == _SUB:
-                self.subclasses[o].append(s)
+                subclasses[o].append(s)
             elif p == _TYPE:
-                self.instances[o].append(s)
+                instances[o].append(s)
             elif p == _EQUIV:
-                self.equivalents[s].append(o)
+                equivalents[s].append(o)
             elif p == _RELATION and is_iri[s] and is_iri[o]:
-                self.generals[s].append(o)
+                generals[s].append(o)
 
     def size(self) -> tuple[int, int]:
         """How many facts and terms are known: the prefix that stands for
         this closure after another ``extend``."""
         return len(self.facts), len(self.terms)
 
-    def extend(self, asserted: Iterable[Triple]) -> list[tuple]:
-        """Add ``asserted`` and close over it; return the derived facts that
-        entered."""
+    def needed_beyond(self, size: tuple[int, int]) -> bool:
+        """Whether a live snapshot stands for more than the first ``size``."""
+        return any(
+            graph._closure is self and graph._size[0] > size[0]
+            for graph in self.sharers.values()
+        )
+
+    def truncate(self, size: tuple[int, int]) -> None:
+        """Cut back to the first facts and terms ``size`` counts: pop each
+        later fact, newest first, off the end of every index list that
+        ``_index`` appended it to, then drop the later terms' lists."""
+        n_facts, n_terms = size
+        facts, is_iri = self.facts, self.is_iri
+        indexes = self._indexes()
+        (by_subject, by_object, by_predicate, subclasses, edges_from, instances, equivalents,
+         generals) = indexes
+        while len(facts) > n_facts:
+            (s, p, o), chained = facts.popitem()
+            by_subject[s].pop()
+            by_object[o].pop()
+            by_predicate[p].pop()
+            if p == _SUB:
+                subclasses[o].pop()
+                if not chained:
+                    edges_from[s].pop()
+            elif p == _TYPE:
+                instances[o].pop()
+            elif p == _EQUIV:
+                equivalents[s].pop()
+            elif p == _RELATION and is_iri[s] and is_iri[o]:
+                generals[s].pop()
+        for term in range(n_terms, len(self.terms)):
+            for index in indexes:
+                index.pop(term, None)
+        while len(self.number) > n_terms:
+            self.number.popitem()
+        del self.terms[n_terms:], is_iri[n_terms:]
+
+    def extend(self, asserted: Iterable[Triple]) -> None:
+        """Add ``asserted`` and close over it."""
         number, terms, is_iri, facts = self.number, self.terms, self.is_iri, self.facts
         seeds = {
             tuple(number.setdefault(term, len(number)) for term in (t.subject, t.predicate, t.object))
@@ -522,19 +571,21 @@ class _Closure:
         by_subject, by_object, by_predicate = self.by_subject, self.by_object, self.by_predicate
         subclasses, edges_from, instances = self.subclasses, self.edges_from, self.instances
         equivalents, generals = self.equivalents, self.generals
-        derived: list[tuple] = []
         edges = [t for t in delta if t[1] == _SUB]
         while delta:
             self._index(delta, edges)
             fresh: list[tuple] = []
-            chained: list[tuple] = []  # transitivity's output: never an edge
+            chained: list[tuple] = []  # transitivity's and sharing's: never an edge
             for s, p, o in edges:
                 chained += [(sub, p, o) for sub in subclasses.get(s, ())]
                 fresh += [(x, _TYPE, o) for x in instances.get(s, ())]
             for s, p, o in delta:
-                fresh += [(s, general, o) for general in generals.get(p, ())]
-                fresh += [(x, p, o) for x in equivalents.get(s, ()) if is_iri[x]]
-                fresh += [(s, p, x) for x in equivalents.get(o, ())]
+                if p in generals:
+                    fresh += [(s, general, o) for general in generals[p]]
+                if s in equivalents:
+                    chained += [(x, p, o) for x in equivalents[s] if is_iri[x]]
+                if o in equivalents:
+                    chained += [(s, p, x) for x in equivalents[o]]
                 if p == _ATTRIBUTE and is_iri[o]:
                     fresh.append((s, _TYPE, o))
                 elif p == _SUB:
@@ -544,32 +595,47 @@ class _Closure:
                 elif p == _EQUIV:
                     fresh.append((o, p, s))
                     if is_iri[o]:
-                        fresh += [(o, fp, fo) for _, fp, fo in by_subject.get(s, ())]
-                    fresh += [(fs, fp, o) for fs, fp, _ in by_object.get(s, ())]
+                        chained += [(o, fp, fo) for _, fp, fo in by_subject.get(s, ())]
+                    chained += [(fs, fp, o) for fs, fp, _ in by_object.get(s, ())]
                 elif p == _RELATION and is_iri[s] and is_iri[o]:
                     fresh += [(fs, o, fo) for fs, _, fo in by_predicate.get(s, ())]
             delta = admit(fresh, False)
             edges = [t for t in delta if t[1] == _SUB]
             delta += admit(chained, True)
-            derived += delta
-        return derived
 
     def select(self, pattern: Pattern) -> Collection[tuple]:
-        """The numbered facts that fit ``pattern``'s constants, read from the
-        narrowest index."""
+        """The numbered facts that fit all of ``pattern``'s constants, read
+        from the index of its bound subject or object, else of its
+        predicate."""
         s, p, o = [None if isinstance(t, Var) else self.number.get(t, -1) for t in pattern]
         if s is None and o is None:
             return self.facts if p is None else self.by_predicate.get(p, ())
-        found = self.by_subject.get(s, ()) if s is not None else None
-        if o is not None and (found is None or len(self.by_object.get(o, ())) < len(found)):
-            found = self.by_object.get(o, ())
-        return found if p is None or not found else [t for t in found if t[1] == p]
+        if s is None or o is None:
+            found = self.by_subject.get(s, ()) if o is None else self.by_object.get(o, ())
+            return found if p is None or not found else [t for t in found if t[1] == p]
+        return [t for t in self.by_subject.get(s, ()) if t[2] == o and p in (None, t[1])]
 
-    def match(self, pattern: Pattern) -> list[tuple[Term, Term, Term]]:
-        """The known triples that fit ``pattern``'s constants, as term
-        tuples.  Callers still unify the result."""
+    def bind(self, pattern: Pattern) -> list[dict[str, Term]]:
+        """The bindings of ``pattern``'s variables by the known facts that
+        fit it.  Constants are matched by ``select``; a variable that occurs
+        twice must take one term, which compares numbers, not terms."""
+        facts = self.select(pattern)
+        if not facts:
+            return []
+        slots = [(i, t.name) for i, t in enumerate(pattern) if isinstance(t, Var)]
         terms = self.terms
-        return [(terms[s], terms[p], terms[o]) for s, p, o in self.select(pattern)]
+        if len(slots) == 1:
+            ((i, name),) = slots
+            return [{name: terms[f[i]]} for f in facts]
+        first: dict[str, int] = {}
+        for i, name in slots:
+            first.setdefault(name, i)
+        if len(first) < len(slots):
+            facts = [f for f in facts if all(f[i] == f[first[name]] for i, name in slots)]
+        names, positions = list(first), list(first.values())
+        return [
+            dict(zip(names, map(terms.__getitem__, map(f.__getitem__, positions)))) for f in facts
+        ]
 
     def knows(self, triple: tuple[Term, Term, Term]) -> bool:
         number = self.number
@@ -616,7 +682,7 @@ class KnowledgeGraph:
 
     def insert(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
         child = KnowledgeGraph(self.asserted | frozenset(triples), self.virtual_sources)
-        child._base = self if self._inferred is not None else self._base
+        child._base = self if self._closure is not None else self._base
         return child
 
     def align(self, mechanism: str, a: Iri, b: Iri) -> "KnowledgeGraph":
@@ -634,45 +700,57 @@ class KnowledgeGraph:
 
     def infer(self) -> "KnowledgeGraph":
         """Materialize the inference closure on this snapshot and return it."""
-        self.all_triples()
+        self._state()
         return self
 
     def all_triples(self) -> frozenset[Triple]:
         """Asserted plus inferred triples (closure computed on demand)."""
         if self._inferred is None:
-            base, self._base = self._base, None
-            if base is None:
-                closure, known, delta = _Closure(), frozenset(), self.asserted
-            else:
-                closure, known = base._state(), base.all_triples()
-                delta = self.asserted - base.asserted
-            terms = closure.terms
-            derived = closure.extend(delta)
-            self._inferred = known.union(
-                delta, (Triple(terms[s], terms[p], terms[o]) for s, p, o in derived)
+            self._state()
+            terms = self._closure.terms
+            self._inferred = frozenset(
+                Triple(terms[s], terms[p], terms[o])
+                for s, p, o in islice(self._closure.facts, self._size[0])
             )
-            self._closure, self._size = closure, closure.size()
         return self._inferred
 
     def _state(self) -> _Closure:
-        """The numbered closure of this snapshot, copied from the prefix of
-        the shared one when a child has extended that since."""
-        self.all_triples()
-        if self._closure.size() != self._size:
-            self._closure = _Closure(self._closure, self._size)
-        return self._closure
+        """The numbered closure of this snapshot, computed on first use.
+        When a child has extended it since, it is cut back to this
+        snapshot's prefix; while a snapshot that stands for a longer prefix
+        lives, this one computes its closure afresh instead."""
+        closure = self._closure
+        if closure is not None and closure.size() != self._size:
+            if closure.needed_beyond(self._size):
+                del closure.sharers[id(self)]
+                closure = None
+            else:
+                closure.truncate(self._size)
+        if closure is None:
+            base, self._base = self._base, None
+            if base is None:
+                closure, delta = _Closure(), self.asserted
+            else:
+                closure, delta = base._state(), self.asserted - base.asserted
+            closure.extend(delta)
+            self._closure, self._size = closure, closure.size()
+            closure.sharers[id(self)] = self
+        return closure
 
     # -- query answering ------------------------------------------------------
 
-    def _candidates(
+    def _bindings(
         self, state: _Closure, pattern: Pattern, views: dict[VirtualBinding, _Observations]
-    ) -> list[tuple[Term, Term, Term]]:
-        found = state.match(pattern)
+    ) -> list[dict[str, Term]]:
+        found = state.bind(pattern)
         for binding in self.virtual_sources:
             if binding.serves(pattern):
                 if binding not in views:
                     views[binding] = binding.view()
-                found += [t for t in views[binding].match(pattern) if not state.knows(t)]
+                found += [
+                    unified for t in views[binding].match(pattern)
+                    if not state.knows(t) and (unified := _unify(pattern, t)) is not None
+                ]
         return found
 
     def _solve(self, patterns: Sequence[Pattern]) -> list[dict[str, Term]]:
@@ -701,11 +779,10 @@ class KnowledgeGraph:
         for pattern in ordered:
             next_rows: list[dict[str, Term]] = []
             for row in rows:
-                concrete = _substitute(pattern, row)
-                for candidate in self._candidates(state, concrete, views):
-                    unified = _unify(concrete, candidate)
-                    if unified is not None:
-                        next_rows.append({**row, **unified})
+                # a fresh binding of the variables the row leaves open
+                for unified in self._bindings(state, _substitute(pattern, row), views):
+                    unified.update(row)
+                    next_rows.append(unified)
             rows = next_rows
             if not rows:
                 break
@@ -717,16 +794,16 @@ class KnowledgeGraph:
         ``order_by`` variable when given (ties broken by the selected
         values), otherwise sorted by the selected values."""
         rows = self._solve(q.where)
-        rows = [r for r in rows if all(_filter_accepts(r, f) for f in q.filters)]
+        if q.filters:
+            rows = [r for r in rows if all(_filter_accepts(r, f) for f in q.filters)]
 
-        def projected_key(row: dict[str, Term]) -> tuple:
-            return tuple(term_sort_key(row[name]) for name in q.select)
-
+        columns = [list(map(itemgetter(name), rows)) for name in q.select]
+        keys = list(zip(*[list(map(term_sort_key, column)) for column in columns]))
         if q.order_by is not None:
-            rows.sort(key=lambda r: (term_sort_key(r[q.order_by]), projected_key(r)))
-        else:
-            rows.sort(key=projected_key)
-        out = [{name: row[name] for name in q.select} for row in rows]
+            keys = list(zip(map(term_sort_key, map(itemgetter(q.order_by), rows)), keys))
+        projected = list(zip(*columns))
+        order = sorted(range(len(rows)), key=keys.__getitem__)
+        out = [dict(zip(q.select, projected[i])) for i in order]
         if q.limit is not None:
             out = out[: q.limit]
         return out

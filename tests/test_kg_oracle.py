@@ -711,6 +711,9 @@ INSERT_OPS = st.lists(
                   st.integers(0, 999)),
         st.tuples(st.just("infer"), _snapshot),
         st.tuples(st.just("all_triples"), _snapshot),
+        # let go of a snapshot, so that its parent may cut the shared
+        # closure back instead of closing afresh
+        st.tuples(st.just("drop"), _snapshot),
         *[st.tuples(st.just("query"), _snapshot,
                     st.sampled_from(["?x p C", "C p ?x", "?x ?p C"]),
                     st.sampled_from(RULE_PREDICATES + PLAIN_PREDICATES), _probe_terms)] * 2,
@@ -746,6 +749,13 @@ SUB, EQUIV = RDFS_SUBCLASS_OF, EX_EQUIVALENT_TO
     [("reinsert", 0, "chained", 0), ("insert", 1, [Triple(C, SUB, A)]),
      ("query", 2, "?x p C", SUB, A), ("query", 1, "C p ?x", SUB, A)],
 )
+# a child dropped after it extended, then a second child of its parent
+@example(
+    frozenset({Triple(A, SUB, B), Triple(C, RDF_TYPE, A)}), True,
+    [("insert", 0, [Triple(B, SUB, C), Triple(NODES[3], EQUIV, A)]), ("infer", 1),
+     ("drop", 1), ("insert", 0, [Triple(NODES[3], RDF_TYPE, B)]),
+     ("query", 2, "?x p C", RDF_TYPE, B), ("query", 0, "?x p C", RDF_TYPE, B)],
+)
 # a literal subject and an equivalence cycle that carries it on
 @example(
     frozenset(), False,
@@ -765,7 +775,13 @@ def test_insert_sequences_agree_with_naive_closure(initial, materialized, ops):
     for op, index, *args in ops:
         index %= len(snapshots)
         graph = snapshots[index]
-        if op in ("insert", "reinsert"):
+        if graph is None:
+            continue
+        if op == "drop":
+            snapshots[index] = graph = None
+            checked.discard(index)
+            answers = {key: rows for key, rows in answers.items() if key[0] != index}
+        elif op in ("insert", "reinsert"):
             if op == "insert":
                 batch = args[0]
             else:
@@ -805,3 +821,29 @@ def test_branches_with_fresh_terms_leave_their_parent_numbering_bounded():
         assert len(root._state().terms) == start_terms
         assert root.all_triples() == naive_closure(root.asserted)
         assert child.all_triples() == naive_closure(child.asserted)
+
+
+def test_a_parent_whose_children_are_gone_cuts_its_closure_back_in_place():
+    root = KnowledgeGraph([Triple(A, SUB, B), Triple(C, RDF_TYPE, A)]).infer()
+    state = root._state()
+    start = state.size()
+    expected = naive_closure(root.asserted)
+    for round_ in range(20):
+        graph = root
+        for step in range(3):
+            graph = graph.insert([
+                Triple(iri(f"ex:fresh{round_}_{step}"), SUB, A),
+                Triple(iri(f"ex:alias{step}"), EQUIV, B),
+            ]).infer()
+        assert graph.all_triples() == naive_closure(graph.asserted)
+        assert graph._state() is state and state.size() > start
+        del graph
+        # no snapshot stands for more than the root's prefix: no fresh closure
+        assert root._state() is state and state.size() == start
+        assert root.all_triples() == expected
+    # the same facts, flags and index entries as a closure computed afresh
+    fresh = KnowledgeGraph(root.asserted)._state()
+    assert list(state.facts.items()) == list(fresh.facts.items())
+    assert state.terms == fresh.terms
+    for cut, computed in zip(state._indexes(), fresh._indexes()):
+        assert {key: entries for key, entries in cut.items() if entries} == computed
