@@ -65,7 +65,7 @@ def _actuator_ids(args, log):
     """The actuator ids of ``--config`` when given, else those in the log."""
     if args.config:
         return _load_config(args.config).actuator_ids()
-    return sorted({record.actuator_id for record in log.actuator_records})
+    return sorted({aid for _, aid, _ in log.actuator_records})
 
 
 def _load_catalog(path: str | None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import MixdiagError, ParseError
-from .plant import LOG_HEADER, ActuatorRecord, PlantConfig, SensorRecord, SimulationLog
+from .plant import LOG_HEADER, PlantConfig, SimulationLog
 
 RISE = "↑"
 FALL = "↓"
@@ -127,7 +127,7 @@ def parse_log(csv_text: str) -> SimulationLog:
 
 def _parse_rows(
     text: str, first_line: int, prev_ms: int | None
-) -> tuple[list[ActuatorRecord], list[SensorRecord], int | None]:
+) -> tuple[list[tuple[int, str, bool]], list[tuple[int, str, float]], int | None]:
     """Parse header-less record rows exactly as :func:`parse_log` parses them
     inside a whole log where ``text`` starts, at a row boundary, on line
     ``first_line`` after a record at ``prev_ms``.  Also returns the last
@@ -137,13 +137,13 @@ def _parse_rows(
 
 def _read_records(
     reader, line_offset: int, prev_ms: int | None
-) -> tuple[list[ActuatorRecord], list[SensorRecord], int | None]:
+) -> tuple[list[tuple[int, str, bool]], list[tuple[int, str, float]], int | None]:
     def error(message: str) -> ParseError:
         # the reader's line_num is the last physical line of the row
         return ParseError(message, line_offset + reader.line_num)
 
-    actuator_records: list[ActuatorRecord] = []
-    sensor_records: list[SensorRecord] = []
+    actuator_records: list[tuple[int, str, bool]] = []
+    sensor_records: list[tuple[int, str, float]] = []
     try:
         for row in reader:
             if not row:
@@ -167,7 +167,7 @@ def _read_records(
             if kind == "actuator":
                 if raw_value not in ("0", "1"):
                     raise error(f"actuator value must be 0 or 1, got {raw_value!r}")
-                actuator_records.append(ActuatorRecord(t_ms, rid, raw_value == "1"))
+                actuator_records.append((t_ms, rid, raw_value == "1"))
             elif kind == "sensor":
                 try:
                     value = float(raw_value)
@@ -175,7 +175,7 @@ def _read_records(
                     raise error(f"bad sensor value {raw_value!r}") from None
                 if not math.isfinite(value):
                     raise error(f"non-finite sensor value {raw_value!r}")
-                sensor_records.append(SensorRecord(t_ms, rid, value))
+                sensor_records.append((t_ms, rid, value))
             else:
                 raise error(f"unknown record kind {kind!r}")
     except csv.Error as exc:
@@ -209,17 +209,17 @@ def to_trace(
     if not log.actuator_records:
         raise EmptyLog("log contains no actuator records")
     known = set(ids)
-    for r in log.actuator_records:
-        if r.actuator_id not in known:
-            raise MixdiagError(f"log references unknown actuator {r.actuator_id!r}")
+    for _, aid, _ in log.actuator_records:
+        if aid not in known:
+            raise MixdiagError(f"log references unknown actuator {aid!r}")
 
     merge_ms = round(merge_window_s * 1000)
     groups: list[tuple[int, dict[str, bool]]] = []
-    for r in log.actuator_records:
-        if groups and r.t_ms - groups[-1][0] <= merge_ms:
-            groups[-1][1][r.actuator_id] = r.value  # last value wins inside a group
+    for t_ms, aid, value in log.actuator_records:
+        if groups and t_ms - groups[-1][0] <= merge_ms:
+            groups[-1][1][aid] = value  # last value wins inside a group
         else:
-            groups.append((r.t_ms, {r.actuator_id: r.value}))
+            groups.append((t_ms, {aid: value}))
 
     base = {aid: False for aid in ids}
     base.update(groups[0][1])
@@ -227,6 +227,9 @@ def to_trace(
     initial = vector
     prev_ms = groups[0][0]
 
+    # Steps share one object per distinct vector, so a long trace holds a
+    # handful of vectors, not one per step.
+    vectors = {vector: vector}
     steps: list[TraceStep] = []
     for t_ms, values in groups[1:]:
         current = vector.as_dict()
@@ -234,6 +237,7 @@ def to_trace(
         if not changes:
             continue
         vector = vector.apply(changes)
+        vector = vectors.setdefault(vector, vector)
         steps.append(
             TraceStep(
                 Event(build_label(changes), t_ms / 1000.0),

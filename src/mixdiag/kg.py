@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import weakref
 from collections import defaultdict
@@ -166,7 +167,9 @@ def query_from_dict(doc: Mapping) -> Query:
         order_raw = doc.get("order_by")
         order_by = None if order_raw is None else _var_name(order_raw)
         limit = doc.get("limit")
-        return Query(select, where, filters, order_by, None if limit is None else int(limit))
+        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
+            raise QueryError(f"limit must be a non-negative integer, got {limit!r}")
+        return Query(select, where, filters, order_by, limit)
     except QueryError:
         raise
     except (KeyError, TypeError, ValueError, MixdiagError) as exc:
@@ -216,6 +219,8 @@ def _compare_terms(left: Term, right: Term) -> int | None:
         return None
     if left.is_numeric() and right.is_numeric():
         a, b = float(left.lexical), float(right.lexical)
+        if math.isnan(a) or math.isnan(b):
+            return None
     elif left.datatype == XSD_STRING and right.datatype == XSD_STRING:
         a, b = left.lexical, right.lexical
     else:
@@ -406,7 +411,7 @@ class VirtualBinding:
             view.extend(text, records, last_ms)
             return view
         log = parse_log(text)
-        lasts = [r[-1].t_ms for r in (log.actuator_records, log.sensor_records) if r]
+        lasts = [r[-1][0] for r in (log.actuator_records, log.sensor_records) if r]
         return _Observations(text, log.sensor_records, max(lasts, default=None))
 
 

@@ -626,6 +626,9 @@ def run_pipeline(
         "train", lambda: split_cycles(train_trace, train_trace.initial_vector)
     )
     automaton = stage("learn", lambda: learn(traces))
+    # Only the automaton is needed from here on.  Dropping the training log
+    # and trace now keeps their objects out of the collector's later passes.
+    del train_log, train_trace, traces
     write("automaton.json", serialize(automaton))
 
     # evaluation run and detection

@@ -8,9 +8,10 @@ second.
 
 Conventions that downstream code relies on:
 
-* Timestamps are kept as integer milliseconds so that every ``t_s`` in a
-  log is exact at three decimal places.  Records carry ``t_ms``; their
-  ``t_s`` is derived from it.
+* A record is a plain tuple ``(t_ms, id, value)``: an actuator record's
+  value is a bool, a sensor record's a float.  Timestamps are kept as
+  integer milliseconds so that every ``t_s`` in a log is exact at three
+  decimal places.
 * Volumes are kept as integer microliters internally; each per-step transfer
   amount is rounded to the nearest microliter once.  Mass bookkeeping is
   therefore exact and a constant-rate phase ends precisely on its nominal
@@ -44,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, asdict
 from itertools import compress, count, islice
 from operator import gt
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from .errors import MixdiagError, ParseError
 
@@ -260,30 +261,13 @@ class FaultSpec:
             raise ConfigError("fault duration must be positive or None")
 
 
-class ActuatorRecord(NamedTuple):
-    t_ms: int
-    actuator_id: str
-    value: bool
-
-    @property
-    def t_s(self) -> float:
-        return self.t_ms / 1000.0
-
-
-class SensorRecord(NamedTuple):
-    t_ms: int
-    sensor_id: str
-    value: float
-
-    @property
-    def t_s(self) -> float:
-        return self.t_ms / 1000.0
-
-
 @dataclass
 class SimulationLog:
-    actuator_records: list[ActuatorRecord]
-    sensor_records: list[SensorRecord]
+    """Actuator records ``(t_ms, actuator_id, value: bool)`` and sensor
+    records ``(t_ms, sensor_id, value: float)``, each a plain tuple."""
+
+    actuator_records: list[tuple[int, str, bool]]
+    sensor_records: list[tuple[int, str, float]]
 
 
 def default_config() -> PlantConfig:
@@ -367,15 +351,15 @@ class _StoredCycle:
     def replay(
         self,
         start_ms: int,
-        actuator_records: list[ActuatorRecord],
-        sensor_records: list[SensorRecord],
+        actuator_records: list[tuple[int, str, bool]],
+        sensor_records: list[tuple[int, str, float]],
     ) -> None:
         """Append this cycle's records again, shifted to start at ``start_ms``."""
         shift = start_ms - self.start_ms
         actuators = actuator_records[slice(*self.actuator_span)]
         sensors = sensor_records[slice(*self.sensor_span)]
-        actuator_records.extend([ActuatorRecord(t + shift, i, v) for t, i, v in actuators])
-        sensor_records.extend([SensorRecord(t + shift, i, v) for t, i, v in sensors])
+        actuator_records.extend([(t + shift, i, v) for t, i, v in actuators])
+        sensor_records.extend([(t + shift, i, v) for t, i, v in sensors])
 
 
 def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
@@ -485,8 +469,8 @@ def simulate(
     source_tanks = sorted(config.source_tank_ids())
     sensors = sorted(config.sensors, key=lambda s: s.id)
 
-    actuator_records: list[ActuatorRecord] = []
-    sensor_records: list[SensorRecord] = []
+    actuator_records: list[tuple[int, str, bool]] = []
+    sensor_records: list[tuple[int, str, float]] = []
     current: dict[str, bool] = {}
     t_ms = 0
     pending_inflow = 0
@@ -496,7 +480,7 @@ def simulate(
         full = {aid: bool(vector.get(aid, False)) for aid in sorted(acts)}
         for aid in sorted(full):
             if establishing or full[aid] != current[aid]:
-                actuator_records.append(ActuatorRecord(t_ms, aid, full[aid]))
+                actuator_records.append((t_ms, aid, full[aid]))
         current = full
 
     def sample_sensors(step_rates: Mapping[str, float]) -> None:
@@ -511,7 +495,7 @@ def simulate(
                 value += rng.gauss(0.0, noise_sigma)
                 if not math.isfinite(value):
                     raise ConfigError(f"noise_sigma {noise_sigma!r} gives a non-finite sample")
-            sensor_records.append(SensorRecord(t_ms, s.id, value))
+            sensor_records.append((t_ms, s.id, value))
 
     sample_sensors({})
     establishing = True
@@ -698,7 +682,7 @@ def write_log_csv(log: SimulationLog) -> str:
     actuators = sorted(log.actuator_records)
     sensors = sorted(log.sensor_records)
     for first in actuators[:1] + sensors[:1]:
-        if first.t_ms < 0:
+        if first[0] < 0:
             raise InvalidRecord(f"record {first!r} has a negative time")
     # Each distinct millisecond and each distinct (id, value) is formatted
     # once.  A zero value is keyed with its sign: -0.0 == 0.0 as a key, but
@@ -719,7 +703,7 @@ def write_log_csv(log: SimulationLog) -> str:
     pieces = [",".join(LOG_HEADER) + "\n"]
     start = 0
     for record, line in zip(actuators, actuator_lines):
-        end = bisect_left(sensors, (record.t_ms,), start)
+        end = bisect_left(sensors, (record[0],), start)
         pieces += sensor_lines[start:end]
         pieces.append(line)
         start = end

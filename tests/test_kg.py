@@ -1,15 +1,19 @@
 """Triple store: queries, alignment, inference, N-Triples, OBDA."""
 
+import json
+import math
 import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixdiag.cli import main
 from mixdiag.errors import MixdiagError, ParseError
 from mixdiag.kg import (
     Filter,
     KnowledgeGraph,
     Query,
+    QueryError,
     SourceUnavailable,
     VirtualBinding,
     parse_ntriples,
@@ -23,6 +27,7 @@ from mixdiag.terms import (
     Literal,
     RDFS_SUBCLASS_OF,
     Triple,
+    XSD_DOUBLE,
     iri,
 )
 
@@ -163,6 +168,54 @@ def test_query_validation():
         q(["?s"], [["?s", "ex:p", "?o"]], limit=-1)
     with pytest.raises(MixdiagError):
         q(["?s"], [["?s", "ex:p", "?o"]], order_by="?nope")
+
+
+def test_a_comparison_with_nan_drops_the_row():
+    graph = KnowledgeGraph().insert(
+        [
+            t("ex:a", "ex:v", Literal.double(1.0)),
+            t("ex:b", "ex:v", Literal.double(7.5)),
+            t("ex:c", "ex:v", Literal("nan", XSD_DOUBLE)),
+        ]
+    )
+
+    def subjects(op, constant):
+        rows = graph.query(q(["?s"], [["?s", "ex:v", "?v"]], filters=[["?v", op, constant]]))
+        return [r["s"].prefixed() for r in rows]
+
+    for op in ("=", "!=", "<", "<=", ">", ">="):
+        assert subjects(op, math.nan) == [], op
+    # the stored NaN at ex:c never passes, whatever the operator
+    assert subjects("=", 1.0) == ["ex:a"]
+    assert subjects("!=", 1.0) == ["ex:b"]
+    assert subjects("<", 1.0) == []
+    assert subjects("<=", 1.0) == ["ex:a"]
+    assert subjects(">", 1.0) == ["ex:b"]
+    assert subjects(">=", 1.0) == ["ex:a", "ex:b"]
+
+
+LIMITS_THAT_ARE_NOT_INTEGERS = ["1e999", "-Infinity", "2.7", "true", '"3"']
+
+
+@pytest.mark.parametrize("raw", LIMITS_THAT_ARE_NOT_INTEGERS)
+def test_limit_must_be_a_non_negative_integer(raw):
+    doc = json.loads(f'{{"select": ["?s"], "where": [["?s", "ex:p", "?o"]], "limit": {raw}}}')
+    with pytest.raises(QueryError, match="limit"):
+        query_from_dict(doc)
+
+
+@pytest.mark.parametrize("raw", LIMITS_THAT_ARE_NOT_INTEGERS)
+def test_cli_query_rejects_a_limit_that_is_not_an_integer(raw, family, tmp_path, capsys):
+    graph = tmp_path / "graph.nt"
+    graph.write_text(serialize_ntriples(family), encoding="utf-8")
+    query = tmp_path / "q.json"
+    query.write_text(
+        f'{{"select": ["?p"], "where": [["?p", "ex:age", "?a"]], "limit": {raw}}}',
+        encoding="utf-8",
+    )
+    assert main(["query", "--graph", str(graph), "--query", str(query)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "limit" in line
 
 
 def test_query_dict_round_trip(family):

@@ -1,5 +1,6 @@
 """Simulator behavior: exact phase timing, mass conservation, determinism."""
 
+import gc
 import json
 import logging
 import math
@@ -10,16 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from mixdiag.cli import main
 from mixdiag.errors import ParseError
-from mixdiag.events import parse_log, to_trace
+from mixdiag.events import _parse_rows, parse_log, to_trace
 from mixdiag.plant import (
-    ActuatorRecord,
     ConfigError,
     FaultSpec,
     InvalidRecord,
     LevelReached,
     PhaseUnreachable,
     PlantConfig,
-    SensorRecord,
     SimulationLog,
     Tank,
     TimerElapsed,
@@ -149,18 +148,18 @@ def test_levels_stay_within_tank_bounds(config):
 
 def test_sensor_records_come_every_second_and_start_at_zero(config):
     log = simulate(config, 1, (), 0)
-    times = sorted({r.t_s for r in log.sensor_records})
+    times = sorted({t_ms / 1000 for t_ms, _, _ in log.sensor_records})
     assert times[0] == 0.0
     diffs = {round(b - a, 3) for a, b in zip(times, times[1:])}
     assert diffs == {1.0}
-    per_sample = {r.t_s for r in log.sensor_records}
+    per_sample = {t_ms / 1000 for t_ms, _, _ in log.sensor_records}
     n_sensors = len(config.sensors)
     assert len(log.sensor_records) == len(per_sample) * n_sensors
 
 
 def test_temperature_sensor_reads_ambient(config):
     log = simulate(config, 1, (), 0)
-    values = {r.value for r in log.sensor_records if r.sensor_id == "T201"}
+    values = {value for _, sid, value in log.sensor_records if sid == "T201"}
     assert values == {20.0}
 
 
@@ -392,23 +391,23 @@ def test_config_json_rejects_garbage():
 
 def test_log_with_quoted_ids_round_trips(config):
     log = SimulationLog(
-        [ActuatorRecord(0, 'V,1"a', True), ActuatorRecord(1500, 'V,1"a', False)],
-        [SensorRecord(0, '"L",2', 0.25), SensorRecord(1000, '"L",2', 1e-7)],
+        [(0, 'V,1"a', True), (1500, 'V,1"a', False)],
+        [(0, '"L",2', 0.25), (1000, '"L",2', 1e-7)],
     )
     assert parse_log(write_log_csv(log)) == log
-    assert [r.t_s for r in log.actuator_records] == [0.0, 1.5]
+    assert [t_ms / 1000 for t_ms, _, _ in log.actuator_records] == [0.0, 1.5]
 
 
 @pytest.mark.parametrize(
     "log",
     [
-        SimulationLog([ActuatorRecord(-1, "V1", True)], [SensorRecord(0, "L1", 1.0)]),
-        SimulationLog([ActuatorRecord(0, "V1", True)], [SensorRecord(-1000, "L1", 1.0)]),
+        SimulationLog([(-1, "V1", True)], [(0, "L1", 1.0)]),
+        SimulationLog([(0, "V1", True)], [(-1000, "L1", 1.0)]),
     ],
     ids=["actuator", "sensor"],
 )
 def test_negative_record_time_rejected(log):
-    (record,) = [r for r in log.actuator_records + log.sensor_records if r.t_ms < 0]
+    (record,) = [r for r in log.actuator_records + log.sensor_records if r[0] < 0]
     with pytest.raises(InvalidRecord) as err:
         write_log_csv(log)
     assert repr(record) in str(err.value)
@@ -428,6 +427,25 @@ def test_repeated_nominal_cycles_are_replayed(config, caplog):
     # cycle 0 establishes the vector, cycle 1 is stored, 2..99 replay it
     assert replayed == 98
     assert "simulated 2 cycles, replayed 98" in caplog.text
+
+
+def test_records_are_exact_tuples_the_collector_untracks(config, caplog):
+    log, replayed = _simulate_counting_replays(caplog, config, 3)
+    assert replayed == 1  # the third cycle replays the second
+    text = write_log_csv(log)
+    parsed = parse_log(text)
+    rows = _parse_rows(text.split("\n", 1)[1], 2, None)[:2]
+    samples = []
+    for actuators, sensors in (
+        (log.actuator_records, log.sensor_records),
+        (parsed.actuator_records, parsed.sensor_records),
+        rows,
+    ):
+        for records in (actuators, sensors):
+            assert records and all(type(r) is tuple for r in records)
+            samples += [records[0], records[-1]]
+    gc.collect()
+    assert not any(gc.is_tracked(r) for r in samples)
 
 
 def test_noise_and_step_hook_disable_replay(config, caplog):
