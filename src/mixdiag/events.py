@@ -135,6 +135,26 @@ def _parse_rows(
     return _read_records(csv.reader(io.StringIO(text)), first_line - 1, prev_ms)
 
 
+def _rows_before(text: str, end: int) -> tuple[int, int | None]:
+    """The number of sensor records in ``text[:end]`` and the ``t_ms`` of
+    its last record (None when it holds none), where ``text[:end]`` is a
+    log that parses, ends on a newline and holds no quote.  Each of its
+    lines is then one row split at its commas, whose kind is its second
+    field and whose value holds no comma.  So ``str.count`` finds
+    ``,sensor,`` once in each line whose kind or id is ``sensor`` and in
+    no other, and ``,actuator,sensor,`` once in each actuator row among
+    those."""
+    sensors = text.count(",sensor,", 0, end) - text.count(",actuator,sensor,", 0, end)
+    line_end = end
+    while True:
+        start = text.rfind("\n", 0, line_end - 1) + 1
+        if start == 0:  # the header
+            return sensors, None
+        if text[start:line_end].rstrip("\r\n"):  # not a blank line
+            return sensors, _parse_rows(text[start:line_end], 1, None)[2]
+        line_end = start
+
+
 def _read_records(
     reader, line_offset: int, prev_ms: int | None
 ) -> tuple[list[tuple[int, str, bool]], list[tuple[int, str, float]], int | None]:
@@ -144,6 +164,10 @@ def _read_records(
 
     actuator_records: list[tuple[int, str, bool]] = []
     sensor_records: list[tuple[int, str, float]] = []
+    # each distinct timestamp and sensor-value text is converted once; only
+    # texts that passed every check enter these
+    times: dict[str, int] = {}
+    values: dict[str, float] = {}
     try:
         for row in reader:
             if not row:
@@ -151,14 +175,17 @@ def _read_records(
             if len(row) != 4:
                 raise error(f"expected 4 columns, got {len(row)}")
             raw_t, kind, rid, raw_value = row
-            try:
-                t_s = float(raw_t)
-                # round() rejects nan (ValueError) and values that overflow to inf
-                t_ms = round(t_s * 1000)
-            except (ValueError, OverflowError):
-                raise error(f"bad timestamp {raw_t!r}") from None
-            if t_s < 0:
-                raise error(f"negative timestamp {raw_t!r}")
+            t_ms = times.get(raw_t)
+            if t_ms is None:
+                try:
+                    t_s = float(raw_t)
+                    # round() rejects nan (ValueError) and values that overflow to inf
+                    t_ms = round(t_s * 1000)
+                except (ValueError, OverflowError):
+                    raise error(f"bad timestamp {raw_t!r}") from None
+                if t_s < 0:
+                    raise error(f"negative timestamp {raw_t!r}")
+                times[raw_t] = t_ms
             if prev_ms is not None and t_ms < prev_ms:
                 raise error("timestamps not sorted")
             prev_ms = t_ms
@@ -169,12 +196,15 @@ def _read_records(
                     raise error(f"actuator value must be 0 or 1, got {raw_value!r}")
                 actuator_records.append((t_ms, rid, raw_value == "1"))
             elif kind == "sensor":
-                try:
-                    value = float(raw_value)
-                except ValueError:
-                    raise error(f"bad sensor value {raw_value!r}") from None
-                if not math.isfinite(value):
-                    raise error(f"non-finite sensor value {raw_value!r}")
+                value = values.get(raw_value)
+                if value is None:
+                    try:
+                        value = float(raw_value)
+                    except ValueError:
+                        raise error(f"bad sensor value {raw_value!r}") from None
+                    if not math.isfinite(value):
+                        raise error(f"non-finite sensor value {raw_value!r}")
+                    values[raw_value] = value
                 sensor_records.append((t_ms, rid, value))
             else:
                 raise error(f"unknown record kind {kind!r}")

@@ -14,8 +14,8 @@ that closure over and joins only the delta (see ``_Closure``).
 A bound log is parsed once per distinct file content into a small indexed
 view; queries read the file to check it is unchanged and answer observation
 patterns from the view, building triples only for the rows that match.
-When the file only grew, a safe append is parsed on its own and extends
-the view in place.
+When the file changed, the view keeps the rows the new text shares with
+the text last parsed and parses only what follows them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import math
 import re
 import weakref
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
@@ -218,7 +219,10 @@ def _compare_terms(left: Term, right: Term) -> int | None:
     if isinstance(left, Iri) or isinstance(right, Iri):
         return None
     if left.is_numeric() and right.is_numeric():
-        a, b = float(left.lexical), float(right.lexical)
+        try:
+            a, b = float(left.lexical), float(right.lexical)
+        except ValueError:  # an ill-typed lexical form, such as "abc"^^xsd:double
+            return None
         if math.isnan(a) or math.isnan(b):
             return None
     elif left.datatype == XSD_STRING and right.datatype == XSD_STRING:
@@ -272,31 +276,54 @@ class _Observations:
     Row ``i`` is the observation ``ex:obs_{i}``.  Each column has an index
     from object term to its rows in file order, so a bound subject or object
     becomes a lookup and triples are built only for the rows that match.
-    For appends it also keeps the last record's ``t_ms`` (of either kind),
-    the number of newlines, and whether the text holds a quote.
+    It also keeps the number of newlines and the last record's ``t_ms`` (of
+    either kind), which a parse of what follows starts from.  A change keeps
+    the longest prefix of the text that the new text shares, ends a row and
+    holds no quote (which could leave a field open into what follows): the
+    view is cut back to that prefix in place, then extended.
     """
 
     def __init__(self, text: str, records: Sequence, last_ms: int | None):
         self.text = ""
         self.size = 0
         self.lines = 0
-        self.quoted = False
         self.columns: dict[Iri, list[Term]] = {p: [] for p in _TERM_OF}
         self.indexes: dict[Iri, dict[Term, list[int]]] = {p: {} for p in _TERM_OF}
         self.extend(text, records, last_ms)
 
-    def appendable(self, text: str) -> bool:
-        """Whether ``text`` is this view's text plus an append that parses on
-        its own: the view's text ends a row and holds no quote, which could
-        leave a field open into the append."""
-        return not self.quoted and self.text.endswith("\n") and text.startswith(self.text)
+    def shared(self, text: str) -> int:
+        """The length of the longest prefix of ``text`` this view can keep:
+        at least the header line, or 0."""
+        old = self.text
+        lo = 0
+        hi = mid = min(len(old), len(text))  # an append or a rewind ends in one probe
+        while lo < hi:  # the common prefix is lo to hi characters long
+            if text.startswith(old[lo:mid], lo):
+                lo = mid
+            else:
+                hi = mid - 1
+            mid = (lo + hi + 1) // 2
+        quote = old.find('"', 0, lo)
+        return old.rfind("\n", 0, lo if quote < 0 else quote) + 1
+
+    def cut(self, keep: int, size: int, lines: int) -> None:
+        """Cut the view back to its first ``keep`` characters, which hold
+        ``size`` rows and ``lines`` newlines."""
+        for predicate, column in self.columns.items():
+            index = self.indexes[predicate]
+            # each dropped term once, by identity: a column holds index keys
+            for term in {id(term): term for term in column[size:]}.values():
+                rows = index[term]
+                del rows[bisect_left(rows, size):]
+                if not rows:
+                    del index[term]
+            del column[size:]
+        self.text, self.size, self.lines = self.text[:keep], size, lines
 
     def extend(self, text: str, records: Sequence, last_ms: int | None) -> None:
         """Grow the view to ``text``, whose part past the current text holds
         ``records`` (sensor records, in file order) and ends at ``last_ms``."""
-        old = len(self.text)
-        self.lines += text.count("\n", old)
-        self.quoted = self.quoted or text.find('"', old) >= 0
+        self.lines += text.count("\n", len(self.text))
         self.last_ms = last_ms
         if records:
             times, sensors, values = zip(*records)
@@ -358,11 +385,13 @@ class VirtualBinding:
     materialized into the asserted set.  The file is parsed once per
     distinct content and served from an index; every query reads the file
     again and compares it with the text last parsed, so an edit of any
-    size is seen at once.  When the text last parsed is a prefix of the new
-    text, ends on a newline and holds no quote, only the appended part is
-    parsed; any other change is parsed whole.  ``scan_count`` counts the
-    parses of new content, whole or appended part, i.e. how many queries
-    found new content; ``append_count`` counts the appended-part parses.
+    size is seen at once.  The view keeps the rows before the first change
+    (and before the first quote, see ``_Observations``) and parses only
+    what follows, so an append cuts nothing, a rewind parses nothing and a
+    rewrite parses its changed tail; a change within the header line is
+    parsed whole.  ``scan_count`` counts the parses of new content, i.e.
+    how many queries found new content; ``append_count`` counts those that
+    kept a prefix of the view.
     """
 
     csv_path: str | Path
@@ -394,20 +423,25 @@ class VirtualBinding:
 
     def scan(self, text: str) -> _Observations:
         """Parse ``text``, the new content :meth:`view` read: its cache-miss
-        path.  A safe append extends the current view in place; anything
-        else is parsed whole into a new view.  A parse that fails changes
-        no view."""
+        path.  The current view is cut back to the prefix it shares with
+        ``text`` and extended in place; with no such prefix, ``text`` is
+        parsed whole into a new view.  A parse that fails changes no view."""
         # Looked up per call, not at load time (there is no import cycle), so
         # that bench/tracing.py's wrapper around events.parse_log is seen.
-        from .events import _parse_rows, parse_log
+        from .events import _parse_rows, _rows_before, parse_log
 
         self.scan_count += 1
         view = self._view
-        if view is not None and view.appendable(text):
+        keep = view.shared(text) if view is not None else 0
+        if keep:
             self.append_count += 1
-            _, records, last_ms = _parse_rows(
-                text[len(view.text):], view.lines + 1, view.last_ms
-            )
+            if keep == len(view.text):  # an append: nothing to cut
+                size, lines, last_ms = view.size, view.lines, view.last_ms
+            else:
+                size, last_ms = _rows_before(view.text, keep)
+                lines = view.lines - view.text.count("\n", keep)
+            _, records, last_ms = _parse_rows(text[keep:], lines + 1, last_ms)
+            view.cut(keep, size, lines)
             view.extend(text, records, last_ms)
             return view
         log = parse_log(text)

@@ -8,6 +8,7 @@ query JSON, and report text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import MixdiagError
@@ -135,12 +136,16 @@ def term_sort_key(term: Term) -> tuple:
     """Deterministic total order over terms.
 
     IRIs sort before literals; numeric literals sort numerically among
-    themselves, everything else by lexical form.
+    themselves (one whose lexical form is not a number as infinity),
+    everything else by lexical form.
     """
     if isinstance(term, Iri):
         return (0, 0.0, term.value)
     if term.is_numeric():
-        return (1, float(term.lexical), term.lexical)
+        try:
+            return (1, float(term.lexical), term.lexical)
+        except ValueError:
+            return (1, math.inf, term.lexical)
     if term.datatype == XSD_BOOLEAN:
         return (2, 0.0 if term.lexical == "false" else 1.0, term.lexical)
     return (3, 0.0, term.lexical)

@@ -194,6 +194,39 @@ def test_a_comparison_with_nan_drops_the_row():
     assert subjects(">=", 1.0) == ["ex:a", "ex:b"]
 
 
+ILL_TYPED = parse_ntriples(
+    "<http://example.org/mixing-plant#a> <http://example.org/mixing-plant#v> "
+    '"abc"^^<http://www.w3.org/2001/XMLSchema#double> .\n'
+    "<http://example.org/mixing-plant#b> <http://example.org/mixing-plant#v> "
+    '"7.5"^^<http://www.w3.org/2001/XMLSchema#double> .\n'
+    "<http://example.org/mixing-plant#c> <http://example.org/mixing-plant#v> "
+    '"x1"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+)
+
+
+def test_a_plain_query_sorts_an_ill_typed_numeric_literal_as_infinity():
+    rows = ILL_TYPED.query(q(["?v", "?s"], [["?s", "ex:v", "?v"]]))
+    assert [(r["s"].prefixed(), r["v"].lexical) for r in rows] == [
+        ("ex:b", "7.5"), ("ex:a", "abc"), ("ex:c", "x1")
+    ]
+    ordered = ILL_TYPED.query(q(["?s"], [["?s", "ex:v", "?v"]], order_by="?v"))
+    assert [r["s"].prefixed() for r in ordered] == ["ex:b", "ex:a", "ex:c"]
+
+
+def test_a_comparison_with_an_ill_typed_literal_drops_the_row():
+    def subjects(op, constant):
+        rows = ILL_TYPED.query(
+            q(["?s"], [["?s", "ex:v", "?v"]], filters=[["?v", op, constant]])
+        )
+        return [r["s"].prefixed() for r in rows]
+
+    for op in ("=", "!=", "<", "<=", ">", ">="):
+        # a stored ill-typed literal never passes; the well-typed one compares
+        assert subjects(op, 7.5) == (["ex:b"] if "=" in op and op != "!=" else []), op
+        # nor does any row against an ill-typed constant
+        assert subjects(op, {"lexical": "abc", "datatype": "xsd:double"}) == [], op
+
+
 LIMITS_THAT_ARE_NOT_INTEGERS = ["1e999", "-Infinity", "2.7", "true", '"3"']
 
 

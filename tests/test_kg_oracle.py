@@ -6,8 +6,9 @@ each bound log.  The oracle here deliberately does none of that: plain
 left-to-right nested loops over the full triple list, with observations
 read from the log by the stdlib ``csv`` module.  Agreement on random graphs
 and queries is strong evidence the optimizations preserve semantics.  A log
-that changes between queries, where a binding may extend its view in place,
-is checked against a fresh binding's full scan and the ``csv`` module.
+that changes between queries, where a binding may cut its view back and
+extend it in place, is checked against a fresh binding's full scan and the
+``csv`` module.
 
 Likewise the store's closure is semi-naive and index-driven; the oracle
 closure re-derives every rule over every fact until nothing changes.
@@ -21,6 +22,7 @@ from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
+from mixdiag import events
 from mixdiag.errors import MixdiagError
 from mixdiag.kg import (
     EX_ATTRIBUTE_TO_CLASS,
@@ -383,7 +385,7 @@ def test_virtual_patterns_agree_with_bruteforce_oracle(tmp_path):
 
 # ---------------------------------------------------------------------------
 # a bound log that changes between queries: the view a binding keeps (and
-# extends in place on an append) versus a fresh binding's full scan
+# cuts back and extends in place) versus a fresh binding's full scan
 
 
 LIVE_HEADER = "t_s,kind,id,value\n"
@@ -543,6 +545,79 @@ def test_plant_log_appends_extend_the_view(tmp_path):
             f.write("".join(lines[start:start + 21]))
         assert isinstance(assert_agrees_with_a_fresh_scan(graph, path), list)
         assert (binding.scan_count, binding.append_count) == (1 + appends, appends)
+
+
+@example(  # a rewind past a quoted row: the view keeps only the rows before it
+    [(0, "sensor", "L1", "1"), (1, "sensor", 'q"d', "0"), (1, "sensor", "L1", "2.5")],
+    [(0.7, 0, [(0, "sensor", "L204", "0")])],
+)
+@example(  # a rewind into a quoted field that spans lines
+    [(0, "sensor", "L1", "1"), (1, "sensor", 'q"\nd', "0"), (1, "sensor", "L1", "2.5")],
+    [(0.5, 0, [(0, "sensor", "L204", "0")])],
+)
+@example(  # the diverging rows are checked against the last kept row, an
+    # actuator one here, and their errors carry the whole file's line numbers
+    [(0, "sensor", "L1", "1"), (2, "actuator", "V1", "1"), (1, "sensor", "L1", "0")],
+    [(0.7, 3, [(0, "sensor", "L1", "0")]), (0.7, 1, [(0, "sensor", "L1", "0")])],
+)
+@example(  # ids that spell a record kind do not count as sensor rows
+    [(0, "sensor", "sensor", "1"), (1, "actuator", "sensor", "1"),
+     (0, "sensor", "actuator", "0"), (1, "sensor", "L1", "2.5"), (0, "sensor", "L1", "1")],
+    [(0.8, 0, [(0, "sensor", "L204", "0")])],
+)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(LIVE_ROWS, min_size=1, max_size=4).map(lambda parts: sum(parts, [])),
+    st.lists(st.tuples(st.floats(0, 1), st.integers(0, 4), LIVE_ROWS), min_size=1, max_size=4),
+)
+def test_a_rewind_and_diverging_rows_agree_with_a_fresh_scan(tmp_path_factory, rows, changes):
+    """Each change cuts the log back to a row boundary and writes rows timed
+    from a few ms before the old end, before one query sees it."""
+    path = tmp_path_factory.getbasetemp() / "rewound_log.csv"
+    tail, clock = render_rows(rows, 100)
+    text = LIVE_HEADER + tail
+    path.write_text(text, encoding="utf-8")
+    graph = KnowledgeGraph((), [VirtualBinding(path)])
+    assert_agrees_with_a_fresh_scan(graph, path)
+    for fraction, back, new_rows in changes:
+        lines = text.splitlines(keepends=True)
+        tail, clock = render_rows(new_rows, clock - back)
+        text = "".join(lines[: 1 + int((len(lines) - 1) * fraction)]) + tail
+        path.write_text(text, encoding="utf-8")
+        assert_agrees_with_a_fresh_scan(graph, path)
+
+
+def test_plant_log_rewinds_cut_the_view_back(tmp_path, monkeypatch):
+    lines = write_log_csv(simulate(default_config(), 1, (), 7)).splitlines(keepends=True)
+    path = tmp_path / "live_log.csv"
+    path.write_text("".join(lines[:410]), encoding="utf-8")
+    binding = VirtualBinding(path)
+    graph = KnowledgeGraph((), [binding])
+    assert_agrees_with_a_fresh_scan(graph, path)
+
+    def whole_parse(text):
+        raise AssertionError("the view was parsed whole")
+
+    def state(view):
+        return view.text, view.size, view.lines, view.last_ms, view.columns, view.indexes
+
+    # rewinds to row boundaries, some grown back again; the kept view is the
+    # one a whole parse builds, dropped terms and all
+    for scans, end in enumerate((390, 250, 280, 251, 120, 121, 119, 2, 1, 30), start=2):
+        path.write_text("".join(lines[:end]), encoding="utf-8")
+        with monkeypatch.context() as patched:
+            patched.setattr(events, "parse_log", whole_parse)
+            answers = live_answers(graph)
+        assert isinstance(answers, list)
+        assert answers == live_answers(KnowledgeGraph((), [VirtualBinding(path)]))
+        assert state(binding.view()) == state(VirtualBinding(path).view())
+        assert (binding.scan_count, binding.append_count) == (scans, scans - 1)
+
+    # a change within the header keeps nothing: the whole text is parsed
+    path.write_text("t_s,kind,id,val\n" + "".join(lines[1:30]), encoding="utf-8")
+    answers = assert_agrees_with_a_fresh_scan(graph, path)
+    assert answers == ("ParseError", "line 1: bad header ['t_s', 'kind', 'id', 'val']")
+    assert (binding.scan_count, binding.append_count) == (scans + 1, scans - 1)
 
 
 # ---------------------------------------------------------------------------
