@@ -33,13 +33,25 @@ class ActuatorMismatch(MixdiagError):
     """A trace and an automaton are over different actuator sets."""
 
 
+class InvalidTolerance(MixdiagError):
+    """A detection tolerance that is NaN, infinite or negative."""
+
+
 @dataclass(frozen=True)
 class DetectionSettings:
     """Tolerance settings.  The effective tolerance for a bound ``b`` is
-    ``max(abs_tol_s, rel_tol * b)``."""
+    ``max(abs_tol_s, rel_tol * b)``.  Both must be finite and >= 0: a NaN
+    tolerance would fail every comparison and an infinite one would pass
+    every dwell, so either would silently detect nothing."""
 
     abs_tol_s: float = 0.5
     rel_tol: float = 0.10
+
+    def __post_init__(self):
+        for name in ("abs_tol_s", "rel_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise InvalidTolerance(f"{name} must be finite and >= 0, got {value!r}")
 
     def tolerance_for(self, bound_s: float) -> float:
         return max(self.abs_tol_s, self.rel_tol * bound_s)

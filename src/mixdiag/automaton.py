@@ -33,7 +33,8 @@ class InvalidDwell(MixdiagError):
 
 
 class InvalidWindow(MixdiagError):
-    """A convergence window is not a positive number of updates."""
+    """A convergence window is not a positive number of updates, or its
+    bound shift threshold is NaN or negative."""
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,6 @@ class Transition:
     count: int
 
 
-@dataclass(frozen=True)
-class _UpdateRecord:
-    new_state: bool
-    new_transition: bool
-    bound_shift_s: float
-
-
 class TimedAutomaton:
     """A deterministic timed automaton with one initial state."""
 
@@ -71,7 +65,9 @@ class TimedAutomaton:
         self.transitions: dict[tuple[int, str], Transition] = {}
         self.alphabet: set[str] = set()
         self._by_vector: dict[ActuatorVector, int] = {initial_vector: 0}
-        self._updates: list[_UpdateRecord] = []
+        # (created a transition, dwell bound shift) per update: an exact tuple
+        # of atoms, which the collector stops tracking
+        self._updates: list[tuple[bool, float]] = []
 
     # -- structure ---------------------------------------------------------
 
@@ -121,18 +117,15 @@ class TimedAutomaton:
 
         key = (current_state, event.label)
         transition = self.transitions.get(key)
-        new_state = new_transition = False
         shift = 0.0
         if transition is None:
             target = self._by_vector.get(new_vector)
             if target is None:
                 target = self._add_state(new_vector)
-                new_state = True
             self.transitions[key] = Transition(
                 current_state, event.label, target, dwell_s, dwell_s, dwell_s, 0.0, 1
             )
             self.alphabet.add(event.label)
-            new_transition = True
         else:
             target = transition.target
             assert self.states[target].vector == new_vector  # implied by label determinism
@@ -146,7 +139,7 @@ class TimedAutomaton:
             delta = dwell_s - transition.mean_s
             transition.mean_s += delta / transition.count
             transition.m2_s2 += delta * (dwell_s - transition.mean_s)
-        self._updates.append(_UpdateRecord(new_state, new_transition, shift))
+        self._updates.append((transition is None, shift))
         return target
 
     def has_converged(self, window: int, epsilon_s: float) -> bool:
@@ -154,11 +147,12 @@ class TimedAutomaton:
         dwell bound moved by more than ``epsilon_s``."""
         if window < 1:
             raise InvalidWindow(f"window must be >= 1, got {window!r}")
+        if not epsilon_s >= 0:  # NaN too
+            raise InvalidWindow(f"epsilon must be >= 0, got {epsilon_s!r}")
         if len(self._updates) < window:
             return False
-        recent = self._updates[-window:]
-        return not any(r.new_state or r.new_transition for r in recent) and all(
-            r.bound_shift_s <= epsilon_s for r in recent
+        return all(
+            not created and shift <= epsilon_s for created, shift in self._updates[-window:]
         )
 
     def __eq__(self, other) -> bool:

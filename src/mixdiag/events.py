@@ -26,7 +26,7 @@ class EmptyLog(MixdiagError):
 
 
 class InvalidMergeWindow(MixdiagError):
-    """A merge window that is NaN, infinite or negative."""
+    """A merge window that is NaN, infinite (in milliseconds) or negative."""
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,11 @@ def to_trace(
     The earliest group of actuator records establishes the initial vector on
     an all-off base; every later group becomes one step.  Records that
     restate the current value are dropped, and a group consisting only of
-    such records produces no event.  A NaN, infinite or negative
-    ``merge_window_s`` raises :class:`InvalidMergeWindow`.
+    such records produces no event.  A NaN or negative ``merge_window_s``,
+    or one that is infinite in milliseconds, raises
+    :class:`InvalidMergeWindow`.
     """
-    if not math.isfinite(merge_window_s) or merge_window_s < 0:
+    if not math.isfinite(merge_window_s * 1000) or merge_window_s < 0:
         raise InvalidMergeWindow(
             f"merge window must be finite and >= 0, got {merge_window_s!r}"
         )

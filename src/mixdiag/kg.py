@@ -11,11 +11,12 @@ The closure lives on the snapshot, numbered and indexed for joins and
 queries.  The store is insert-only, so a child's closure is its parent's
 closed over the inserted triples: a child of a materialized snapshot takes
 that closure over and joins only the delta (see ``_Closure``).
-A bound log is parsed once per distinct file content into a small indexed
-view; queries read the file to check it is unchanged and answer observation
-patterns from the view, building triples only for the rows that match.
-When the file changed, the view keeps the rows the new text shares with
-the text last parsed and parses only what follows them.
+A bound log (``VirtualBinding``) holds a small indexed view of the file
+content it last parsed; a query reads the file to check it is unchanged and
+answers observation patterns from the view, building triples only for the
+rows that match.  When the file changed, the binding keeps the rows the new
+text shares with the text last parsed and parses only what follows them; a
+whole parse is the case that keeps none.
 """
 
 from __future__ import annotations
@@ -270,31 +271,99 @@ _TERM_OF = {
 }
 
 
-class _Observations:
-    """The sensor records of one log text as columns of interned terms.
+@dataclass(eq=False)
+class VirtualBinding:
+    """On-demand access to sensor records in a log CSV.
 
-    Row ``i`` is the observation ``ex:obs_{i}``.  Each column has an index
-    from object term to its rows in file order, so a bound subject or object
-    becomes a lookup and triples are built only for the rows that match.
-    It also keeps the number of newlines and the last record's ``t_ms`` (of
-    either kind), which a parse of what follows starts from.  A change keeps
-    the longest prefix of the text that the new text shares, ends a row and
-    holds no quote (which could leave a field open into what follows): the
-    view is cut back to that prefix in place, then extended.
+    Serves exactly four pattern shapes over synthetic observation
+    individuals ``ex:obs_{i}`` (one per sensor record, in file order):
+    ``rdf:type sosa:Observation``, ``sosa:madeBySensor``,
+    ``sosa:hasSimpleResult``, and ``sosa:resultTime``.  Nothing is ever
+    materialized into the asserted set.
+
+    The binding holds the view of the text it last parsed: the sensor
+    records as columns of interned terms, where row ``i`` is ``ex:obs_{i}``
+    and each column has an index from object term to its rows in file
+    order, so a bound subject or object becomes a lookup and triples are
+    built only for the rows that match.  It also keeps the text's number of
+    newlines and its last record's ``t_ms`` (of either kind), which a parse
+    of what follows starts from.  Each query that needs the binding reads
+    the file once (:meth:`refresh`), so an edit of any size is seen at
+    once.  New content is parsed by :meth:`scan`, which keeps the rows
+    before the first change (and before the first quote, which could leave
+    a field open into what follows) and parses only what follows them: an
+    append cuts nothing, a rewind parses nothing and a rewrite parses its
+    changed tail; a change within the header line keeps nothing and parses
+    the whole text.  ``scan_count`` counts the parses of new content, i.e.
+    how many queries found new content; ``append_count`` counts those that
+    kept a prefix.
     """
 
-    def __init__(self, text: str, records: Sequence, last_ms: int | None):
-        self.text = ""
-        self.size = 0
-        self.lines = 0
+    csv_path: str | Path
+    scan_count: int = field(default=0, init=False)
+    append_count: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        self.text: str | None = None  # None until a parse succeeds
+        self.size = self.lines = 0
+        self.last_ms: int | None = None
         self.columns: dict[Iri, list[Term]] = {p: [] for p in _TERM_OF}
         self.indexes: dict[Iri, dict[Term, list[int]]] = {p: {} for p in _TERM_OF}
-        self.extend(text, records, last_ms)
 
-    def shared(self, text: str) -> int:
-        """The length of the longest prefix of ``text`` this view can keep:
-        at least the header line, or 0."""
-        old = self.text
+    def serves(self, pattern: Pattern) -> bool:
+        _, p, o = pattern
+        if not isinstance(p, Iri):
+            return False
+        if p == RDF_TYPE:
+            return o == SOSA_OBSERVATION
+        return p in (SOSA_MADE_BY_SENSOR, SOSA_HAS_SIMPLE_RESULT, SOSA_RESULT_TIME)
+
+    def refresh(self) -> None:
+        """Bring the view to the file as it is now.  A failed read or parse
+        raises and changes nothing; it never falls back to an earlier view."""
+        try:
+            text = Path(self.csv_path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise SourceUnavailable(f"cannot read {self.csv_path}: {exc}") from None
+        if text != self.text:
+            self.scan(text)
+
+    def scan(self, text: str) -> VirtualBinding:
+        """Parse ``text``, the new content :meth:`refresh` read, into the
+        view: what follows the prefix the view keeps (of length 0 when it
+        keeps none) is parsed first, then the view is cut back to that
+        prefix and extended in place.  Returns the binding, whose ``len()``
+        is its number of virtual triples."""
+        # Looked up per call, not at load time (there is no import cycle), so
+        # that bench/tracing.py's wrapper around events.parse_log is seen.
+        from .events import _parse_rows, _rows_before, parse_log
+
+        self.scan_count += 1
+        old = self.text or ""
+        keep = self._shared(old, text)
+        if not keep:  # a whole parse, header included
+            log = parse_log(text)
+            records = log.sensor_records
+            lasts = [r[-1][0] for r in (log.actuator_records, records) if r]
+            size, lines, last_ms = 0, 0, max(lasts, default=None)
+        else:
+            self.append_count += 1
+            if keep == len(old):  # an append: nothing to cut
+                size, lines, last_ms = self.size, self.lines, self.last_ms
+            else:
+                size, last_ms = _rows_before(old, keep)
+                lines = self.lines - old.count("\n", keep)
+            _, records, last_ms = _parse_rows(text[keep:], lines + 1, last_ms)
+        self._cut(size)
+        self._extend(size, records)
+        self.text, self.size, self.last_ms = text, size + len(records), last_ms
+        self.lines = lines + text.count("\n", keep)
+        return self
+
+    @staticmethod
+    def _shared(old: str, text: str) -> int:
+        """The length of the longest prefix of ``text`` a view of ``old``
+        can keep: at least the header line, or 0."""
         lo = 0
         hi = mid = min(len(old), len(text))  # an append or a rewind ends in one probe
         while lo < hi:  # the common prefix is lo to hi characters long
@@ -306,9 +375,8 @@ class _Observations:
         quote = old.find('"', 0, lo)
         return old.rfind("\n", 0, lo if quote < 0 else quote) + 1
 
-    def cut(self, keep: int, size: int, lines: int) -> None:
-        """Cut the view back to its first ``keep`` characters, which hold
-        ``size`` rows and ``lines`` newlines."""
+    def _cut(self, size: int) -> None:
+        """Drop the rows from ``size`` on from the columns and indexes."""
         for predicate, column in self.columns.items():
             index = self.indexes[predicate]
             # each dropped term once, by identity: a column holds index keys
@@ -318,33 +386,29 @@ class _Observations:
                 if not rows:
                     del index[term]
             del column[size:]
-        self.text, self.size, self.lines = self.text[:keep], size, lines
 
-    def extend(self, text: str, records: Sequence, last_ms: int | None) -> None:
-        """Grow the view to ``text``, whose part past the current text holds
-        ``records`` (sensor records, in file order) and ends at ``last_ms``."""
-        self.lines += text.count("\n", len(self.text))
-        self.last_ms = last_ms
-        if records:
-            times, sensors, values = zip(*records)
-            # repr keeps -0.0 apart from 0.0, which float keys would merge
-            keyed = (times, sensors, map(repr, values))
-            # one int object per row, shared by the three indexes
-            row_ids = list(range(self.size, self.size + len(records)))
-            for (predicate, make), keys in zip(_TERM_OF.items(), keyed):
-                column, index = self.columns[predicate], self.indexes[predicate]
-                interned: dict = {}  # raw key -> (term, the term's rows)
-                for row, key in zip(row_ids, keys):
-                    entry = interned.get(key)
-                    if entry is None:
-                        term = make(key)
-                        rows = index.setdefault(term, [])
-                        # an indexed term keeps the object its first row holds
-                        entry = interned[key] = (column[rows[0]] if rows else term, rows)
-                    column.append(entry[0])
-                    entry[1].append(row)
-            self.size += len(records)
-        self.text = text
+    def _extend(self, size: int, records: Sequence) -> None:
+        """Append ``records`` (sensor records, in file order) to the columns
+        and indexes, which hold ``size`` rows."""
+        if not records:
+            return
+        times, sensors, values = zip(*records)
+        # repr keeps -0.0 apart from 0.0, which float keys would merge
+        keyed = (times, sensors, map(repr, values))
+        # one int object per row, shared by the three indexes
+        row_ids = list(range(size, size + len(records)))
+        for (predicate, make), keys in zip(_TERM_OF.items(), keyed):
+            column, index = self.columns[predicate], self.indexes[predicate]
+            interned: dict = {}  # raw key -> (term, the term's rows)
+            for row, key in zip(row_ids, keys):
+                entry = interned.get(key)
+                if entry is None:
+                    term = make(key)
+                    rows = index.setdefault(term, [])
+                    # an indexed term keeps the object its first row holds
+                    entry = interned[key] = (column[rows[0]] if rows else term, rows)
+                column.append(entry[0])
+                entry[1].append(row)
 
     def __len__(self) -> int:
         """The number of virtual triples: four per sensor record."""
@@ -358,9 +422,9 @@ class _Observations:
         return ()
 
     def match(self, pattern: Pattern) -> list[tuple[Term, Term, Term]]:
-        """The triples of a served pattern's predicate, narrowed by its bound
-        subject or object, in file order, as term tuples.  Callers still
-        unify the result."""
+        """The triples of a served pattern's predicate in the view, narrowed
+        by its bound subject or object, in file order, as term tuples.
+        Callers still unify the result."""
         s, p, o = pattern
         if not isinstance(s, Var):
             rows: Iterable[int] = self._row_of(s)
@@ -372,81 +436,6 @@ class _Observations:
             return [(_observation(i), RDF_TYPE, SOSA_OBSERVATION) for i in rows]
         column = self.columns[p]
         return [(_observation(i), p, column[i]) for i in rows]
-
-
-@dataclass(eq=False)
-class VirtualBinding:
-    """On-demand access to sensor records in a log CSV.
-
-    Serves exactly four pattern shapes over synthetic observation
-    individuals ``ex:obs_{i}`` (one per sensor record, in file order):
-    ``rdf:type sosa:Observation``, ``sosa:madeBySensor``,
-    ``sosa:hasSimpleResult``, and ``sosa:resultTime``.  Nothing is ever
-    materialized into the asserted set.  The file is parsed once per
-    distinct content and served from an index; every query reads the file
-    again and compares it with the text last parsed, so an edit of any
-    size is seen at once.  The view keeps the rows before the first change
-    (and before the first quote, see ``_Observations``) and parses only
-    what follows, so an append cuts nothing, a rewind parses nothing and a
-    rewrite parses its changed tail; a change within the header line is
-    parsed whole.  ``scan_count`` counts the parses of new content, i.e.
-    how many queries found new content; ``append_count`` counts those that
-    kept a prefix of the view.
-    """
-
-    csv_path: str | Path
-    scan_count: int = field(default=0, init=False)
-    append_count: int = field(default=0, init=False)
-    _view: _Observations | None = field(default=None, init=False, repr=False)
-
-    def serves(self, pattern: Pattern) -> bool:
-        _, p, o = pattern
-        if not isinstance(p, Iri):
-            return False
-        if p == RDF_TYPE:
-            return o == SOSA_OBSERVATION
-        return p in (SOSA_MADE_BY_SENSOR, SOSA_HAS_SIMPLE_RESULT, SOSA_RESULT_TIME)
-
-    def _read(self) -> str:
-        try:
-            return Path(self.csv_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise SourceUnavailable(f"cannot read {self.csv_path}: {exc}") from None
-
-    def view(self) -> _Observations:
-        """The observations of the file as it is now.  A failed read or
-        parse raises; it never falls back to an earlier view."""
-        text = self._read()
-        if self._view is None or text != self._view.text:
-            self._view = self.scan(text)
-        return self._view
-
-    def scan(self, text: str) -> _Observations:
-        """Parse ``text``, the new content :meth:`view` read: its cache-miss
-        path.  The current view is cut back to the prefix it shares with
-        ``text`` and extended in place; with no such prefix, ``text`` is
-        parsed whole into a new view.  A parse that fails changes no view."""
-        # Looked up per call, not at load time (there is no import cycle), so
-        # that bench/tracing.py's wrapper around events.parse_log is seen.
-        from .events import _parse_rows, _rows_before, parse_log
-
-        self.scan_count += 1
-        view = self._view
-        keep = view.shared(text) if view is not None else 0
-        if keep:
-            self.append_count += 1
-            if keep == len(view.text):  # an append: nothing to cut
-                size, lines, last_ms = view.size, view.lines, view.last_ms
-            else:
-                size, last_ms = _rows_before(view.text, keep)
-                lines = view.lines - view.text.count("\n", keep)
-            _, records, last_ms = _parse_rows(text[keep:], lines + 1, last_ms)
-            view.cut(keep, size, lines)
-            view.extend(text, records, last_ms)
-            return view
-        log = parse_log(text)
-        lasts = [r[-1][0] for r in (log.actuator_records, log.sensor_records) if r]
-        return _Observations(text, log.sensor_records, max(lasts, default=None))
 
 
 # ---------------------------------------------------------------------------
@@ -779,15 +768,16 @@ class KnowledgeGraph:
     # -- query answering ------------------------------------------------------
 
     def _bindings(
-        self, state: _Closure, pattern: Pattern, views: dict[VirtualBinding, _Observations]
+        self, state: _Closure, pattern: Pattern, fresh: set[VirtualBinding]
     ) -> list[dict[str, Term]]:
         found = state.bind(pattern)
         for binding in self.virtual_sources:
             if binding.serves(pattern):
-                if binding not in views:
-                    views[binding] = binding.view()
+                if binding not in fresh:
+                    binding.refresh()
+                    fresh.add(binding)
                 found += [
-                    unified for t in views[binding].match(pattern)
+                    unified for t in binding.match(pattern)
                     if not state.knows(t) and (unified := _unify(pattern, t)) is not None
                 ]
         return found
@@ -811,15 +801,15 @@ class KnowledgeGraph:
             ordered.append(best)
             bound.update(t.name for t in best if isinstance(t, Var))
 
-        # A binding's view is fetched when a pattern first needs it and then
-        # kept for the whole query, so one query sees one snapshot of a file.
-        views: dict[VirtualBinding, _Observations] = {}
+        # A binding is refreshed when a pattern first needs it and then kept
+        # for the whole query, so one query sees one snapshot of a file.
+        fresh: set[VirtualBinding] = set()
         rows: list[dict[str, Term]] = [{}]
         for pattern in ordered:
             next_rows: list[dict[str, Term]] = []
             for row in rows:
                 # a fresh binding of the variables the row leaves open
-                for unified in self._bindings(state, _substitute(pattern, row), views):
+                for unified in self._bindings(state, _substitute(pattern, row), fresh):
                     unified.update(row)
                     next_rows.append(unified)
             rows = next_rows

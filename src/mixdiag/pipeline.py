@@ -439,33 +439,19 @@ def context_service(graph: KnowledgeGraph, anomalies: list[Anomaly]) -> list[Ano
             continue
         source = ann.state_iri(anomaly.source_state)
         target = ann.state_iri(anomaly.target_state)
-        equipment = _query_values(graph, "e", [(tr, ann.ISA_RELATES_TO_EQUIPMENT, Var("e"))])
-        functions: list[Term] = []
-        sensors: list[Term] = []
-        for eq in equipment:
-            functions.extend(
-                _query_values(graph, "f", [(Var("f"), VDI_ASSIGNED_TO, eq)])
+        # every query is anchored on the transition's equipment; each field
+        # below is a sorted set, so row multiplicity does not matter
+        e, f, s, t = Var("e"), Var("f"), Var("s"), Var("t")
+        related = (tr, ann.ISA_RELATES_TO_EQUIPMENT, e)
+        assigned = (f, VDI_ASSIGNED_TO, e)
+        sensor = (s, RDF_TYPE, SOSA_SENSOR)
+        equipment = _query_values(graph, "e", [related])
+        functions = _query_values(graph, "f", [related, assigned])
+        sensors = _query_values(graph, "s", [related, sensor, (s, ISA_IS_PART_OF, e)])
+        for predicate in (VDI_HAS_INPUT, VDI_HAS_OUTPUT):
+            sensors += _query_values(
+                graph, "s", [related, assigned, (f, predicate, t), sensor, (s, ISA_IS_PART_OF, t)]
             )
-            sensors.extend(
-                _query_values(
-                    graph,
-                    "s",
-                    [(Var("s"), RDF_TYPE, SOSA_SENSOR), (Var("s"), ISA_IS_PART_OF, eq)],
-                )
-            )
-        for fn in functions:
-            for predicate in (VDI_HAS_INPUT, VDI_HAS_OUTPUT):
-                sensors.extend(
-                    _query_values(
-                        graph,
-                        "s",
-                        [
-                            (fn, predicate, Var("t")),
-                            (Var("s"), RDF_TYPE, SOSA_SENSOR),
-                            (Var("s"), ISA_IS_PART_OF, Var("t")),
-                        ],
-                    )
-                )
         contexts.append(
             AnomalyContext(
                 anomaly,

@@ -136,16 +136,18 @@ def term_sort_key(term: Term) -> tuple:
     """Deterministic total order over terms.
 
     IRIs sort before literals; numeric literals sort numerically among
-    themselves (one whose lexical form is not a number as infinity),
-    everything else by lexical form.
+    themselves (NaN, and one whose lexical form is not a number, as
+    infinity, since NaN orders with nothing), everything else by lexical
+    form.
     """
     if isinstance(term, Iri):
         return (0, 0.0, term.value)
     if term.is_numeric():
         try:
-            return (1, float(term.lexical), term.lexical)
+            value = float(term.lexical)
         except ValueError:
-            return (1, math.inf, term.lexical)
+            value = math.inf
+        return (1, math.inf if math.isnan(value) else value, term.lexical)
     if term.datatype == XSD_BOOLEAN:
         return (2, 0.0 if term.lexical == "false" else 1.0, term.lexical)
     return (3, 0.0, term.lexical)

@@ -9,6 +9,7 @@ from mixdiag.anomalies import (
     ActuatorMismatch,
     Anomaly,
     DetectionSettings,
+    InvalidTolerance,
     TIMING_ABOVE_MAX,
     TIMING_BELOW_MIN,
     UNKNOWN_EVENT,
@@ -35,6 +36,13 @@ def test_tolerance_is_max_of_absolute_and_relative():
     assert s.tolerance_for(1.0) == 0.5       # absolute floor dominates
     assert s.tolerance_for(30.0) == 3.0      # 10 percent dominates
     assert ZERO_TOL.tolerance_for(30.0) == 0.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.5])
+@pytest.mark.parametrize("name", ["abs_tol_s", "rel_tol"])
+def test_settings_reject_tolerances_that_would_detect_nothing(name, value):
+    with pytest.raises(InvalidTolerance, match=f"{name} must be finite and >= 0"):
+        DetectionSettings(**{name: value})
 
 
 def test_replaying_training_traces_is_clean(automaton, cycle_traces):

@@ -1,5 +1,6 @@
 """Timed-automaton learning, updating, convergence, serialization."""
 
+import math
 import statistics
 
 import pytest
@@ -255,6 +256,12 @@ def test_convergence_window_validation(automaton):
     for window in (0, -1):
         with pytest.raises(InvalidWindow):
             automaton.has_converged(window, 0.1)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -0.1, -math.inf])
+def test_convergence_epsilon_validation(automaton, epsilon):
+    with pytest.raises(InvalidWindow, match="epsilon must be >= 0"):
+        automaton.has_converged(5, epsilon)
 
 
 # ---------------------------------------------------------------------------

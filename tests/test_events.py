@@ -8,6 +8,7 @@ from mixdiag.errors import MixdiagError, ParseError
 from mixdiag.events import (
     ActuatorVector,
     EmptyLog,
+    InvalidMergeWindow,
     _parse_rows,
     build_label,
     parse_label,
@@ -257,7 +258,14 @@ def test_merge_window_groups_nearby_changes():
     assert [s.event.label for s in without.steps] == ["V1↑", "V2↑"]
 
 
-@pytest.mark.parametrize("window", ["inf", "nan", "-5"])
+@pytest.mark.parametrize("window", [float("inf"), float("nan"), -5.0, 1e308])
+def test_to_trace_rejects_bad_merge_window(window, config):
+    # 1e308 s is finite but overflows to infinity in milliseconds
+    with pytest.raises(InvalidMergeWindow, match="merge window must be finite and >= 0"):
+        to_trace(simulate(config, 1), config, merge_window_s=window)
+
+
+@pytest.mark.parametrize("window", ["inf", "nan", "-5", "1e308"])
 def test_cli_trace_rejects_bad_merge_window(window, config, tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text(write_log_csv(simulate(config, 1)), encoding="utf-8")

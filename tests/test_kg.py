@@ -3,10 +3,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mixdiag
 from mixdiag.cli import main
 from mixdiag.errors import MixdiagError, ParseError
 from mixdiag.kg import (
@@ -211,6 +215,37 @@ def test_a_plain_query_sorts_an_ill_typed_numeric_literal_as_infinity():
     ]
     ordered = ILL_TYPED.query(q(["?s"], [["?s", "ex:v", "?v"]], order_by="?v"))
     assert [r["s"].prefixed() for r in ordered] == ["ex:b", "ex:a", "ex:c"]
+
+
+NAN_ORDER = """
+import json
+from mixdiag.kg import parse_ntriples, query_from_dict
+
+values = ["3.5", "nan", "-1.0", "10.0", "NaN", "0.25", "2.0", "-7.0"]
+graph = parse_ntriples("".join(
+    f'<http://example.org/mixing-plant#s{i}> <http://example.org/mixing-plant#p> '
+    f'"{v}"^^<http://www.w3.org/2001/XMLSchema#double> .\\n'
+    for i, v in enumerate(values)
+))
+rows = graph.query(query_from_dict({"select": ["?v", "?s"], "where": [["?s", "ex:p", "?v"]]}))
+print(json.dumps([r["v"].lexical for r in rows]))
+"""
+
+
+def test_nan_doubles_sort_last_whatever_the_hash_seed():
+    # the rows reach the sort in hash order, so a key without a total order
+    # shows up as a different row order in each process
+    package = Path(mixdiag.__file__).resolve().parent.parent
+    orders = []
+    for seed in ("1", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(package))
+        done = subprocess.run(
+            [sys.executable, "-c", NAN_ORDER], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        orders.append(json.loads(done.stdout))
+    expected = ["-7.0", "-1.0", "0.25", "2.0", "3.5", "10.0", "NaN", "nan"]
+    assert orders == [expected, expected]
 
 
 def test_a_comparison_with_an_ill_typed_literal_drops_the_row():
@@ -533,6 +568,23 @@ def test_malformed_source_raises_until_fixed(logged):
                 graph.query(OBSERVATIONS)
         path.write_text(good, encoding="utf-8")
         assert len(graph.query(OBSERVATIONS)) == n_samples
+
+
+def test_a_binding_with_no_parsed_view_raises_on_every_query(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    binding = VirtualBinding(path)
+    graph = KnowledgeGraph().bind_virtual(binding)
+    # an empty file is new content until a parse succeeds, never a view
+    for _ in range(2):
+        with pytest.raises(ParseError, match="missing header"):
+            graph.query(OBSERVATIONS)
+    path.write_text("t_s,kind,id,value\n", encoding="utf-8")
+    assert graph.query(OBSERVATIONS) == []
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ParseError, match="missing header"):
+        graph.query(OBSERVATIONS)
+    assert (binding.scan_count, binding.append_count) == (4, 0)
 
 
 def test_snapshots_sharing_a_binding_never_see_a_stale_view(logged):

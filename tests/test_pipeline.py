@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mixdiag.anomalies import Anomaly, anomalies_from_json
+from mixdiag.automaton import serialize
 from mixdiag.cli import main
 from mixdiag.errors import ParseError
 from mixdiag.kg import KnowledgeGraph
@@ -23,6 +24,7 @@ from mixdiag.pipeline import (
     validate_catalog,
 )
 from mixdiag.kg import query_from_dict
+from mixdiag.plant import write_log_csv
 from mixdiag.terms import iri
 
 from conftest import state_by_active
@@ -302,6 +304,34 @@ def test_cli_learn_rejects_window_before_writing(tmp_path, capsys):
     assert main(["simulate", "--cycles", "2", "--out", str(log)]) == 0
     assert main(["learn", "--log", str(log), "--window", "0", "--out", str(out)]) == 1
     assert "window must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-1"])
+def test_cli_learn_rejects_epsilon_before_writing(epsilon, tmp_path, capsys):
+    log = tmp_path / "train.csv"
+    out = tmp_path / "automaton.json"
+    assert main(["simulate", "--cycles", "2", "--out", str(log)]) == 0
+    assert main(["learn", "--log", str(log), f"--epsilon={epsilon}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: epsilon must be >= 0, got {float(epsilon)!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["--abs-tol=nan", "--abs-tol=inf", "--rel-tol=-1"])
+def test_cli_detect_rejects_a_tolerance_that_would_hide_anomalies(
+    tolerance, automaton, blockage_log, tmp_path, capsys
+):
+    aut, log, out = tmp_path / "aut.json", tmp_path / "blockage.csv", tmp_path / "anom.json"
+    aut.write_text(serialize(automaton), encoding="utf-8")
+    log.write_text(write_log_csv(blockage_log), encoding="utf-8")
+    argv = ["detect", "--automaton", str(aut), "--log", str(log), "--out", str(out)]
+    assert main(argv) == 2  # the defaults find the blockage
+    out.unlink()
+    capsys.readouterr()
+    assert main(argv + [tolerance]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite and >= 0" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
