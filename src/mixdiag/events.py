@@ -138,12 +138,12 @@ def _parse_rows(
 def _rows_before(text: str, end: int) -> tuple[int, int | None]:
     """The number of sensor records in ``text[:end]`` and the ``t_ms`` of
     its last record (None when it holds none), where ``text[:end]`` is a
-    log that parses, ends on a newline and holds no quote.  Each of its
-    lines is then one row split at its commas, whose kind is its second
-    field and whose value holds no comma.  So ``str.count`` finds
-    ``,sensor,`` once in each line whose kind or id is ``sensor`` and in
-    no other, and ``,actuator,sensor,`` once in each actuator row among
-    those."""
+    log that parses, ends on a newline and holds no quote after its header
+    line.  Each of its other lines is then one row split at its commas,
+    whose kind is its second field and whose value holds no comma, and the
+    header holds no ``,sensor,``.  So ``str.count`` finds ``,sensor,`` once
+    in each line whose kind or id is ``sensor`` and in no other, and
+    ``,actuator,sensor,`` once in each actuator row among those."""
     sensors = text.count(",sensor,", 0, end) - text.count(",actuator,sensor,", 0, end)
     line_end = end
     while True:

@@ -13,10 +13,15 @@ closed over the inserted triples: a child of a materialized snapshot takes
 that closure over and joins only the delta (see ``_Closure``).
 A bound log (``VirtualBinding``) holds a small indexed view of the file
 content it last parsed; a query reads the file to check it is unchanged and
-answers observation patterns from the view, building triples only for the
-rows that match.  When the file changed, the binding keeps the rows the new
+answers observation patterns from the view, binding variables straight from
+its columns.  When the file changed, the binding keeps the rows the new
 text shares with the text last parsed and parses only what follows them; a
 whole parse is the case that keeps none.
+A query joins its patterns in a fixed order, most constrained first.  Each
+pattern is planned once per query, before its rows: whether the closure can
+answer it at all, and which bound logs serve it (refreshed then, once per
+query).  A log triple the closure also holds is answered by the closure
+alone.
 """
 
 from __future__ import annotations
@@ -112,6 +117,11 @@ class Query:
     """A basic graph pattern with comparison filters.
 
     Every selected, filtered, or ordering variable must occur in a pattern.
+    Patterns hold terms (``Iri``, ``Literal`` or ``Var``), a filter compares
+    with an ``Iri`` or a ``Literal``, and ``limit`` is a non-negative
+    ``int``; anything else raises ``QueryError`` instead of answering
+    quietly (a plain ``"ex:p"`` matches nothing, and a tuple that spells out
+    a term's fields would compare equal to it).
     """
 
     select: tuple[str, ...]
@@ -132,6 +142,8 @@ class Query:
             for term in pattern:
                 if isinstance(term, Var):
                     seen.add(term.name)
+                elif not isinstance(term, (Iri, Literal)):
+                    raise QueryError(f"not a term: {term!r}")
         for name in self.select:
             if name not in seen:
                 raise QueryError(f"selected variable ?{name} not used in any pattern")
@@ -140,12 +152,13 @@ class Query:
                 raise QueryError(f"unknown operator {f.op!r}")
             if f.var not in seen:
                 raise QueryError(f"filtered variable ?{f.var} not used in any pattern")
-            if isinstance(f.constant, Var):
-                raise QueryError("filter constants cannot be variables")
+            if not isinstance(f.constant, (Iri, Literal)):
+                raise QueryError(f"a filter compares with an IRI or a literal, not {f.constant!r}")
         if self.order_by is not None and self.order_by not in seen:
             raise QueryError(f"ordering variable ?{self.order_by} not used in any pattern")
-        if self.limit is not None and self.limit < 0:
-            raise QueryError("limit must be >= 0")
+        limit = self.limit
+        if limit is not None and (type(limit) is not int or limit < 0):
+            raise QueryError(f"limit must be a non-negative integer, got {limit!r}")
 
 
 def _var_name(raw) -> str:
@@ -168,10 +181,7 @@ def query_from_dict(doc: Mapping) -> Query:
         )
         order_raw = doc.get("order_by")
         order_by = None if order_raw is None else _var_name(order_raw)
-        limit = doc.get("limit")
-        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
-            raise QueryError(f"limit must be a non-negative integer, got {limit!r}")
-        return Query(select, where, filters, order_by, limit)
+        return Query(select, where, filters, order_by, doc.get("limit"))
     except QueryError:
         raise
     except (KeyError, TypeError, ValueError, MixdiagError) as exc:
@@ -196,22 +206,8 @@ def query_to_dict(q: Query) -> dict:
 
 def _substitute(pattern: Pattern, binding: Mapping[str, Term]) -> Pattern:
     return tuple(
-        binding.get(t.name, t) if isinstance(t, Var) else t for t in pattern
+        [binding.get(t.name, t) if isinstance(t, Var) else t for t in pattern]
     )  # type: ignore[return-value]
-
-
-def _unify(pattern: Pattern, triple: tuple[Term, Term, Term]) -> dict[str, Term] | None:
-    binding: dict[str, Term] = {}
-    for pat_term, value in zip(pattern, triple):
-        if isinstance(pat_term, Var):
-            bound = binding.get(pat_term.name)
-            if bound is None:
-                binding[pat_term.name] = value
-            elif bound != value:
-                return None
-        elif pat_term != value:
-            return None
-    return binding
 
 
 def _compare_terms(left: Term, right: Term) -> int | None:
@@ -284,19 +280,19 @@ class VirtualBinding:
     The binding holds the view of the text it last parsed: the sensor
     records as columns of interned terms, where row ``i`` is ``ex:obs_{i}``
     and each column has an index from object term to its rows in file
-    order, so a bound subject or object becomes a lookup and triples are
-    built only for the rows that match.  It also keeps the text's number of
+    order, so a bound subject or object becomes a lookup and only the rows
+    that match are bound (:meth:`bind`).  It also keeps the text's number of
     newlines and its last record's ``t_ms`` (of either kind), which a parse
     of what follows starts from.  Each query that needs the binding reads
     the file once (:meth:`refresh`), so an edit of any size is seen at
     once.  New content is parsed by :meth:`scan`, which keeps the rows
-    before the first change (and before the first quote, which could leave
-    a field open into what follows) and parses only what follows them: an
-    append cuts nothing, a rewind parses nothing and a rewrite parses its
-    changed tail; a change within the header line keeps nothing and parses
-    the whole text.  ``scan_count`` counts the parses of new content, i.e.
-    how many queries found new content; ``append_count`` counts those that
-    kept a prefix.
+    before the first change (and before the first quote after the header,
+    which could leave a field open into what follows) and parses only what
+    follows them: an append cuts nothing, a rewind parses nothing and a
+    rewrite parses its changed tail; a change within the header line keeps
+    nothing and parses the whole text.  ``scan_count`` counts the parses of
+    new content, i.e. how many queries found new content; ``append_count``
+    counts those that kept a prefix.
     """
 
     csv_path: str | Path
@@ -363,7 +359,9 @@ class VirtualBinding:
     @staticmethod
     def _shared(old: str, text: str) -> int:
         """The length of the longest prefix of ``text`` a view of ``old``
-        can keep: at least the header line, or 0."""
+        can keep: at least the header line, or 0.  It ends before the row
+        that holds the first quote after the header line; the header parsed
+        whole on its own line, so a quote in it leaves no field open."""
         lo = 0
         hi = mid = min(len(old), len(text))  # an append or a rewind ends in one probe
         while lo < hi:  # the common prefix is lo to hi characters long
@@ -372,7 +370,7 @@ class VirtualBinding:
             else:
                 hi = mid - 1
             mid = (lo + hi + 1) // 2
-        quote = old.find('"', 0, lo)
+        quote = old.find('"', old.find("\n") + 1, lo)
         return old.rfind("\n", 0, lo if quote < 0 else quote) + 1
 
     def _cut(self, size: int) -> None:
@@ -421,21 +419,42 @@ class VirtualBinding:
                 return (int(number),)
         return ()
 
-    def match(self, pattern: Pattern) -> list[tuple[Term, Term, Term]]:
-        """The triples of a served pattern's predicate in the view, narrowed
-        by its bound subject or object, in file order, as term tuples.
-        Callers still unify the result."""
+    def bind(self, pattern: Pattern, closure: _Closure | None) -> list[dict[str, Term]]:
+        """The bindings of a served ``pattern``'s variables by the view's
+        triples, in file order, read straight from the columns: a bound
+        subject is looked up by its row number, a bound object (but that of
+        ``rdf:type``) in its column's index, and a constant object is tested
+        against the column term.  ``closure`` is given when it holds facts
+        of the pattern's predicate; a triple it knows is then left to it, so
+        a log triple that is also asserted is answered once.  ``ex:obs_i`` is
+        built only for a variable subject or for that check."""
         s, p, o = pattern
-        if not isinstance(s, Var):
-            rows: Iterable[int] = self._row_of(s)
-        elif p != RDF_TYPE and not isinstance(o, Var):
-            rows = self.indexes[p].get(o, ())
+        column = None if p == RDF_TYPE else self.columns[p]  # rdf:type's object is fixed
+        subject = None if isinstance(s, Var) else s
+        obj = None if isinstance(o, Var) else o
+        if subject is not None:
+            rows: Iterable[int] = self._row_of(subject)
+        elif column is not None and obj is not None:
+            rows = self.indexes[p].get(obj, ())
         else:
             rows = range(self.size)
-        if p == RDF_TYPE:
-            return [(_observation(i), RDF_TYPE, SOSA_OBSERVATION) for i in rows]
-        column = self.columns[p]
-        return [(_observation(i), p, column[i]) for i in rows]
+        found = []
+        for i in rows:
+            value = SOSA_OBSERVATION if column is None else column[i]
+            if obj is not None and value != obj:
+                continue
+            binding = {}
+            if subject is None or closure is not None:
+                row_subject = _observation(i) if subject is None else subject
+                if closure is not None and closure.knows((row_subject, p, value)):
+                    continue
+                if subject is None:
+                    binding[s.name] = row_subject
+            if obj is None:
+                if binding.setdefault(o.name, value) != value:  # ?x p ?x
+                    continue
+            found.append(binding)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -767,20 +786,50 @@ class KnowledgeGraph:
 
     # -- query answering ------------------------------------------------------
 
-    def _bindings(
-        self, state: _Closure, pattern: Pattern, fresh: set[VirtualBinding]
+    def _serving(self, pattern: Pattern, fresh: set[VirtualBinding]) -> list[VirtualBinding]:
+        """The bound logs that serve ``pattern``.  A log is refreshed the
+        first time a query needs it and then kept (``fresh``), so one query
+        sees one version of each file."""
+        serving = [binding for binding in self.virtual_sources if binding.serves(pattern)]
+        for binding in serving:
+            if binding not in fresh:
+                binding.refresh()
+                fresh.add(binding)
+        return serving
+
+    def _join(
+        self, state: _Closure, pattern: Pattern, rows: list[dict[str, Term]],
+        fresh: set[VirtualBinding],
     ) -> list[dict[str, Term]]:
-        found = state.bind(pattern)
-        for binding in self.virtual_sources:
-            if binding.serves(pattern):
-                if binding not in fresh:
-                    binding.refresh()
-                    fresh.add(binding)
-                found += [
-                    unified for t in binding.match(pattern)
-                    if not state.knows(t) and (unified := _unify(pattern, t)) is not None
-                ]
-        return found
+        """Extend each row by every binding of ``pattern`` with the row's
+        variables substituted.  What does not depend on the row is planned
+        once: whether the closure can contribute (the predicate is a
+        variable or the closure holds facts of it), and which bound logs
+        serve the pattern (fixed unless the predicate is a variable, or is
+        ``rdf:type`` with a variable object; those are decided per row)."""
+        _, p, o = pattern
+
+        def holds(predicate: Term) -> bool:
+            return bool(state.by_predicate.get(state.number.get(predicate)))
+
+        in_closure = isinstance(p, Var) or holds(p)
+        planned = not isinstance(p, Var) and (p != RDF_TYPE or not isinstance(o, Var))
+        if planned:
+            serving = self._serving(pattern, fresh)
+            known = state if in_closure else None
+        joined: list[dict[str, Term]] = []
+        for row in rows:
+            bound = _substitute(pattern, row)
+            found = state.bind(bound) if in_closure else []
+            if not planned:
+                serving = self._serving(bound, fresh)
+                known = state if serving and holds(bound[1]) else None
+            for binding in serving:
+                found += binding.bind(bound, known)
+            for unified in found:
+                unified.update(row)
+            joined += found
+        return joined
 
     def _solve(self, patterns: Sequence[Pattern]) -> list[dict[str, Term]]:
         # Evaluate the most constrained pattern first, and of those the one
@@ -801,18 +850,10 @@ class KnowledgeGraph:
             ordered.append(best)
             bound.update(t.name for t in best if isinstance(t, Var))
 
-        # A binding is refreshed when a pattern first needs it and then kept
-        # for the whole query, so one query sees one snapshot of a file.
         fresh: set[VirtualBinding] = set()
         rows: list[dict[str, Term]] = [{}]
         for pattern in ordered:
-            next_rows: list[dict[str, Term]] = []
-            for row in rows:
-                # a fresh binding of the variables the row leaves open
-                for unified in self._bindings(state, _substitute(pattern, row), fresh):
-                    unified.update(row)
-                    next_rows.append(unified)
-            rows = next_rows
+            rows = self._join(state, pattern, rows, fresh)
             if not rows:
                 break
         return rows

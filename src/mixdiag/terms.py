@@ -4,12 +4,21 @@ The graph layer works with absolute IRIs internally.  All vocabularies the
 package emits live under one of the namespaces below; the table is closed on
 purpose so that prefixed names round-trip unambiguously through N-Triples,
 query JSON, and report text.
+
+``Iri``, ``Literal`` and ``Var`` are tuples whose first item is a tag of
+their class, followed by their fields.  Hashing and equality are the
+tuple's own, in C, so a dict keyed by terms (the closure's numbering, a
+bound log's indexes) runs no Python code per lookup, and the tag keeps terms
+of different classes apart: ``Iri("x") != Var("x")``.  A plain tuple that
+spells out a tag does compare equal to a term; ``kg.Query`` therefore checks
+that its patterns and filters hold terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import MixdiagError
 
@@ -30,11 +39,32 @@ PREFIXES: dict[str, str] = {
 _BY_NAMESPACE = sorted(PREFIXES.items(), key=lambda kv: -len(kv[1]))
 
 
-@dataclass(frozen=True)
-class Iri:
+_IRI, _LITERAL, _VAR = range(3)  # the class tags
+
+
+class _Term(tuple):
+    """A tuple of its class's tag and its fields, which ``_fields`` names."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
+
+
+class Iri(_Term):
     """An absolute IRI."""
 
-    value: str
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: str):
+        return tuple.__new__(cls, (_IRI, value))
 
     @classmethod
     def from_prefixed(cls, name: str) -> "Iri":
@@ -76,12 +106,16 @@ RDFS_LABEL = iri("rdfs:label")
 _NUMERIC_DATATYPES = {XSD_DOUBLE, XSD_INTEGER}
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Term):
     """A typed literal with a canonical lexical form."""
 
-    lexical: str
-    datatype: Iri
+    __slots__ = ()
+    _fields = ("lexical", "datatype")
+    lexical = property(itemgetter(1))
+    datatype = property(itemgetter(2))
+
+    def __new__(cls, lexical: str, datatype: Iri):
+        return tuple.__new__(cls, (_LITERAL, lexical, datatype))
 
     @classmethod
     def string(cls, value: str) -> "Literal":
@@ -108,11 +142,15 @@ class Literal:
         return self.lexical
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Term):
     """A query variable (stored without the leading ``?``)."""
 
-    name: str
+    __slots__ = ()
+    _fields = ("name",)
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (_VAR, name))
 
     def __str__(self) -> str:
         return f"?{self.name}"

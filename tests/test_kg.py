@@ -31,6 +31,7 @@ from mixdiag.terms import (
     Literal,
     RDFS_SUBCLASS_OF,
     Triple,
+    Var,
     XSD_DOUBLE,
     iri,
 )
@@ -172,6 +173,29 @@ def test_query_validation():
         q(["?s"], [["?s", "ex:p", "?o"]], limit=-1)
     with pytest.raises(MixdiagError):
         q(["?s"], [["?s", "ex:p", "?o"]], order_by="?nope")
+
+
+S, O = Var("s"), Var("o")
+P = iri("ex:p")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: Query(("s",), ((S, "ex:p", O),)), id="plain string in a pattern"),
+        # spells out the IRI's fields, so it would compare equal to ex:p
+        pytest.param(lambda: Query(("s",), ((S, tuple(P), O),)), id="plain tuple in a pattern"),
+        pytest.param(lambda: Query(("s",), ((S, P, O),), (Filter("o", "=", 3),)),
+                     id="plain number as a filter constant"),
+        pytest.param(lambda: Query(("s",), ((S, P, O),), (Filter("o", "<", O),)),
+                     id="variable as a filter constant"),
+        pytest.param(lambda: Query(("s",), ((S, P, O),), limit=1.5), id="float limit"),
+        pytest.param(lambda: Query(("s",), ((S, P, O),), limit=True), id="bool limit"),
+    ],
+)
+def test_query_rejects_input_that_is_not_a_term(make, family):
+    with pytest.raises(QueryError):
+        family.query(make())
 
 
 def test_a_comparison_with_nan_drops_the_row():

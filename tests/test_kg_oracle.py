@@ -20,6 +20,7 @@ import random
 import time
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mixdiag import events
@@ -35,6 +36,7 @@ from mixdiag.kg import (
     Filter,
     KnowledgeGraph,
     Query,
+    SourceUnavailable,
     VirtualBinding,
 )
 from mixdiag.plant import default_config, simulate, write_log_csv
@@ -390,6 +392,108 @@ def test_virtual_patterns_agree_with_bruteforce_oracle(tmp_path):
     assert elapsed < 10.0, f"oracle comparison too slow: {elapsed:.1f}s"
 
 
+# the shapes the query plan decides specially: a log pattern whose rdf:type
+# object or predicate a per-row binding fixes, one variable as subject and
+# object, a constant subject with a constant object, and asserted copies of
+# log triples (each answered once); sensor ids spell observation names, so
+# ex:obs_i madeBySensor ex:obs_i holds for some rows
+
+
+PLANNED_ROWS = [
+    (0, "sensor", "obs_0", "1"), (1, "sensor", "L1", "2.5"), (0, "sensor", "obs_2", "0"),
+    (1, "actuator", "V1", "1"), (0, "sensor", "obs_0", "1"), (2, "sensor", "L1", "0"),
+    (0, "sensor", "obs_5", "2.5"),
+]
+CLASS_OF, VIA = iri("ex:classOf"), iri("ex:via")
+KINDS = [iri(f"ex:kind{k}") for k in "ABCD"]
+
+
+def planned_queries():
+    x, c, p = Var("x"), Var("c"), Var("p")
+    queries = []
+    for kind in KINDS:
+        # ?c, then ?p, is bound per row by the first pattern
+        queries.append(Query(("o", "c"), ((kind, CLASS_OF, c), (O, RDF_TYPE, c))))
+        for obj in (iri("ex:L1"), SOSA_OBSERVATION):
+            queries.append(Query(("o", "p"), ((kind, VIA, p), (O, p, obj))))
+        if kind != KINDS[1]:  # whose ?p is rdf:type, and logs serve no ?o rdf:type ?s
+            queries.append(Query(("o", "s", "p"), ((kind, VIA, p), (O, p, S))))
+    queries.append(Query(("x",), ((x, SOSA_MADE_BY_SENSOR, x),)))
+    queries.append(
+        Query(("x", "v"), ((x, SOSA_MADE_BY_SENSOR, x), (x, SOSA_HAS_SIMPLE_RESULT, V)))
+    )
+    for row in range(8):  # the log has rows 0 to 5
+        subject = iri(f"ex:obs_{row}")
+        for sensor in ("L1", "obs_0", f"obs_{row}", "L9"):
+            made_by = (subject, SOSA_MADE_BY_SENSOR, iri(f"ex:{sensor}"))
+            queries.append(Query(("v",), (made_by, (subject, SOSA_HAS_SIMPLE_RESULT, V))))
+        typed = (subject, RDF_TYPE, SOSA_OBSERVATION)
+        queries.append(Query(("s",), (typed, (subject, SOSA_MADE_BY_SENSOR, S))))
+    queries.append(Query(("o", "s"), ((O, SOSA_MADE_BY_SENSOR, S),)))
+    queries.append(Query(("o",), ((O, RDF_TYPE, SOSA_OBSERVATION),)))
+    queries.append(Query(("o", "t"), ((O, SOSA_RESULT_TIME, T), (O, RDF_TYPE, SOSA_OBSERVATION))))
+    return queries
+
+
+def test_planned_shapes_agree_with_bruteforce_oracle(tmp_path):
+    text = LIVE_HEADER + render_rows(PLANNED_ROWS, 100)[0]
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    observations = csv_observations(text)
+    obs = [iri(f"ex:obs_{i}") for i in range(10)]
+    copies = [
+        Triple(obs[1], SOSA_MADE_BY_SENSOR, iri("ex:L1")),
+        Triple(obs[2], RDF_TYPE, SOSA_OBSERVATION),
+        Triple(obs[2], SOSA_MADE_BY_SENSOR, obs[2]),
+        Triple(obs[5], SOSA_HAS_SIMPLE_RESULT, Literal.double(2.5)),
+    ]
+    assert set(copies) <= set(observations)
+    others = [
+        Triple(obs[9], SOSA_MADE_BY_SENSOR, obs[9]),  # beyond the log
+        Triple(obs[4], SOSA_MADE_BY_SENSOR, iri("ex:L9")),  # the log disagrees
+        Triple(obs[0], RDF_TYPE, SOSA_SENSOR),
+        Triple(iri("ex:L1"), RDF_TYPE, SOSA_SENSOR),
+        Triple(KINDS[0], CLASS_OF, SOSA_OBSERVATION),
+        Triple(KINDS[1], CLASS_OF, SOSA_SENSOR),
+        Triple(KINDS[2], CLASS_OF, iri("ex:Nothing")),
+        Triple(KINDS[3], CLASS_OF, SOSA_OBSERVATION),
+        Triple(KINDS[3], CLASS_OF, SOSA_SENSOR),
+        Triple(KINDS[0], VIA, SOSA_MADE_BY_SENSOR),
+        Triple(KINDS[1], VIA, RDF_TYPE),
+        Triple(KINDS[2], VIA, CLASS_OF),
+        Triple(KINDS[3], VIA, SOSA_MADE_BY_SENSOR),
+        Triple(KINDS[3], VIA, SOSA_HAS_SIMPLE_RESULT),
+    ]
+    for asserted in ([], copies[:1], copies, others, copies + others):
+        for n_bindings in (1, 2):
+            bindings = [VirtualBinding(path) for _ in range(n_bindings)]
+            graph = KnowledgeGraph(asserted, bindings)
+            known = set(asserted)
+            oracle_triples = asserted + n_bindings * [t for t in observations if t not in known]
+            for query in planned_queries():
+                engine_rows = graph.query(query)
+                oracle_rows = oracle_query(oracle_triples, query)
+                assert Counter(map(exact, engine_rows)) == Counter(
+                    map(exact, oracle_rows)
+                ), f"{len(asserted)} asserted, {n_bindings} bindings: {query}"
+            assert [b.scan_count for b in bindings] == [1] * n_bindings
+
+
+def test_a_query_whose_first_pattern_finds_nothing_reads_no_bound_file(tmp_path):
+    binding = VirtualBinding(tmp_path / "missing.csv")
+    graph = KnowledgeGraph([Triple(KINDS[0], CLASS_OF, SOSA_OBSERVATION)], [binding])
+    for nothing in (  # logs served per row, and by a plan fixed for the query
+        Query(("o",), ((KINDS[1], CLASS_OF, Var("c")), (O, RDF_TYPE, Var("c")))),
+        Query(("o",), ((KINDS[1], CLASS_OF, Var("c")), (O, SOSA_MADE_BY_SENSOR, S))),
+    ):
+        assert graph.query(nothing) == []
+    assert binding.scan_count == 0
+    # the same join with a first pattern that finds a row reads the file
+    found = Query(("o",), ((KINDS[0], CLASS_OF, Var("c")), (O, RDF_TYPE, Var("c"))))
+    with pytest.raises(SourceUnavailable):
+        graph.query(found)
+
+
 # ---------------------------------------------------------------------------
 # a bound log that changes between queries: the view a binding keeps (and
 # cuts back and extends in place) versus a fresh binding's full scan
@@ -628,9 +732,11 @@ def test_plant_log_rewinds_cut_the_view_back(tmp_path, monkeypatch):
     assert (binding.scan_count, binding.append_count) == (scans + 1, scans - 1)
 
 
-def test_a_quoted_header_parses_the_whole_log_over_the_view(tmp_path):
-    """A quote in the header line keeps no prefix, so each change is parsed
-    whole and replaces the view that a binding already holds."""
+def test_a_quoted_header_keeps_its_rows_and_a_header_change_parses_whole(tmp_path):
+    """A quote in the header line leaves no field open, so an append under a
+    quoted header keeps the rows before it; a change of the header line
+    keeps nothing, so it is parsed whole and replaces the view that a
+    binding already holds."""
     lines = write_log_csv(simulate(default_config(), 1, (), 7)).splitlines(keepends=True)
     quoted = '"t_s",kind,id,value\n'
     path = tmp_path / "live_log.csv"
@@ -640,15 +746,16 @@ def test_a_quoted_header_parses_the_whole_log_over_the_view(tmp_path):
     def state(view):
         return view.text, view.size, view.lines, view.last_ms, view.columns, view.indexes
 
-    for scans, (header, end) in enumerate(
-        ((lines[0], 200), (quoted, 120), (quoted, 150), (lines[0], 30)), start=1
+    # the third change appends under the quoted header: it keeps a prefix
+    for scans, (header, end, appends) in enumerate(
+        ((lines[0], 200, 0), (quoted, 120, 0), (quoted, 150, 1), (lines[0], 30, 1)), start=1
     ):
         path.write_text(header + "".join(lines[1:end]), encoding="utf-8")
         assert isinstance(assert_agrees_with_a_fresh_scan(graph, path), list)
         fresh = VirtualBinding(path)
         live_answers(KnowledgeGraph((), [fresh]))
         assert state(binding) == state(fresh)
-        assert (binding.scan_count, binding.append_count) == (scans, 0)
+        assert (binding.scan_count, binding.append_count) == (scans, appends)
 
 
 # ---------------------------------------------------------------------------
