@@ -496,17 +496,23 @@ class _Closure:
     (``sharers``), it leaves the state to that one and runs the loop afresh
     with every asserted triple instead.
 
-    Transitivity is linear: an *edge* is a subClassOf fact that entered by
-    any rule but transitivity and equivalence sharing.  New subclass facts
-    and types extend through edges, and only a new edge joins to the left,
-    against the subclasses and instances of its subject, so a chain of n
-    classes costs O(n^2), not O(n^3).  That closes subClassOf under
-    transitivity, by induction on the order ``b subClassOf c`` entered, for
-    every known ``a subClassOf b``: an edge is joined; a transitive fact
-    came from an earlier ``b subClassOf w`` and an edge from ``w``; a copy
-    came from an earlier fact of a term equivalent to ``b`` or ``c``, which
-    ``a``'s fact is shared with too.  The same holds for types.  So an alias
-    of a class adds no edges and no joins through the class's hierarchy.
+    Transitivity is one walk: an *edge* is a subClassOf fact that entered by
+    any rule but transitivity and equivalence sharing, and only a new edge
+    joins to the left, against the subclasses and instances of its subject.
+    A new subclass or type fact ``(s, p, o)`` gives ``s`` every class that
+    the edges known in its round reach from ``o`` (one walk per object and
+    round); what a walk derives enters as the walk's, whatever else derived
+    it, and does not walk again.  By induction on the round in which
+    ``b subClassOf c`` entered, every known ``a subClassOf b`` gives
+    ``a subClassOf c``: an edge is joined to the left if ``a``'s fact came
+    no later, else reached by its walk from ``b`` or by the walk that
+    derived it; a walk's fact came from an earlier ``b subClassOf w`` and a
+    path of earlier edges from ``w``, which ``a subClassOf w`` follows; a
+    transitive fact from an earlier ``b subClassOf w`` and edge from ``w``;
+    a copy from an earlier fact of a term equivalent to ``b`` or ``c``,
+    which ``a``'s fact is shared with too.  The same holds for types.  From
+    scratch a chain of n classes closes in two rounds of O(n^2) steps, as
+    many as its facts, and a leaf insert takes two rounds at any depth.
 
     Queries read the same indexes: a bound subject or object narrows a
     pattern to that term's facts, a bound predicate alone to its facts.
@@ -613,7 +619,7 @@ class _Closure:
             return new
 
         # asserted facts enter as they are, literal subjects too
-        delta = [t for t in seeds if t not in facts]
+        delta = climbing = [t for t in seeds if t not in facts]
         facts.update(dict.fromkeys(delta, False))
         by_subject, by_object, by_predicate = self.by_subject, self.by_object, self.by_predicate
         subclasses, edges_from, instances = self.subclasses, self.edges_from, self.instances
@@ -623,9 +629,16 @@ class _Closure:
             self._index(delta, edges)
             fresh: list[tuple] = []
             chained: list[tuple] = []  # transitivity's and sharing's: never an edge
+            reached: list[tuple] = []  # the upward walk's: never walks again
             for s, p, o in edges:
                 chained += [(sub, p, o) for sub in subclasses.get(s, ())]
                 fresh += [(x, _TYPE, o) for x in instances.get(s, ())]
+            above: dict[int, list[int]] = {}  # the classes an object reaches by edges
+            for s, p, o in climbing:
+                if (p == _SUB or p == _TYPE) and o in edges_from:
+                    if o not in above:
+                        above[o] = self._above(o)
+                    reached += [(s, p, sup) for sup in above[o]]
             for s, p, o in delta:
                 if p in generals:
                     fresh += [(s, general, o) for general in generals[p]]
@@ -635,10 +648,6 @@ class _Closure:
                     chained += [(s, p, x) for x in equivalents[o]]
                 if p == _ATTRIBUTE and is_iri[o]:
                     fresh.append((s, _TYPE, o))
-                elif p == _SUB:
-                    chained += [(s, p, sup) for sup in edges_from.get(o, ())]
-                elif p == _TYPE:
-                    fresh += [(s, p, sup) for sup in edges_from.get(o, ())]
                 elif p == _EQUIV:
                     fresh.append((o, p, s))
                     if is_iri[o]:
@@ -646,9 +655,21 @@ class _Closure:
                     chained += [(fs, fp, o) for fs, fp, _ in by_object.get(s, ())]
                 elif p == _RELATION and is_iri[s] and is_iri[o]:
                     fresh += [(fs, o, fo) for fs, _, fo in by_predicate.get(s, ())]
-            delta = admit(fresh, False)
-            edges = [t for t in delta if t[1] == _SUB]
-            delta += admit(chained, True)
+            delta = admit(reached, True)  # first, so what another rule derived too walks no more
+            climbing = admit(fresh, False)
+            edges = [t for t in climbing if t[1] == _SUB]
+            climbing += admit(chained, True)
+            delta += climbing
+
+    def _above(self, term: int) -> list[int]:
+        """Every class reachable from ``term`` by one edge or more."""
+        edges_from, seen, stack = self.edges_from, {}, [term]
+        while stack:
+            for sup in edges_from.get(stack.pop(), ()):
+                if sup not in seen:
+                    seen[sup] = None
+                    stack.append(sup)
+        return list(seen)
 
     def select(self, pattern: Pattern) -> Collection[tuple]:
         """The numbered facts that fit all of ``pattern``'s constants, read
@@ -1035,17 +1056,24 @@ def _unescape(lexical: str) -> str:
     return re.sub(r"\\.", lambda m: _UNESCAPES.get(m.group(0), m.group(0)[1]), lexical)
 
 
+def _nt_iri(term: Iri) -> str:
+    value = term.value
+    if not value or ">" in value or "\n" in value or "\r" in value:
+        raise MixdiagError(f"an N-Triples line cannot hold the IRI {value!r}")
+    return f"<{value}>"
+
+
 def _nt_term(term: Term) -> str:
     if isinstance(term, Iri):
-        return f"<{term.value}>"
-    return f'"{_escape(term.lexical)}"^^<{term.datatype.value}>'
+        return _nt_iri(term)
+    return f'"{_escape(term.lexical)}"^^{_nt_iri(term.datatype)}'
 
 
 def serialize_ntriples(graph: KnowledgeGraph) -> str:
-    """Write the asserted triples (inference and virtual data are
-    reproducible, so they stay out of the file), sorted canonically."""
+    """Write the asserted triples, sorted canonically (inferred and virtual
+    ones are reproducible).  An IRI with ``>`` or a line break raises."""
     lines = sorted(
-        f"<{t.subject.value}> <{t.predicate.value}> {_nt_term(t.object)} ."
+        f"{_nt_iri(t.subject)} {_nt_iri(t.predicate)} {_nt_term(t.object)} ."
         for t in graph.asserted
     )
     return "".join(line + "\n" for line in lines)
@@ -1053,7 +1081,9 @@ def serialize_ntriples(graph: KnowledgeGraph) -> str:
 
 def parse_ntriples(text: str) -> KnowledgeGraph:
     triples = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # a line ends at a line feed only: a literal may hold other breaks raw
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line.strip():
             continue
         match = _LINE_RE.match(line)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mixdiag
 from mixdiag.cli import main
@@ -33,6 +33,7 @@ from mixdiag.terms import (
     Triple,
     Var,
     XSD_DOUBLE,
+    XSD_STRING,
     iri,
 )
 
@@ -481,6 +482,49 @@ def test_ntriples_rejects_unterminated_literal():
 def test_ntriples_blank_lines_ok():
     g = parse_ntriples("\n\n")
     assert len(g) == 0
+
+
+# IRIs from a safe alphabet; literal text of any characters, so a literal can
+# hold the separators str.splitlines() breaks at (\x0b, \x1c, \x85, \u2028)
+_nt_iris = st.text("abcxyz019:/#._-", min_size=1, max_size=8).map(lambda s: Iri("http://x/" + s))
+_nt_literals = st.builds(Literal, st.text(max_size=12), st.sampled_from([XSD_STRING, XSD_DOUBLE]))
+_nt_graphs = st.frozensets(
+    st.builds(Triple, _nt_iris, _nt_iris, st.one_of(_nt_iris, _nt_literals)), max_size=8
+)
+
+
+@example(frozenset({Triple(Iri("http://x/a"), Iri("http://x/b"), Literal.string("x\u2028y"))}))
+@settings(max_examples=300, deadline=None)
+@given(_nt_graphs)
+def test_ntriples_round_trip_property(triples):
+    text = serialize_ntriples(KnowledgeGraph(triples))
+    again = parse_ntriples(text)
+    assert again.asserted == triples
+    assert serialize_ntriples(again) == text
+    assert parse_ntriples(text.replace("\n", "\r\n")).asserted == triples
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nt_graphs, st.sampled_from(["subject", "predicate", "object", "datatype"]),
+       st.text("ab", max_size=3), st.sampled_from(">\n\r"), st.text("ab", max_size=3))
+def test_ntriples_refuses_an_iri_a_line_cannot_hold(triples, position, head, bad, tail):
+    unwritable = Iri("http://x/" + head + bad + tail)
+    plain = Iri("http://x/p")
+    triple = {
+        "subject": Triple(unwritable, plain, plain),
+        "predicate": Triple(plain, unwritable, plain),
+        "object": Triple(plain, plain, unwritable),
+        "datatype": Triple(plain, plain, Literal("1", unwritable)),
+    }[position]
+    with pytest.raises(MixdiagError, match="cannot hold the IRI"):
+        serialize_ntriples(KnowledgeGraph(triples | {triple}))
+
+
+def test_ntriples_errors_name_the_physical_line():
+    label = '<http://x/a> <http://x/b> "x\u2028y\x0cz"^^<http://x/s> .\r\n'
+    assert len(parse_ntriples(label + label)) == 1
+    with pytest.raises(ParseError, match="line 3"):
+        parse_ntriples(label + "\n<http://x/a> .\n")
 
 
 # ---------------------------------------------------------------------------

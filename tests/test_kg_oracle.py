@@ -38,6 +38,7 @@ from mixdiag.kg import (
     Query,
     SourceUnavailable,
     VirtualBinding,
+    _Closure,
 )
 from mixdiag.plant import default_config, simulate, write_log_csv
 from mixdiag.terms import (
@@ -1060,3 +1061,116 @@ def test_a_parent_whose_children_are_gone_cuts_its_closure_back_in_place():
     assert state.terms == fresh.terms
     for cut, computed in zip(state._indexes(), fresh._indexes()):
         assert {key: entries for key, entries in cut.items() if entries} == computed
+
+
+# ---------------------------------------------------------------------------
+# deep hierarchies: the generators above draw from five nodes, so no chain
+# there is deeper than four classes
+
+
+def test_a_leaf_insert_closes_in_the_same_rounds_at_any_depth(monkeypatch):
+    """A new bottom class and its instance reach every superclass in a fixed
+    number of rounds, each derived fact indexed once, and add one edge."""
+    calls = []
+    index = _Closure._index
+
+    def counting(closure, delta, edges):
+        calls.append((list(delta), list(edges)))
+        index(closure, delta, edges)
+
+    monkeypatch.setattr(_Closure, "_index", counting)
+    rounds = {}
+    for n in (15, 30, 60):
+        classes = [iri(f"ex:Chain{i}") for i in range(n)]
+        chain = KnowledgeGraph(
+            [Triple(sub, SUB, sup) for sup, sub in zip(classes, classes[1:])]
+            + [Triple(iri(f"ex:unit{i}_{j}"), RDF_TYPE, c)
+               for i, c in enumerate(classes) for j in range(2)]
+        ).infer()
+        before = chain.all_triples()
+        leaf = Triple(iri("ex:Leaf"), SUB, classes[-1])
+        calls.clear()
+        child = chain.insert([leaf, Triple(iri("ex:leaf0"), RDF_TYPE, iri("ex:Leaf"))]).infer()
+        terms = child._state().terms
+
+        def named(facts):
+            return [Triple(*map(terms.__getitem__, fact)) for fact in facts]
+
+        indexed = named(fact for delta, _ in calls for fact in delta)
+        assert len(indexed) == len(set(indexed))
+        assert set(indexed) == child.all_triples() - before
+        assert named(edge for _, edges in calls for edge in edges) == [leaf]
+        rounds[n] = len(calls)
+    assert len(set(rounds.values())) == 1 and rounds[15] <= 3, rounds
+
+
+SPECIAL_OF = iri("ex:specialOf")  # specialises rdfs:subClassOf once declared
+DEEP_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["leaf", "leaf", "loose", "link", "top", "alias", "relation", "undo",
+                         "undo"]),
+        st.integers(0, 999),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+# the walk from ex:Deep6 in the round the new top's edge enters sees it
+@example(12, 1, [("relation", 0)])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(12, 20), st.integers(1, 3), DEEP_OPS)
+def test_deep_hierarchy_inserts_agree_with_naive_closure(length, per_class, ops):
+    """Inserts into a chain of 12-20 classes: leaf links, mid-chain links of
+    new classes and of subtrees inserted earlier, new top classes, aliases
+    of mid-chain classes and subclass edges that enter by ex:relationTo.
+    Each snapshot is inferred from its parent and from scratch; ``undo``
+    drops the newest, so its parent cuts the shared closure back."""
+    chain = [iri(f"ex:Deep{i}") for i in range(length)]  # top first
+    initial = [Triple(sub, SUB, sup) for sup, sub in zip(chain, chain[1:])]
+    initial += [Triple(iri(f"ex:deep{i}_{j}"), RDF_TYPE, c)
+                for i, c in enumerate(chain) for j in range(per_class)]
+    # a use of the specialisation before it is declared
+    initial += [Triple(iri("ex:Side"), SPECIAL_OF, chain[length // 2]),
+                Triple(iri("ex:side0"), RDF_TYPE, iri("ex:Side"))]
+    # each snapshot with its top and bottom class and its unlinked subtrees
+    snapshots = [(KnowledgeGraph(initial).infer(), chain[0], chain[-1], ())]
+    for step, (op, k) in enumerate(ops):
+        graph, top, bottom, loose = snapshots[-1]
+        if op == "undo":
+            if len(snapshots) > 1:
+                del snapshots[-1], graph  # no reference keeps it alive
+                graph, top = snapshots[-1][:2]
+                query = Query(("x",), ((Var("x"), RDF_TYPE, top),))
+                expected = {t.subject for t in naive_closure(graph.asserted)
+                            if t.predicate == RDF_TYPE and t.object == top}
+                assert {row["x"] for row in graph.query(query)} == expected
+            continue
+        new, below, unit = iri(f"ex:New{step}"), iri(f"ex:Below{step}"), iri(f"ex:unit{step}")
+        mid = chain[1 + k % (length - 2)]
+        batch = [Triple(unit, RDF_TYPE, new)]
+        if op == "leaf":
+            batch.append(Triple(new, SUB, bottom))
+            bottom = new
+        elif op == "loose":
+            batch += [Triple(below, SUB, new), Triple(iri(f"ex:below{step}"), RDF_TYPE, below)]
+            loose += (new,)
+        elif op == "link" and loose:
+            batch = [Triple(loose[0], SUB, mid)]
+            loose = loose[1:]
+        elif op == "link":
+            batch.append(Triple(new, SUB, mid))
+        elif op == "top":
+            batch.append(Triple(top, SUB, new))
+            top = new
+        elif op == "alias":
+            batch += [Triple(new, EQUIV, mid), Triple(below, SUB, new)]
+        else:  # the first declares ex:Side's edge, in the round a new top's
+            batch = [Triple(SPECIAL_OF, EX_RELATION_TO, SUB), Triple(top, SPECIAL_OF, new),
+                     Triple(unit, RDF_TYPE, chain[length // 2])]
+            top = new
+        child = graph.insert(batch).infer()
+        expected = naive_closure(child.asserted)
+        assert child.all_triples() == expected, f"{op} at step {step}"
+        assert KnowledgeGraph(child.asserted).all_triples() == expected
+        snapshots.append((child, top, bottom, loose))
+        del child
