@@ -18,10 +18,11 @@ its columns.  When the file changed, the binding keeps the rows the new
 text shares with the text last parsed and parses only what follows them; a
 whole parse is the case that keeps none.
 A query joins its patterns in a fixed order, most constrained first.  Each
-pattern is planned once per query, before its rows: whether the closure can
-answer it at all, and which bound logs serve it (refreshed then, once per
-query).  A log triple the closure also holds is answered by the closure
-alone.
+pattern asks every source once what binds it, and each row runs those
+binders, whatever the pattern's shape: the closure unless no fact fits the
+pattern's constants, each bound log unless they rule out all its rows
+(refreshed then, once per query).  A log triple the closure also holds is
+answered by the closure alone.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ import weakref
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import MixdiagError, ParseError
 from .terms import (
@@ -175,13 +177,14 @@ def query_from_dict(doc: Mapping) -> Query:
         where = tuple(
             tuple(term_from_jsonable(term) for term in pattern) for pattern in doc["where"]
         )
-        filters = tuple(
-            Filter(_var_name(f[0]), str(f[1]), term_from_jsonable(f[2]))
-            for f in doc.get("filters", ())
-        )
+        filters = []
+        for f in doc.get("filters", ()):
+            if not isinstance(f, list) or len(f) != 3:
+                raise QueryError(f"a filter is a list of a variable, an operator and a term: {f!r}")
+            filters.append(Filter(_var_name(f[0]), str(f[1]), term_from_jsonable(f[2])))
         order_raw = doc.get("order_by")
         order_by = None if order_raw is None else _var_name(order_raw)
-        return Query(select, where, filters, order_by, doc.get("limit"))
+        return Query(select, where, tuple(filters), order_by, doc.get("limit"))
     except QueryError:
         raise
     except (KeyError, TypeError, ValueError, MixdiagError) as exc:
@@ -254,10 +257,6 @@ _OBSERVATION_PREFIX = PREFIXES["ex"] + "obs_"
 _ROW_NUMBER = re.compile(r"0|[1-9][0-9]*")
 
 
-def _observation(row: int) -> Iri:
-    return Iri(f"{_OBSERVATION_PREFIX}{row}")
-
-
 # The term of each served column from a record's raw key: its t_ms, its
 # sensor id, or the repr of its value.  A parse builds one term per key.
 _TERM_OF = {
@@ -265,17 +264,17 @@ _TERM_OF = {
     SOSA_MADE_BY_SENSOR: lambda sensor_id: iri(f"ex:{sensor_id}"),
     SOSA_HAS_SIMPLE_RESULT: lambda lexical: Literal(lexical, XSD_DOUBLE),
 }
+_PREDICATES = (RDF_TYPE, *_TERM_OF)  # of a log's triples
 
 
 @dataclass(eq=False)
 class VirtualBinding:
     """On-demand access to sensor records in a log CSV.
 
-    Serves exactly four pattern shapes over synthetic observation
-    individuals ``ex:obs_{i}`` (one per sensor record, in file order):
-    ``rdf:type sosa:Observation``, ``sosa:madeBySensor``,
-    ``sosa:hasSimpleResult``, and ``sosa:resultTime``.  Nothing is ever
-    materialized into the asserted set.
+    Holds four triples per synthetic observation ``ex:obs_{i}`` (one per
+    sensor record, in file order), ``rdf:type sosa:Observation``,
+    ``sosa:madeBySensor``, ``sosa:hasSimpleResult`` and ``sosa:resultTime``,
+    for any pattern, open predicates too.  Nothing is ever materialized.
 
     The binding holds the view of the text it last parsed: the sensor
     records as columns of interned terms, where row ``i`` is ``ex:obs_{i}``
@@ -306,13 +305,24 @@ class VirtualBinding:
         self.columns: dict[Iri, list[Term]] = {p: [] for p in _TERM_OF}
         self.indexes: dict[Iri, dict[Term, list[int]]] = {p: {} for p in _TERM_OF}
 
-    def serves(self, pattern: Pattern) -> bool:
-        _, p, o = pattern
-        if not isinstance(p, Iri):
-            return False
-        if p == RDF_TYPE:
-            return o == SOSA_OBSERVATION
-        return p in (SOSA_MADE_BY_SENSOR, SOSA_HAS_SIMPLE_RESULT, SOSA_RESULT_TIME)
+    def binder(self, pattern: Pattern, closure: _Closure | None, fresh: set) -> Callable | None:
+        """:meth:`bind` with ``closure`` given, or None when ``pattern``'s
+        constants rule out every row: a subject that is no ``ex:obs_`` IRI,
+        another predicate, or an ``rdf:type`` class but ``sosa:Observation``.
+        The first time a query asks (``fresh`` holds the logs it has asked),
+        the view is refreshed, so one query sees one version of the file."""
+        s, p, o = pattern
+        fits = (
+            (isinstance(s, Var) or isinstance(s, Iri) and s.value.startswith(_OBSERVATION_PREFIX))
+            and (isinstance(p, Var) or p in _PREDICATES)
+            and (p != RDF_TYPE or isinstance(o, Var) or o == SOSA_OBSERVATION)
+        )
+        if not fits:
+            return None
+        if self not in fresh:
+            self.refresh()
+            fresh.add(self)
+        return self.bind if closure is None else partial(self.bind, closure=closure)
 
     def refresh(self) -> None:
         """Bring the view to the file as it is now.  A failed read or parse
@@ -419,17 +429,27 @@ class VirtualBinding:
                 return (int(number),)
         return ()
 
-    def bind(self, pattern: Pattern, closure: _Closure | None) -> list[dict[str, Term]]:
-        """The bindings of a served ``pattern``'s variables by the view's
-        triples, in file order, read straight from the columns: a bound
-        subject is looked up by its row number, a bound object (but that of
+    def bind(self, pattern: Pattern, closure: _Closure | None = None) -> list[dict[str, Term]]:
+        """The bindings of ``pattern``'s variables by the view's triples, in
+        file order, read straight from the columns: a bound subject is
+        looked up by its row number, a bound object (but that of
         ``rdf:type``) in its column's index, and a constant object is tested
-        against the column term.  ``closure`` is given when it holds facts
-        of the pattern's predicate; a triple it knows is then left to it, so
-        a log triple that is also asserted is answered once.  ``ex:obs_i`` is
-        built only for a variable subject or for that check."""
+        against the column term; an open predicate takes each of the four.
+        A triple ``closure`` knows is left to it, so a log triple that is
+        also asserted is answered once.  ``ex:obs_i`` is built only for a
+        variable subject or for that check."""
         s, p, o = pattern
-        column = None if p == RDF_TYPE else self.columns[p]  # rdf:type's object is fixed
+        column = self.columns.get(p)  # None for rdf:type, whose object is fixed
+        if column is None:
+            if isinstance(p, Var) or p == RDF_TYPE and isinstance(o, Var):
+                term, values = (p, _PREDICATES) if isinstance(p, Var) else (o, (SOSA_OBSERVATION,))
+                found = []
+                for value in values:  # the open term fixed to each value, wherever it occurs
+                    fixed = tuple([value if t == term else t for t in pattern])
+                    found += [{**row, term.name: value} for row in self.bind(fixed, closure)]
+                return found
+            if p != RDF_TYPE or o != SOSA_OBSERVATION:
+                return []
         subject = None if isinstance(s, Var) else s
         obj = None if isinstance(o, Var) else o
         if subject is not None:
@@ -445,7 +465,7 @@ class VirtualBinding:
                 continue
             binding = {}
             if subject is None or closure is not None:
-                row_subject = _observation(i) if subject is None else subject
+                row_subject = Iri(f"{_OBSERVATION_PREFIX}{i}") if subject is None else subject
                 if closure is not None and closure.knows((row_subject, p, value)):
                     continue
                 if subject is None:
@@ -807,76 +827,49 @@ class KnowledgeGraph:
 
     # -- query answering ------------------------------------------------------
 
-    def _serving(self, pattern: Pattern, fresh: set[VirtualBinding]) -> list[VirtualBinding]:
-        """The bound logs that serve ``pattern``.  A log is refreshed the
-        first time a query needs it and then kept (``fresh``), so one query
-        sees one version of each file."""
-        serving = [binding for binding in self.virtual_sources if binding.serves(pattern)]
-        for binding in serving:
-            if binding not in fresh:
-                binding.refresh()
-                fresh.add(binding)
-        return serving
-
     def _join(
-        self, state: _Closure, pattern: Pattern, rows: list[dict[str, Term]],
+        self, state: _Closure, pattern: Pattern, count: int, rows: list[dict[str, Term]],
         fresh: set[VirtualBinding],
     ) -> list[dict[str, Term]]:
         """Extend each row by every binding of ``pattern`` with the row's
-        variables substituted.  What does not depend on the row is planned
-        once: whether the closure can contribute (the predicate is a
-        variable or the closure holds facts of it), and which bound logs
-        serve the pattern (fixed unless the predicate is a variable, or is
-        ``rdf:type`` with a variable object; those are decided per row)."""
-        _, p, o = pattern
-
-        def holds(predicate: Term) -> bool:
-            return bool(state.by_predicate.get(state.number.get(predicate)))
-
-        in_closure = isinstance(p, Var) or holds(p)
-        planned = not isinstance(p, Var) and (p != RDF_TYPE or not isinstance(o, Var))
-        if planned:
-            serving = self._serving(pattern, fresh)
-            known = state if in_closure else None
+        variables substituted.  Each source is asked once, before any row,
+        what binds the pattern: the closure unless ``count``, its facts
+        that fit, is 0, and each bound log unless the pattern's constants
+        rule out its every row."""
+        known = state if count else None
+        binders = [state.bind] if count else []
+        binders += filter(None, [log.binder(pattern, known, fresh) for log in self.virtual_sources])
         joined: list[dict[str, Term]] = []
         for row in rows:
             bound = _substitute(pattern, row)
-            found = state.bind(bound) if in_closure else []
-            if not planned:
-                serving = self._serving(bound, fresh)
-                known = state if serving and holds(bound[1]) else None
-            for binding in serving:
-                found += binding.bind(bound, known)
-            for unified in found:
-                unified.update(row)
-            joined += found
+            for bind in binders:
+                found = bind(bound)
+                for unified in found:
+                    unified.update(row)
+                joined += found
         return joined
 
     def _solve(self, patterns: Sequence[Pattern]) -> list[dict[str, Term]]:
         # Evaluate the most constrained pattern first, and of those the one
-        # with the fewest stored candidates for its constants; result
-        # multiplicity does not depend on join order.
+        # with the fewest stored candidates for its constants (counted once:
+        # no row changes them); result multiplicity does not depend on join
+        # order.
         state = self._state()
+        counts = {pattern: len(state.select(pattern)) for pattern in patterns}
         remaining = list(patterns)
-        ordered: list[Pattern] = []
         bound: set[str] = set()
+        fresh: set[VirtualBinding] = set()
 
         def constrained(pattern: Pattern) -> tuple[int, int]:
             fixed = sum(1 for t in pattern if not isinstance(t, Var) or t.name in bound)
-            return fixed, -len(state.select(pattern))
+            return fixed, -counts[pattern]
 
-        while remaining:
+        rows: list[dict[str, Term]] = [{}]
+        while remaining and rows:
             best = max(remaining, key=constrained)
             remaining.remove(best)
-            ordered.append(best)
+            rows = self._join(state, best, counts[best], rows, fresh)
             bound.update(t.name for t in best if isinstance(t, Var))
-
-        fresh: set[VirtualBinding] = set()
-        rows: list[dict[str, Term]] = [{}]
-        for pattern in ordered:
-            rows = self._join(state, pattern, rows, fresh)
-            if not rows:
-                break
         return rows
 
     def query(self, q: Query) -> list[dict[str, Term]]:

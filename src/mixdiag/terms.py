@@ -238,6 +238,7 @@ def term_from_jsonable(raw) -> PatternTerm:
             lexical = raw["lexical"]
         except KeyError as exc:
             raise MixdiagError(f"literal object missing key: {exc}") from None
-        dt = iri(datatype) if isinstance(datatype, str) else datatype
-        return Literal(str(lexical), dt)
+        if not isinstance(datatype, str):
+            raise MixdiagError(f"a literal's datatype is a string, not {datatype!r}")
+        return Literal(str(lexical), iri(datatype))
     raise MixdiagError(f"cannot interpret term: {raw!r}")

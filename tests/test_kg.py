@@ -35,6 +35,7 @@ from mixdiag.terms import (
     XSD_DOUBLE,
     XSD_STRING,
     iri,
+    term_from_jsonable,
 )
 
 
@@ -320,6 +321,45 @@ def test_query_dict_round_trip(family):
         limit=3,
     )
     assert query_from_dict(query_to_dict(original)) == original
+
+
+FILTERS_THAT_ARE_NOT_THREE_ITEM_LISTS = [
+    [], ["?a"], ["?a", ">"], ["?a", ">", 20.0, 1], {"?a": 0, ">": 1, "20": 2}, "?a>", 5,
+]
+
+
+@pytest.mark.parametrize("bad", FILTERS_THAT_ARE_NOT_THREE_ITEM_LISTS, ids=repr)
+def test_a_filter_must_be_a_list_of_three_items(bad):
+    with pytest.raises(QueryError, match="filter"):
+        q(["?p"], [["?p", "ex:age", "?a"]], filters=[bad])
+
+
+def _cli_query_error(doc, family, tmp_path, capsys) -> str:
+    """The one line ``mixdiag query`` prints for ``doc``, which it must refuse."""
+    graph = tmp_path / "graph.nt"
+    graph.write_text(serialize_ntriples(family), encoding="utf-8")
+    query = tmp_path / "q.json"
+    query.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["query", "--graph", str(graph), "--query", str(query)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    return line
+
+
+def test_cli_query_rejects_a_short_filter(family, tmp_path, capsys):
+    doc = {"select": ["?p"], "where": [["?p", "ex:age", "?a"]], "filters": [["?a"]]}
+    assert "filter" in _cli_query_error(doc, family, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("datatype", [["a"], {"iri": "xsd:double"}, 1, None], ids=repr)
+def test_a_literal_datatype_must_be_a_string(datatype, family, tmp_path, capsys):
+    raw = {"lexical": "x", "datatype": datatype}
+    with pytest.raises(MixdiagError, match="datatype"):
+        term_from_jsonable(raw)
+    with pytest.raises(QueryError, match="datatype"):
+        q(["?p"], [["?p", "ex:age", raw]])
+    doc = {"select": ["?p"], "where": [["?p", "ex:age", raw]]}
+    assert "datatype" in _cli_query_error(doc, family, tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------

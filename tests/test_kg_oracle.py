@@ -40,6 +40,7 @@ from mixdiag.kg import (
     VirtualBinding,
     _Closure,
 )
+from mixdiag.pipeline import run_pipeline
 from mixdiag.plant import default_config, simulate, write_log_csv
 from mixdiag.terms import (
     RDF_TYPE,
@@ -329,8 +330,8 @@ def random_mixed_case(rng, observations):
 
 
 def random_mixed_query(rng, subjects, objects):
-    """Predicates, and the object of rdf:type, stay constant: the engine
-    serves virtual triples only to patterns that name their predicate."""
+    """Predicates, and the object of rdf:type, stay constant here; the
+    shapes that leave them open are checked by open_queries()."""
     while True:
         patterns = []
         for _ in range(rng.randint(1, 3)):
@@ -493,6 +494,79 @@ def test_a_query_whose_first_pattern_finds_nothing_reads_no_bound_file(tmp_path)
     found = Query(("o",), ((KINDS[0], CLASS_OF, Var("c")), (O, RDF_TYPE, Var("c"))))
     with pytest.raises(SourceUnavailable):
         graph.query(found)
+
+
+def test_a_query_no_log_can_match_never_reads_the_log(tmp_path):
+    binding = VirtualBinding(tmp_path / "missing.csv")
+    b201, foo, plant = iri("ex:B201"), iri("ex:Foo"), iri("ex:Plant")
+    graph = KnowledgeGraph([Triple(b201, RDF_TYPE, foo), Triple(b201, PART_OF, plant)], [binding])
+    x, p = Var("x"), Var("p")
+    # a constant rdf:type class, subject or predicate that no log row can have
+    assert graph.query(Query(("x",), ((x, RDF_TYPE, foo),))) == [{"x": b201}]
+    assert graph.query(Query(("p", "o"), ((b201, p, O),))) == [
+        {"p": PART_OF, "o": plant}, {"p": RDF_TYPE, "o": foo}
+    ]
+    assert graph.query(Query(("s", "o"), ((S, PART_OF, O),))) == [{"s": b201, "o": plant}]
+    assert binding.scan_count == 0
+    with pytest.raises(SourceUnavailable):  # a pattern a log row may fit reads it
+        graph.query(Query(("x",), ((x, RDF_TYPE, SOSA_OBSERVATION),)))
+    # the pipeline's questions and context queries never need its eval log
+    result = run_pipeline("blockage", tmp_path / "run")
+    assert [source.scan_count for source in result.graph.virtual_sources] == [0]
+
+
+# shapes that leave the predicate, or the object of rdf:type, open: a bound
+# log answers them as it answers named predicates, and a log triple that is
+# also asserted is still answered once
+
+
+def open_queries():
+    c, p, x = Var("c"), Var("p"), Var("x")
+    queries = [
+        Query(("o", "p", "v"), ((O, p, V),)),
+        Query(("o", "c"), ((O, RDF_TYPE, c),)),
+        Query(("x", "p"), ((x, p, x),)),
+        Query(("o", "p"), ((O, p, iri("ex:L1")),)),
+        Query(("o", "p"), ((O, p, SOSA_OBSERVATION),)),
+        Query(("o", "p", "v"), ((O, SOSA_MADE_BY_SENSOR, iri("ex:L1")), (O, p, V))),
+        Query(("o", "c", "v"), ((O, RDF_TYPE, c), (O, SOSA_HAS_SIMPLE_RESULT, V))),
+    ]
+    for subject in [iri(f"ex:obs_{row}") for row in (0, 2, 5, 6, 9)] + [iri("ex:L1")]:
+        queries.append(Query(("p", "v"), ((subject, p, V),)))
+        queries.append(Query(("c",), ((subject, RDF_TYPE, c),)))
+        queries.append(Query(("p",), ((subject, p, subject),)))
+    return queries
+
+
+def test_open_shapes_agree_with_bruteforce_oracle(tmp_path):
+    text = LIVE_HEADER + render_rows(PLANNED_ROWS, 100)[0]
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    observations = csv_observations(text)
+    copies = observations[1::5]  # of every predicate, ex:obs_0 madeBySensor ex:obs_0 first
+    assert copies[0].object == copies[0].subject
+    assert {t.predicate for t in copies} == {t.predicate for t in observations}
+    obs = [iri(f"ex:obs_{i}") for i in range(10)]
+    others = [
+        Triple(obs[9], SOSA_MADE_BY_SENSOR, obs[9]),  # beyond the log
+        Triple(obs[4], SOSA_MADE_BY_SENSOR, iri("ex:L9")),  # the log disagrees
+        Triple(obs[0], RDF_TYPE, SOSA_SENSOR),
+        Triple(obs[2], CLASS_OF, SOSA_OBSERVATION),  # a predicate no log has
+        Triple(iri("ex:L1"), RDF_TYPE, SOSA_SENSOR),
+    ]
+    for asserted in ([], copies, others, copies + others):
+        for n_bindings in (1, 2):
+            bindings = [VirtualBinding(path) for _ in range(n_bindings)]
+            graph = KnowledgeGraph(asserted, bindings)
+            known = set(asserted)
+            oracle_triples = asserted + n_bindings * [t for t in observations if t not in known]
+            for query in open_queries():
+                engine_rows = graph.query(query)
+                oracle_rows = oracle_query(oracle_triples, query)
+                assert Counter(map(exact, engine_rows)) == Counter(
+                    map(exact, oracle_rows)
+                ), f"{len(asserted)} asserted, {n_bindings} bindings: {query}"
+            assert [b.scan_count for b in bindings] == [1] * n_bindings
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from mixdiag.anomalies import Anomaly, anomalies_from_json
 from mixdiag.automaton import serialize
 from mixdiag.cli import main
 from mixdiag.errors import ParseError
-from mixdiag.kg import KnowledgeGraph
+from mixdiag.kg import KnowledgeGraph, QueryError
 from mixdiag.pipeline import (
     CqCatalog,
     CqItem,
@@ -60,6 +60,20 @@ def test_catalog_json_round_trip():
     again = catalog_from_json(text)
     assert again == catalog
     assert catalog_to_json(again) == text
+
+
+def test_catalog_rejects_a_short_filter(tmp_path, capsys):
+    doc = json.loads(catalog_to_json(default_catalog()))
+    doc["competency_questions"][0]["query"]["filters"] = [["?x"]]
+    with pytest.raises(QueryError, match="filter"):
+        catalog_from_json(json.dumps(doc))
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    graph = tmp_path / "graph.nt"
+    graph.write_text("", encoding="utf-8")
+    assert main(["validate", "--graph", str(graph), "--catalog", str(catalog)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "filter" in line
 
 
 def test_catalog_rejects_duplicate_ids():
