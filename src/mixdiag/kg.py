@@ -170,18 +170,25 @@ def _var_name(raw) -> str:
     return term.name
 
 
+def _array(raw, what: str, length: int | None = None) -> list:
+    """``raw`` if it is a JSON array (of ``length`` items, when given)."""
+    if isinstance(raw, list) and length in (None, len(raw)):
+        return raw
+    raise QueryError(f"{what} must be an array{f' of {length} items' if length else ''}: {raw!r}")
+
+
 def query_from_dict(doc: Mapping) -> Query:
     """Build a query from its JSON form; malformed input raises QueryError."""
     try:
-        select = tuple(_var_name(v) for v in doc["select"])
+        select = tuple(_var_name(v) for v in _array(doc["select"], "select"))
         where = tuple(
-            tuple(term_from_jsonable(term) for term in pattern) for pattern in doc["where"]
+            tuple(term_from_jsonable(term) for term in _array(pattern, "a pattern", 3))
+            for pattern in _array(doc["where"], "where")
         )
         filters = []
-        for f in doc.get("filters", ()):
-            if not isinstance(f, list) or len(f) != 3:
-                raise QueryError(f"a filter is a list of a variable, an operator and a term: {f!r}")
-            filters.append(Filter(_var_name(f[0]), str(f[1]), term_from_jsonable(f[2])))
+        for f in _array(doc.get("filters", []), "filters"):
+            var, op, constant = _array(f, "a filter", 3)
+            filters.append(Filter(_var_name(var), str(op), term_from_jsonable(constant)))
         order_raw = doc.get("order_by")
         order_by = None if order_raw is None else _var_name(order_raw)
         return Query(select, where, tuple(filters), order_by, doc.get("limit"))
@@ -277,7 +284,7 @@ class VirtualBinding:
     for any pattern, open predicates too.  Nothing is ever materialized.
 
     The binding holds the view of the text it last parsed: the sensor
-    records as columns of interned terms, where row ``i`` is ``ex:obs_{i}``
+    records as columns of terms, where row ``i`` is ``ex:obs_{i}``
     and each column has an index from object term to its rows in file
     order, so a bound subject or object becomes a lookup and only the rows
     that match are bound (:meth:`bind`).  It also keeps the text's number of
@@ -387,8 +394,7 @@ class VirtualBinding:
         """Drop the rows from ``size`` on from the columns and indexes."""
         for predicate, column in self.columns.items():
             index = self.indexes[predicate]
-            # each dropped term once, by identity: a column holds index keys
-            for term in {id(term): term for term in column[size:]}.values():
+            for term in set(column[size:]):
                 rows = index[term]
                 del rows[bisect_left(rows, size):]
                 if not rows:
@@ -412,9 +418,7 @@ class VirtualBinding:
                 entry = interned.get(key)
                 if entry is None:
                     term = make(key)
-                    rows = index.setdefault(term, [])
-                    # an indexed term keeps the object its first row holds
-                    entry = interned[key] = (column[rows[0]] if rows else term, rows)
+                    entry = interned[key] = (term, index.setdefault(term, []))
                 column.append(entry[0])
                 entry[1].append(row)
 
@@ -496,10 +500,16 @@ class _Closure:
     it transitive); properties propagate along ex:relationTo.  Derived
     triples with a literal subject are dropped.
 
-    Terms are numbered, so joins hash small ints.  ``extend`` adds asserted
-    triples and runs semi-naive forward chaining seeded with those not yet
-    known: each round indexes the facts new since the last one and joins
-    only them against the indexes of every fact so far.
+    Terms are numbered, so joins hash small ints.  ``facts`` is an ordered
+    set of numbered facts, and every index maps a term number to the facts
+    it holds, in order of entry: ``by_subject``, ``by_object`` and
+    ``by_predicate`` hold every fact; ``edges_from``, ``equivalents`` and
+    ``generals`` hold, by subject, the edges (below), the equivalences and
+    the ex:relationTo facts with IRI ends.  ``_index`` alone decides where a
+    fact goes.  ``extend`` adds asserted triples and runs semi-naive forward
+    chaining seeded with those not yet known: each round indexes the facts
+    new since the last one and joins only them against the indexes of every
+    fact so far.
 
     The state outlives the call: it stays on the snapshot that computed it.
     A graph with no materialized ancestor runs the loop once, seeded with
@@ -510,15 +520,16 @@ class _Closure:
     numbering and every index list keep the order they entered in, so the
     ancestor's closure stays the first ``n`` facts over the first ``m``
     terms.  When it needs its indexes again (a query, or another child) it
-    cuts the state back to those prefixes, popping the appends of the later
-    facts newest first, so the terms a discarded branch numbered go with
-    it.  While a live snapshot still stands for a longer prefix
-    (``sharers``), it leaves the state to that one and runs the loop afresh
-    with every asserted triple instead.
+    cuts the state back to those prefixes: it pops each later fact, newest
+    first, off the ends of the lists it entered, and the terms a discarded
+    branch numbered go with it.  While a live snapshot still stands for a
+    longer prefix (``sharers``), it leaves the state to that one and runs
+    the loop afresh with every asserted triple instead.
 
     Transitivity is one walk: an *edge* is a subClassOf fact that entered by
     any rule but transitivity and equivalence sharing, and only a new edge
-    joins to the left, against the subclasses and instances of its subject.
+    joins to the left, against the subClassOf and type facts whose object
+    is its subject.
     A new subclass or type fact ``(s, p, o)`` gives ``s`` every class that
     the edges known in its round reach from ``o`` (one walk per object and
     round); what a walk derives enters as the walk's, whatever else derived
@@ -542,42 +553,32 @@ class _Closure:
         self.number: dict[Term, int] = {t: i for i, t in enumerate(_RULE_PREDICATES)}
         self.terms: list[Term] = list(_RULE_PREDICATES)
         self.is_iri: list[bool] = [True] * len(_RULE_PREDICATES)
-        # each fact maps to whether transitivity or equivalence sharing
-        # derived it (a subClassOf fact that is not an edge), in order of entry
-        self.facts: dict[tuple, bool] = {}
-        self.by_subject, self.by_object, self.by_predicate = (defaultdict(list) for _ in range(3))
-        self.subclasses, self.edges_from, self.instances = (defaultdict(list) for _ in range(3))
-        self.equivalents, self.generals = defaultdict(list), defaultdict(list)
+        self.facts: dict[tuple, None] = {}  # an ordered set: the facts in order of entry
+        (self.by_subject, self.by_object, self.by_predicate, self.edges_from, self.equivalents,
+         self.generals) = (defaultdict(list) for _ in range(6))
         # the snapshots whose closure this is, by id, each standing for a prefix
         self.sharers: weakref.WeakValueDictionary[int, KnowledgeGraph] = (
             weakref.WeakValueDictionary()
         )
 
     def _indexes(self) -> tuple[defaultdict, ...]:
-        return (
-            self.by_subject, self.by_object, self.by_predicate, self.subclasses,
-            self.edges_from, self.instances, self.equivalents, self.generals,
-        )
+        return (self.by_subject, self.by_object, self.by_predicate, self.edges_from,
+                self.equivalents, self.generals)
 
     def _index(self, delta: list[tuple], edges: list[tuple]) -> None:
         is_iri = self.is_iri
-        (by_subject, by_object, by_predicate, subclasses, edges_from, instances, equivalents,
-         generals) = self._indexes()
-        for s, _, o in edges:
-            edges_from[s].append(o)
+        by_subject, by_object, by_predicate, edges_from, equivalents, generals = self._indexes()
+        for t in edges:
+            edges_from[t[0]].append(t)
         for t in delta:
             s, p, o = t
             by_subject[s].append(t)
             by_object[o].append(t)
             by_predicate[p].append(t)
-            if p == _SUB:
-                subclasses[o].append(s)
-            elif p == _TYPE:
-                instances[o].append(s)
-            elif p == _EQUIV:
-                equivalents[s].append(o)
+            if p == _EQUIV:
+                equivalents[s].append(t)
             elif p == _RELATION and is_iri[s] and is_iri[o]:
-                generals[s].append(o)
+                generals[s].append(t)
 
     def size(self) -> tuple[int, int]:
         """How many facts and terms are known: the prefix that stands for
@@ -593,34 +594,27 @@ class _Closure:
 
     def truncate(self, size: tuple[int, int]) -> None:
         """Cut back to the first facts and terms ``size`` counts: pop each
-        later fact, newest first, off the end of every index list that
-        ``_index`` appended it to, then drop the later terms' lists."""
+        later fact, newest first, off its subject's, object's and predicate's
+        lists, and off its subject's list in its rule predicate's index when
+        it ends that list, then drop the later terms' lists."""
         n_facts, n_terms = size
-        facts, is_iri = self.facts, self.is_iri
-        indexes = self._indexes()
-        (by_subject, by_object, by_predicate, subclasses, edges_from, instances, equivalents,
-         generals) = indexes
+        facts, indexes = self.facts, self._indexes()
+        by_subject, by_object, by_predicate, edges_from, equivalents, generals = indexes
+        by_rule = {_SUB: edges_from, _EQUIV: equivalents, _RELATION: generals}
         while len(facts) > n_facts:
-            (s, p, o), chained = facts.popitem()
+            fact = s, p, o = facts.popitem()[0]
             by_subject[s].pop()
             by_object[o].pop()
             by_predicate[p].pop()
-            if p == _SUB:
-                subclasses[o].pop()
-                if not chained:
-                    edges_from[s].pop()
-            elif p == _TYPE:
-                instances[o].pop()
-            elif p == _EQUIV:
-                equivalents[s].pop()
-            elif p == _RELATION and is_iri[s] and is_iri[o]:
-                generals[s].pop()
+            entries = by_rule[p].get(s) if p in by_rule else None
+            if entries and entries[-1] == fact:  # a list holding it ends with it by now
+                entries.pop()
         for term in range(n_terms, len(self.terms)):
             for index in indexes:
                 index.pop(term, None)
         while len(self.number) > n_terms:
             self.number.popitem()
-        del self.terms[n_terms:], is_iri[n_terms:]
+        del self.terms[n_terms:], self.is_iri[n_terms:]
 
     def extend(self, asserted: Iterable[Triple]) -> None:
         """Add ``asserted`` and close over it."""
@@ -633,17 +627,15 @@ class _Closure:
         terms += added
         is_iri += [isinstance(term, Iri) for term in added]
 
-        def admit(candidates: list[tuple], chained: bool) -> list[tuple]:
+        def admit(candidates: list[tuple]) -> list[tuple]:
             new = [t for t in dict.fromkeys(candidates) if t not in facts and is_iri[t[0]]]
-            facts.update(dict.fromkeys(new, chained))
+            facts.update(dict.fromkeys(new))
             return new
 
         # asserted facts enter as they are, literal subjects too
         delta = climbing = [t for t in seeds if t not in facts]
-        facts.update(dict.fromkeys(delta, False))
-        by_subject, by_object, by_predicate = self.by_subject, self.by_object, self.by_predicate
-        subclasses, edges_from, instances = self.subclasses, self.edges_from, self.instances
-        equivalents, generals = self.equivalents, self.generals
+        facts.update(dict.fromkeys(delta))
+        by_subject, by_object, by_predicate, edges_from, equivalents, generals = self._indexes()
         edges = [t for t in delta if t[1] == _SUB]
         while delta:
             self._index(delta, edges)
@@ -651,8 +643,9 @@ class _Closure:
             chained: list[tuple] = []  # transitivity's and sharing's: never an edge
             reached: list[tuple] = []  # the upward walk's: never walks again
             for s, p, o in edges:
-                chained += [(sub, p, o) for sub in subclasses.get(s, ())]
-                fresh += [(x, _TYPE, o) for x in instances.get(s, ())]
+                below = by_object.get(s, ())
+                chained += [(x, p, o) for x, q, _ in below if q == _SUB]
+                fresh += [(x, _TYPE, o) for x, q, _ in below if q == _TYPE]
             above: dict[int, list[int]] = {}  # the classes an object reaches by edges
             for s, p, o in climbing:
                 if (p == _SUB or p == _TYPE) and o in edges_from:
@@ -661,11 +654,11 @@ class _Closure:
                     reached += [(s, p, sup) for sup in above[o]]
             for s, p, o in delta:
                 if p in generals:
-                    fresh += [(s, general, o) for general in generals[p]]
+                    fresh += [(s, general, o) for _, _, general in generals[p]]
                 if s in equivalents:
-                    chained += [(x, p, o) for x in equivalents[s] if is_iri[x]]
+                    chained += [(x, p, o) for _, _, x in equivalents[s] if is_iri[x]]
                 if o in equivalents:
-                    chained += [(s, p, x) for x in equivalents[o]]
+                    chained += [(s, p, x) for _, _, x in equivalents[o]]
                 if p == _ATTRIBUTE and is_iri[o]:
                     fresh.append((s, _TYPE, o))
                 elif p == _EQUIV:
@@ -675,17 +668,17 @@ class _Closure:
                     chained += [(fs, fp, o) for fs, fp, _ in by_object.get(s, ())]
                 elif p == _RELATION and is_iri[s] and is_iri[o]:
                     fresh += [(fs, o, fo) for fs, _, fo in by_predicate.get(s, ())]
-            delta = admit(reached, True)  # first, so what another rule derived too walks no more
-            climbing = admit(fresh, False)
+            delta = admit(reached)  # first, so what another rule derived too walks no more
+            climbing = admit(fresh)
             edges = [t for t in climbing if t[1] == _SUB]
-            climbing += admit(chained, True)
+            climbing += admit(chained)
             delta += climbing
 
     def _above(self, term: int) -> list[int]:
         """Every class reachable from ``term`` by one edge or more."""
         edges_from, seen, stack = self.edges_from, {}, [term]
         while stack:
-            for sup in edges_from.get(stack.pop(), ()):
+            for _, _, sup in edges_from.get(stack.pop(), ()):
                 if sup not in seen:
                     seen[sup] = None
                     stack.append(sup)
@@ -745,7 +738,6 @@ class KnowledgeGraph:
     ):
         self.asserted: frozenset[Triple] = frozenset(asserted)
         self.virtual_sources: tuple[VirtualBinding, ...] = tuple(virtual_sources)
-        self._inferred: frozenset[Triple] | None = None
         # the numbered closure whose first _size facts and terms are this
         # snapshot's
         self._closure: _Closure | None = None
@@ -792,15 +784,12 @@ class KnowledgeGraph:
         return self
 
     def all_triples(self) -> frozenset[Triple]:
-        """Asserted plus inferred triples (closure computed on demand)."""
-        if self._inferred is None:
-            self._state()
-            terms = self._closure.terms
-            self._inferred = frozenset(
-                Triple(terms[s], terms[p], terms[o])
-                for s, p, o in islice(self._closure.facts, self._size[0])
-            )
-        return self._inferred
+        """Asserted plus inferred triples, built on each call."""
+        terms = self._state().terms
+        return frozenset(
+            Triple(terms[s], terms[p], terms[o])
+            for s, p, o in islice(self._closure.facts, self._size[0])
+        )
 
     def _state(self) -> _Closure:
         """The numbered closure of this snapshot, computed on first use.

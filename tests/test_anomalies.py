@@ -12,6 +12,7 @@ from mixdiag.anomalies import (
     InvalidTolerance,
     TIMING_ABOVE_MAX,
     TIMING_BELOW_MIN,
+    TIMING_KINDS,
     UNKNOWN_EVENT,
     UNKNOWN_STATE,
     anomalies_from_json,
@@ -206,6 +207,34 @@ def test_json_round_trip_handles_missing_fields():
     found = [Anomaly(UNKNOWN_STATE, "", 0.0), Anomaly(UNKNOWN_STATE, "x↑", 1.5)]
     text = anomalies_to_json(found)
     assert anomalies_from_json(text) == found
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_state_ids = st.integers(0, 10**9)
+# labels of one to three distinct actuator ids, each rising or falling
+_labels = st.lists(
+    st.tuples(st.text("PVL0123", min_size=1, max_size=4), st.sampled_from("↑↓")),
+    min_size=1, max_size=3, unique_by=lambda part: part[0],
+).map(lambda parts: ",".join(aid + edge for aid, edge in parts))
+# each kind as detect emits it
+_timing = st.builds(
+    Anomaly, st.sampled_from(TIMING_KINDS), _labels, _finite, _state_ids, _state_ids,
+    _finite, _finite, _finite,
+)
+_unknown_event = st.builds(Anomaly, st.just(UNKNOWN_EVENT), _labels, _finite, _state_ids,
+                           _state_ids)
+_unknown_state = st.builds(Anomaly, st.just(UNKNOWN_STATE), _labels, _finite, _state_ids)
+# the empty label and no source: a trace that starts in an unknown state
+_unknown_start = st.builds(Anomaly, st.just(UNKNOWN_STATE), st.just(""), _finite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_timing, _unknown_event, _unknown_state, _unknown_start),
+                max_size=6))
+def test_json_round_trip_property(anomalies):
+    text = anomalies_to_json(anomalies)
+    assert anomalies_from_json(text) == anomalies
+    assert anomalies_to_json(anomalies_from_json(text)) == text
 
 
 def anomaly_doc(**fields):

@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mixdiag.automaton import (
     DeterminismViolation,
@@ -309,6 +309,38 @@ def test_replaying_training_data_adds_nothing(automaton, cycle_traces):
 
 
 def test_serialize_round_trip(automaton):
+    text = serialize(automaton)
+    again = deserialize(text)
+    assert again == automaton
+    assert serialize(again) == text
+
+
+TINY, HUGE = 5e-324, 1.7976931348623157e308  # the least and the greatest positive double
+_dwells = st.one_of(
+    st.floats(min_value=TINY, max_value=HUGE),
+    st.sampled_from([TINY, 2.2250738585072014e-308, HUGE]),  # the least normal one too
+)
+
+
+def toggle_trace(flips):
+    """A trace from x, y and z all off, each step flipping one of them
+    after its dwell."""
+    on, steps = dict.fromkeys("xyz", False), []
+    for i, (aid, dwell) in enumerate(flips):
+        on[aid] = not on[aid]
+        label = aid + ("↑" if on[aid] else "↓")
+        steps.append(TraceStep(Event(label, float(i)), ActuatorVector.from_mapping(on), dwell))
+    return EventTrace(ActuatorVector.from_mapping(dict.fromkeys("xyz", False)), tuple(steps))
+
+
+@example([toggle_trace([("x", d) for d in (TINY, TINY, TINY, HUGE, HUGE, TINY, HUGE)])])
+@example([toggle_trace([("x", d) for d in (HUGE, HUGE, 1e300, HUGE, 3.0, HUGE)]),
+          toggle_trace([("y", TINY), ("x", HUGE)])])
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from("xyz"), _dwells), max_size=12)
+                .map(toggle_trace), min_size=1, max_size=3))
+def test_serialize_round_trip_property(traces):
+    automaton = learn(traces)
     text = serialize(automaton)
     again = deserialize(text)
     assert again == automaton

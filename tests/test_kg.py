@@ -351,6 +351,30 @@ def test_cli_query_rejects_a_short_filter(family, tmp_path, capsys):
     assert "filter" in _cli_query_error(doc, family, tmp_path, capsys)
 
 
+PATTERN = ["?a", "ex:age", "?b"]
+# each with the part of the query its error names
+SHAPES_THAT_ARE_NOT_ARRAYS = [
+    pytest.param({"select": ["?a"], "where": ["abc", PATTERN]}, "a pattern", id="string pattern"),
+    pytest.param({"select": ["?a"], "where": [{"?a": 0, "ex:age": 1, "?b": 2}]}, "a pattern",
+                 id="object pattern"),
+    pytest.param({"select": ["?a"], "where": [PATTERN[:2]]}, "a pattern", id="short pattern"),
+    pytest.param({"select": ["?a"], "where": [[*PATTERN, "?c"]]}, "a pattern", id="long pattern"),
+    pytest.param({"select": {"?a": 1}, "where": [PATTERN]}, "select", id="object select"),
+    pytest.param({"select": "?a", "where": [PATTERN]}, "select", id="string select"),
+    pytest.param({"select": ["?a"], "where": {"p": PATTERN}}, "where", id="object where"),
+    pytest.param({"select": ["?a"], "where": "abc"}, "where", id="string where"),
+    pytest.param({"select": ["?a"], "where": [PATTERN], "filters": {"?b": 1}}, "filters",
+                 id="object filters"),
+]
+
+
+@pytest.mark.parametrize("doc, part", SHAPES_THAT_ARE_NOT_ARRAYS)
+def test_select_where_and_patterns_must_be_arrays(doc, part, family, tmp_path, capsys):
+    with pytest.raises(QueryError, match=f"{part} must be an array"):
+        query_from_dict(doc)
+    assert f"{part} must be an array" in _cli_query_error(doc, family, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("datatype", [["a"], {"iri": "xsd:double"}, 1, None], ids=repr)
 def test_a_literal_datatype_must_be_a_string(datatype, family, tmp_path, capsys):
     raw = {"lexical": "x", "datatype": datatype}

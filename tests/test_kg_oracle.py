@@ -733,6 +733,40 @@ def test_plant_log_appends_extend_the_view(tmp_path):
         assert (binding.scan_count, binding.append_count) == (1 + appends, appends)
 
 
+def test_an_append_of_k_rows_parses_k_rows_at_any_log_length(tmp_path, monkeypatch):
+    """Cost: once a bound log was queried, appending k sensor rows makes the
+    next query parse those k rows and no others, over a 1-cycle and a
+    10-cycle plant log alike."""
+    parsed = []
+    parse_rows = events._parse_rows
+
+    def counting(*args):
+        records = parse_rows(*args)
+        parsed.append(len(records[1]))
+        return records
+
+    monkeypatch.setattr(events, "_parse_rows", counting)
+    query = Query(("o",), ((O, SOSA_MADE_BY_SENSOR, iri("ex:L204")),))
+    k, sizes = 7, []
+    for cycles in (1, 10):
+        text = write_log_csv(simulate(default_config(), cycles, (), 7))
+        path = tmp_path / f"log_{cycles}.csv"
+        path.write_text(text, encoding="utf-8")
+        binding = VirtualBinding(path)
+        graph = KnowledgeGraph((), [binding])
+        before = len(graph.query(query))
+        end = float(text.rstrip("\n").rsplit("\n", 1)[1].split(",", 1)[0])
+        with path.open("a", encoding="utf-8") as f:
+            f.write("".join(f"{end + i / 1000:.3f},sensor,L204,{i}.5\n" for i in range(1, k + 1)))
+        parsed.clear()
+        appends = binding.append_count
+        assert len(graph.query(query)) == before + k
+        assert parsed == [k]
+        assert binding.append_count == appends + 1
+        sizes.append(binding.size)
+    assert sizes[1] > 5 * sizes[0]
+
+
 @example(  # a rewind past a quoted row: the view keeps only the rows before it
     [(0, "sensor", "L1", "1"), (1, "sensor", 'q"d', "0"), (1, "sensor", "L1", "2.5")],
     [(0.7, 0, [(0, "sensor", "L204", "0")])],
@@ -1176,6 +1210,49 @@ def test_a_leaf_insert_closes_in_the_same_rounds_at_any_depth(monkeypatch):
         assert named(edge for _, edges in calls for edge in edges) == [leaf]
         rounds[n] = len(calls)
     assert len(set(rounds.values())) == 1 and rounds[15] <= 3, rounds
+
+
+def test_a_child_after_a_cut_back_joins_none_of_its_parents_facts(monkeypatch):
+    """Cost: after an episode of children (a subclass batch, an equivalence
+    batch and an ex:relationTo batch) is dropped, a new child of the root
+    indexes only the facts it adds to the root's closure, each once: the
+    root cut its closure back instead of closing it afresh."""
+    classes = [iri(f"ex:Chain{i}") for i in range(20)]
+    units = [iri(f"ex:unit{i}") for i in range(20)]
+    root = KnowledgeGraph(
+        [Triple(sub, SUB, sup) for sup, sub in zip(classes, classes[1:])]
+        + [Triple(unit, RDF_TYPE, c) for unit, c in zip(units, classes)]
+    ).infer()
+    before = root.all_triples()
+    calls = []
+    index = _Closure._index
+
+    def counting(closure, delta, edges):
+        calls.append(list(delta))
+        index(closure, delta, edges)
+
+    monkeypatch.setattr(_Closure, "_index", counting)
+    for round_ in range(3):
+        leaf, alias, feeds = (iri(f"ex:{name}{round_}") for name in ("Leaf", "Alias", "feeds"))
+        graph = root
+        for batch in (
+            [Triple(leaf, SUB, classes[-1]), Triple(iri(f"ex:leaf{round_}"), RDF_TYPE, leaf)],
+            [Triple(alias, EQUIV, classes[5]), Triple(iri(f"ex:alias{round_}"), RDF_TYPE, alias)],
+            [Triple(feeds, EX_RELATION_TO, iri("ex:connectedTo")),
+             Triple(units[1], feeds, units[2])],
+        ):
+            graph = graph.insert(batch).infer()
+        assert graph.all_triples() == naive_closure(graph.asserted)
+        del graph
+        calls.clear()
+        new = iri(f"ex:New{round_}")
+        child = root.insert([Triple(new, SUB, classes[3]),
+                             Triple(iri(f"ex:new{round_}"), RDF_TYPE, new)]).infer()
+        terms = child._state().terms
+        indexed = [Triple(*map(terms.__getitem__, fact)) for delta in calls for fact in delta]
+        assert len(indexed) == len(set(indexed))
+        assert set(indexed) == child.all_triples() - before
+        del child
 
 
 SPECIAL_OF = iri("ex:specialOf")  # specialises rdfs:subClassOf once declared

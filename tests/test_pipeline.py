@@ -76,6 +76,21 @@ def test_catalog_rejects_a_short_filter(tmp_path, capsys):
     assert line.startswith("error:") and "filter" in line
 
 
+@pytest.mark.parametrize(
+    "key, spoil, named",
+    [("where", lambda where: ["abc", *where], "a pattern"),
+     ("where", lambda where: [{"?f": 0, "ex:p": 1, "?part": 2}, *where], "a pattern"),
+     ("select", lambda select: dict.fromkeys(select, 1), "select")],
+    ids=["string pattern", "object pattern", "object select"],
+)
+def test_catalog_rejects_a_query_part_that_is_not_an_array(key, spoil, named):
+    doc = json.loads(catalog_to_json(default_catalog()))
+    query = doc["competency_questions"][0]["query"]
+    query[key] = spoil(query[key])
+    with pytest.raises(QueryError, match=f"{named} must be an array"):
+        catalog_from_json(json.dumps(doc))
+
+
 def test_catalog_rejects_duplicate_ids():
     item = default_catalog().items[0]
     with pytest.raises(ParseError):
