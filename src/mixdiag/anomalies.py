@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from .automaton import TimedAutomaton
-from .errors import MixdiagError, ParseError
+from .errors import MixdiagError, ParseError, parse_json
 from .events import EventTrace, parse_label
 
 log = logging.getLogger(__name__)
@@ -179,10 +179,7 @@ def anomalies_from_json(text: str) -> list[Anomaly]:
     or a time that is not a finite number.  The empty label is accepted
     only for an UnknownState at the start of a trace, as ``detect`` emits
     it."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    doc = parse_json(text)
     anomalies = []
     try:
         for a in doc["anomalies"]:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import MixdiagError, ParseError
+from .errors import MixdiagError, ParseError, parse_json
 from .events import ActuatorVector, Event, EventTrace, parse_label
 
 _STAT_SLACK = 1e-9
@@ -266,10 +266,7 @@ def serialize(automaton: TimedAutomaton) -> str:
 
 
 def deserialize(text: str) -> TimedAutomaton:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    doc = parse_json(text)
     try:
         states = [
             State(

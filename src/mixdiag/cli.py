@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .anomalies import DetectionSettings, anomalies_from_json, anomalies_to_json, detect
 from .automaton import deserialize, learn, serialize
-from .errors import MixdiagError
+from .errors import MixdiagError, parse_json
 from .events import parse_log, split_cycles, to_trace
 from .kg import (
     KnowledgeGraph,
@@ -176,7 +176,7 @@ def cmd_annotate(args) -> int:
 
 def cmd_query(args) -> int:
     graph = _load_graph(args.graph, args.log)
-    query = query_from_dict(json.loads(Path(args.query).read_text(encoding="utf-8")))
+    query = query_from_dict(parse_json(Path(args.query).read_text(encoding="utf-8")))
     doc = rows_doc(graph.query(query))
     _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", args.out)
     return 0

@@ -11,18 +11,19 @@ The closure lives on the snapshot, numbered and indexed for joins and
 queries.  The store is insert-only, so a child's closure is its parent's
 closed over the inserted triples: a child of a materialized snapshot takes
 that closure over and joins only the delta (see ``_Closure``).
-A bound log (``VirtualBinding``) holds a small indexed view of the file
-content it last parsed; a query reads the file to check it is unchanged and
+A bound log (``VirtualBinding``) holds a small indexed view of the bytes it
+last parsed; a query reads the file's bytes to check they are unchanged and
 answers observation patterns from the view, binding variables straight from
-its columns.  When the file changed, the binding keeps the rows the new
+its columns.  When the text changed, the binding keeps the rows the new
 text shares with the text last parsed and parses only what follows them; a
 whole parse is the case that keeps none.
 A query joins its patterns in a fixed order, most constrained first.  Each
-pattern asks every source once what binds it, and each row runs those
-binders, whatever the pattern's shape: the closure unless no fact fits the
-pattern's constants, each bound log unless they rule out all its rows
-(refreshed then, once per query).  A log triple the closure also holds is
-answered by the closure alone.
+pattern is joined with all the rows so far at once by each source: the
+closure unless no fact fits the pattern's constants, each bound log unless
+they rule out all its rows (refreshed then, once per query).  A source
+sorts the positions into constants, bound and free variables once; each
+row only looks its terms up in the source's indexes.  A log triple the
+closure also holds is answered by the closure alone.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ import weakref
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import MixdiagError, ParseError
 from .terms import (
@@ -214,12 +214,6 @@ def query_to_dict(q: Query) -> dict:
     return doc
 
 
-def _substitute(pattern: Pattern, binding: Mapping[str, Term]) -> Pattern:
-    return tuple(
-        [binding.get(t.name, t) if isinstance(t, Var) else t for t in pattern]
-    )  # type: ignore[return-value]
-
-
 def _compare_terms(left: Term, right: Term) -> int | None:
     """Three-way comparison, or None when the terms are not comparable
     (a filter error, which drops the row)."""
@@ -261,7 +255,17 @@ def _filter_accepts(binding: Mapping[str, Term], f: Filter) -> bool:
 
 
 _OBSERVATION_PREFIX = PREFIXES["ex"] + "obs_"
-_ROW_NUMBER = re.compile(r"0|[1-9][0-9]*")
+
+
+def _decode(data: bytes) -> str:
+    """``data`` decoded as ``Path.read_text`` does: UTF-8, ``\\r\\n`` and ``\\r``
+    read as ``\\n``; a byte that is not UTF-8 raises ParseError on its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _decode(data[:exc.start]).count("\n") + 1
+        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 # The term of each served column from a record's raw key: its t_ms, its
@@ -283,22 +287,22 @@ class VirtualBinding:
     ``sosa:madeBySensor``, ``sosa:hasSimpleResult`` and ``sosa:resultTime``,
     for any pattern, open predicates too.  Nothing is ever materialized.
 
-    The binding holds the view of the text it last parsed: the sensor
-    records as columns of terms, where row ``i`` is ``ex:obs_{i}``
-    and each column has an index from object term to its rows in file
-    order, so a bound subject or object becomes a lookup and only the rows
-    that match are bound (:meth:`bind`).  It also keeps the text's number of
-    newlines and its last record's ``t_ms`` (of either kind), which a parse
-    of what follows starts from.  Each query that needs the binding reads
-    the file once (:meth:`refresh`), so an edit of any size is seen at
-    once.  New content is parsed by :meth:`scan`, which keeps the rows
-    before the first change (and before the first quote after the header,
-    which could leave a field open into what follows) and parses only what
-    follows them: an append cuts nothing, a rewind parses nothing and a
-    rewrite parses its changed tail; a change within the header line keeps
-    nothing and parses the whole text.  ``scan_count`` counts the parses of
-    new content, i.e. how many queries found new content; ``append_count``
-    counts those that kept a prefix.
+    The binding holds the view of the bytes it last parsed (``data``; its
+    ``text`` is decoded on demand): the sensor records as columns of terms,
+    where row ``i`` is ``ex:obs_{i}``, each with an index from object term
+    to its rows in file order, so a bound subject or object becomes a lookup
+    (:meth:`join`).  It also keeps the text's number of newlines and its last
+    record's ``t_ms`` (of either kind), which a parse of what follows starts
+    from.  Each query that needs the binding reads the file's bytes once
+    (:meth:`refresh`): an edit of any size is seen at once, and an unchanged
+    file is not decoded.  New text is parsed by :meth:`scan`, which keeps the
+    rows before the first change (and before the first quote after the
+    header, which could leave a field open into what follows) and parses
+    only what follows them: an append cuts nothing, a rewind parses nothing
+    and a rewrite parses its changed tail; a change within the header line
+    keeps nothing and parses the whole text.  ``scan_count`` counts the
+    parses of new text, i.e. how many queries found new content;
+    ``append_count`` counts those that kept a prefix.
     """
 
     csv_path: str | Path
@@ -306,71 +310,78 @@ class VirtualBinding:
     append_count: int = field(default=0, init=False)
 
     def __post_init__(self):
-        self.text: str | None = None  # None until a parse succeeds
+        self.data: bytes | None = None  # None until a parse succeeds
         self.size = self.lines = 0
         self.last_ms: int | None = None
         self.columns: dict[Iri, list[Term]] = {p: [] for p in _TERM_OF}
         self.indexes: dict[Iri, dict[Term, list[int]]] = {p: {} for p in _TERM_OF}
 
-    def binder(self, pattern: Pattern, closure: _Closure | None, fresh: set) -> Callable | None:
-        """:meth:`bind` with ``closure`` given, or None when ``pattern``'s
-        constants rule out every row: a subject that is no ``ex:obs_`` IRI,
-        another predicate, or an ``rdf:type`` class but ``sosa:Observation``.
-        The first time a query asks (``fresh`` holds the logs it has asked),
-        the view is refreshed, so one query sees one version of the file."""
+    @property
+    def text(self) -> str | None:
+        """The text last parsed, or None before a parse succeeds."""
+        return None if self.data is None else _decode(self.data)
+
+    def ready(self, pattern: Pattern, fresh: set) -> bool:
+        """Whether ``pattern``'s constants leave any row: a subject that is
+        no ``ex:obs_`` IRI, another predicate, or an ``rdf:type`` class but
+        ``sosa:Observation`` rules out every one.  The first time a query
+        asks (``fresh`` holds the logs it has asked), the view is refreshed,
+        so one query sees one version of the file."""
         s, p, o = pattern
         fits = (
             (isinstance(s, Var) or isinstance(s, Iri) and s.value.startswith(_OBSERVATION_PREFIX))
             and (isinstance(p, Var) or p in _PREDICATES)
             and (p != RDF_TYPE or isinstance(o, Var) or o == SOSA_OBSERVATION)
         )
-        if not fits:
-            return None
-        if self not in fresh:
+        if fits and self not in fresh:
             self.refresh()
             fresh.add(self)
-        return self.bind if closure is None else partial(self.bind, closure=closure)
+        return fits
 
     def refresh(self) -> None:
-        """Bring the view to the file as it is now.  A failed read or parse
-        raises and changes nothing; it never falls back to an earlier view."""
+        """Bring the view to the file as it is now.  A failed read, decode or
+        parse raises and changes nothing; it never falls back to an earlier view."""
         try:
-            text = Path(self.csv_path).read_text(encoding="utf-8")
+            with open(self.csv_path, "rb", buffering=0) as f:
+                data = f.read()
         except OSError as exc:
             raise SourceUnavailable(f"cannot read {self.csv_path}: {exc}") from None
-        if text != self.text:
-            self.scan(text)
+        if data != self.data:
+            self.scan(data)
 
-    def scan(self, text: str) -> VirtualBinding:
-        """Parse ``text``, the new content :meth:`refresh` read, into the
-        view: what follows the prefix the view keeps (of length 0 when it
-        keeps none) is parsed first, then the view is cut back to that
-        prefix and extended in place.  Returns the binding, whose ``len()``
-        is its number of virtual triples."""
+    def scan(self, data: bytes) -> VirtualBinding:
+        """Decode ``data``, the new bytes :meth:`refresh` read, and parse its
+        text into the view unless only line ends changed: what follows the
+        prefix the view keeps (of length 0 when it keeps none) is parsed, then
+        the view is cut back to that prefix and extended in place.  Returns
+        the binding, whose ``len()`` is its number of virtual triples."""
         # Looked up per call, not at load time (there is no import cycle), so
         # that bench/tracing.py's wrapper around events.parse_log is seen.
         from .events import _parse_rows, _rows_before, parse_log
 
-        self.scan_count += 1
-        old = self.text or ""
-        keep = self._shared(old, text)
-        if not keep:  # a whole parse, header included
-            log = parse_log(text)
-            records = log.sensor_records
-            lasts = [r[-1][0] for r in (log.actuator_records, records) if r]
-            size, lines, last_ms = 0, 0, max(lasts, default=None)
-        else:
-            self.append_count += 1
-            if keep == len(old):  # an append: nothing to cut
-                size, lines, last_ms = self.size, self.lines, self.last_ms
+        text, old = _decode(data), self.text
+        if text != old:
+            self.scan_count += 1
+            old = old or ""
+            keep = self._shared(old, text)
+            if not keep:  # a whole parse, header included
+                log = parse_log(text)
+                records = log.sensor_records
+                lasts = [r[-1][0] for r in (log.actuator_records, records) if r]
+                size, lines, last_ms = 0, 0, max(lasts, default=None)
             else:
-                size, last_ms = _rows_before(old, keep)
-                lines = self.lines - old.count("\n", keep)
-            _, records, last_ms = _parse_rows(text[keep:], lines + 1, last_ms)
-        self._cut(size)
-        self._extend(size, records)
-        self.text, self.size, self.last_ms = text, size + len(records), last_ms
-        self.lines = lines + text.count("\n", keep)
+                self.append_count += 1
+                if keep == len(old):  # an append: nothing to cut
+                    size, lines, last_ms = self.size, self.lines, self.last_ms
+                else:
+                    size, last_ms = _rows_before(old, keep)
+                    lines = self.lines - old.count("\n", keep)
+                _, records, last_ms = _parse_rows(text[keep:], lines + 1, last_ms)
+            self._cut(size)
+            self._extend(size, records)
+            self.size, self.last_ms = size + len(records), last_ms
+            self.lines = lines + text.count("\n", keep)
+        self.data = data
         return self
 
     @staticmethod
@@ -427,58 +438,74 @@ class VirtualBinding:
         return 4 * self.size
 
     def _row_of(self, subject: Term) -> tuple[int, ...]:
+        """The row of ``ex:obs_{i}``, ``i`` as ``str`` writes it below ``size``."""
         if isinstance(subject, Iri) and subject.value.startswith(_OBSERVATION_PREFIX):
-            number = subject.value[len(_OBSERVATION_PREFIX):]
-            if _ROW_NUMBER.fullmatch(number) and int(number) < self.size:
-                return (int(number),)
+            digits = subject.value[len(_OBSERVATION_PREFIX):]
+            try:
+                row = int(digits)
+            except ValueError:  # not a number, or too long to convert
+                return ()
+            if 0 <= row < self.size and str(row) == digits:
+                return (row,)
         return ()
 
-    def bind(self, pattern: Pattern, closure: _Closure | None = None) -> list[dict[str, Term]]:
-        """The bindings of ``pattern``'s variables by the view's triples, in
-        file order, read straight from the columns: a bound subject is
-        looked up by its row number, a bound object (but that of
-        ``rdf:type``) in its column's index, and a constant object is tested
-        against the column term; an open predicate takes each of the four.
-        A triple ``closure`` knows is left to it, so a log triple that is
-        also asserted is answered once.  ``ex:obs_i`` is built only for a
-        variable subject or for that check."""
+    def join(
+        self, pattern: Pattern, rows: list[dict[str, Term]], bound: Collection[str],
+        closure: _Closure | None,
+    ) -> list[dict[str, Term]]:
+        """Extend each of ``rows``, which bind the variables in ``bound``, by
+        every binding of ``pattern``'s others by the view's triples, in file
+        order: a subject is looked up by its row number, else an object (but
+        that of ``rdf:type``) in its column's index, and a constant object
+        is tested against the column term.  An open predicate, or class of
+        ``rdf:type``, is fixed to each value it takes, splitting rows that
+        bind it.  A triple ``closure`` knows is left to it, so a log triple
+        that is also asserted is answered once."""
         s, p, o = pattern
+        if isinstance(p, Var) or p == RDF_TYPE and isinstance(o, Var):
+            term, values = (p, _PREDICATES) if isinstance(p, Var) else (o, (SOSA_OBSERVATION,))
+            joined = []
+            for value in values:  # the open term fixed to each value, wherever it occurs
+                fixed = tuple([value if t == term else t for t in pattern])
+                if term.name in bound:
+                    split = [row for row in rows if row[term.name] == value]
+                    joined += self.join(fixed, split, bound, closure)
+                else:
+                    found = self.join(fixed, rows, bound, closure)
+                    joined += [{**row, term.name: value} for row in found]
+            return joined
         column = self.columns.get(p)  # None for rdf:type, whose object is fixed
-        if column is None:
-            if isinstance(p, Var) or p == RDF_TYPE and isinstance(o, Var):
-                term, values = (p, _PREDICATES) if isinstance(p, Var) else (o, (SOSA_OBSERVATION,))
-                found = []
-                for value in values:  # the open term fixed to each value, wherever it occurs
-                    fixed = tuple([value if t == term else t for t in pattern])
-                    found += [{**row, term.name: value} for row in self.bind(fixed, closure)]
-                return found
-            if p != RDF_TYPE or o != SOSA_OBSERVATION:
-                return []
-        subject = None if isinstance(s, Var) else s
-        obj = None if isinstance(o, Var) else o
-        if subject is not None:
-            rows: Iterable[int] = self._row_of(subject)
-        elif column is not None and obj is not None:
-            rows = self.indexes[p].get(obj, ())
-        else:
-            rows = range(self.size)
-        found = []
-        for i in rows:
-            value = SOSA_OBSERVATION if column is None else column[i]
-            if obj is not None and value != obj:
-                continue
-            binding = {}
-            if subject is None or closure is not None:
+        if column is None and o != SOSA_OBSERVATION:
+            return []
+        # a constant subject or object, else None; a bound one is read per row
+        subject, obj = [None if isinstance(t, Var) else t for t in (s, o)]
+        s_name, o_name = [t.name if isinstance(t, Var) else None for t in (s, o)]
+        s_bound, o_bound = s_name in bound, o_name in bound
+        index, everything = self.indexes.get(p), range(self.size)
+        joined = []
+        for row in rows:
+            if s_bound:
+                subject = row[s_name]
+            if o_bound:
+                obj = row[o_name]
+            found: Iterable[int] = (
+                self._row_of(subject) if subject is not None
+                else everything if obj is None or index is None else index.get(obj, ())
+            )
+            for i in found:
+                value = SOSA_OBSERVATION if column is None else column[i]
+                if obj is not None and value != obj:
+                    continue
                 row_subject = Iri(f"{_OBSERVATION_PREFIX}{i}") if subject is None else subject
                 if closure is not None and closure.knows((row_subject, p, value)):
                     continue
+                extended = {**row}
                 if subject is None:
-                    binding[s.name] = row_subject
-            if obj is None:
-                if binding.setdefault(o.name, value) != value:  # ?x p ?x
+                    extended[s_name] = row_subject
+                if obj is None and extended.setdefault(o_name, value) != value:  # ?x p ?x
                     continue
-            found.append(binding)
-        return found
+                joined.append(extended)
+        return joined
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +712,14 @@ class _Closure:
         return list(seen)
 
     def select(self, pattern: Pattern) -> Collection[tuple]:
-        """The numbered facts that fit all of ``pattern``'s constants, read
-        from the index of its bound subject or object, else of its
-        predicate."""
-        s, p, o = [None if isinstance(t, Var) else self.number.get(t, -1) for t in pattern]
+        """The numbered facts that fit all of ``pattern``'s constants."""
+        number = self.number
+        return self._select([None if isinstance(t, Var) else number.get(t, -1) for t in pattern])
+
+    def _select(self, ids: Sequence[int | None]) -> Collection[tuple]:
+        """The facts that fit the term numbers in ``ids`` (None fits any), read
+        from the index of the subject or object, else of the predicate."""
+        s, p, o = ids
         if s is None and o is None:
             return self.facts if p is None else self.by_predicate.get(p, ())
         if s is None or o is None:
@@ -696,27 +727,33 @@ class _Closure:
             return found if p is None or not found else [t for t in found if t[1] == p]
         return [t for t in self.by_subject.get(s, ()) if t[2] == o and p in (None, t[1])]
 
-    def bind(self, pattern: Pattern) -> list[dict[str, Term]]:
-        """The bindings of ``pattern``'s variables by the known facts that
-        fit it.  Constants are matched by ``select``; a variable that occurs
-        twice must take one term, which compares numbers, not terms."""
-        facts = self.select(pattern)
-        if not facts:
-            return []
-        slots = [(i, t.name) for i, t in enumerate(pattern) if isinstance(t, Var)]
-        terms = self.terms
-        if len(slots) == 1:
-            ((i, name),) = slots
-            return [{name: terms[f[i]]} for f in facts]
-        first: dict[str, int] = {}
-        for i, name in slots:
-            first.setdefault(name, i)
-        if len(first) < len(slots):
-            facts = [f for f in facts if all(f[i] == f[first[name]] for i, name in slots)]
-        names, positions = list(first), list(first.values())
-        return [
-            dict(zip(names, map(terms.__getitem__, map(f.__getitem__, positions)))) for f in facts
-        ]
+    def join(
+        self, pattern: Pattern, rows: list[dict[str, Term]], bound: Collection[str]
+    ) -> list[dict[str, Term]]:
+        """Extend each of ``rows``, which bind the variables in ``bound``, by
+        every binding of ``pattern``'s other variables by the known facts
+        that fit it.  Constants are numbered once and each row's bound terms
+        are looked up; a free variable that occurs twice must take one term,
+        which compares numbers, not terms."""
+        number, terms = self.number, self.terms
+        ids = [None if isinstance(t, Var) else number.get(t, -1) for t in pattern]
+        variables = [(i, t.name) for i, t in enumerate(pattern) if isinstance(t, Var)]
+        keyed = [(i, name) for i, name in variables if name in bound]
+        free = [(i, name) for i, name in variables if name not in bound]
+        first = {name: i for i, name in reversed(free)}  # each free variable's first position
+        names, at = list(first), list(first.values())
+        joined: list[dict[str, Term]] = []
+        for row in rows:
+            for i, name in keyed:
+                ids[i] = number.get(row[name], -1)
+            facts = self._select(ids)
+            if len(first) < len(free):
+                facts = [f for f in facts if all(f[i] == f[first[name]] for i, name in free)]
+            if len(at) == 1:  # one free variable, the common case
+                joined += [{**row, names[0]: terms[f[at[0]]]} for f in facts]
+            else:
+                joined += [{**row, **dict(zip(names, [terms[f[i]] for i in at]))} for f in facts]
+        return joined
 
     def knows(self, triple: tuple[Term, Term, Term]) -> bool:
         number = self.number
@@ -818,24 +855,18 @@ class KnowledgeGraph:
 
     def _join(
         self, state: _Closure, pattern: Pattern, count: int, rows: list[dict[str, Term]],
-        fresh: set[VirtualBinding],
+        bound: set[str], fresh: set[VirtualBinding],
     ) -> list[dict[str, Term]]:
-        """Extend each row by every binding of ``pattern`` with the row's
-        variables substituted.  Each source is asked once, before any row,
-        what binds the pattern: the closure unless ``count``, its facts
-        that fit, is 0, and each bound log unless the pattern's constants
-        rule out its every row."""
+        """Extend each of ``rows``, which bind the variables in ``bound``, by
+        every binding of ``pattern``.  Each source is asked once, with every
+        row: the closure unless ``count``, its facts that fit, is 0, and
+        each bound log unless the pattern's constants rule out its every
+        row."""
         known = state if count else None
-        binders = [state.bind] if count else []
-        binders += filter(None, [log.binder(pattern, known, fresh) for log in self.virtual_sources])
-        joined: list[dict[str, Term]] = []
-        for row in rows:
-            bound = _substitute(pattern, row)
-            for bind in binders:
-                found = bind(bound)
-                for unified in found:
-                    unified.update(row)
-                joined += found
+        joined = state.join(pattern, rows, bound) if count else []
+        for log in self.virtual_sources:
+            if log.ready(pattern, fresh):
+                joined += log.join(pattern, rows, bound, known)
         return joined
 
     def _solve(self, patterns: Sequence[Pattern]) -> list[dict[str, Term]]:
@@ -845,20 +876,21 @@ class KnowledgeGraph:
         # order.
         state = self._state()
         counts = {pattern: len(state.select(pattern)) for pattern in patterns}
+        names = {pattern: [t.name for t in pattern if isinstance(t, Var)] for pattern in patterns}
         remaining = list(patterns)
         bound: set[str] = set()
         fresh: set[VirtualBinding] = set()
 
         def constrained(pattern: Pattern) -> tuple[int, int]:
-            fixed = sum(1 for t in pattern if not isinstance(t, Var) or t.name in bound)
-            return fixed, -counts[pattern]
+            variables = names[pattern]  # fixed: the constants and the bound variables
+            return 3 - len(variables) + sum(map(bound.__contains__, variables)), -counts[pattern]
 
         rows: list[dict[str, Term]] = [{}]
         while remaining and rows:
             best = max(remaining, key=constrained)
             remaining.remove(best)
-            rows = self._join(state, best, counts[best], rows, fresh)
-            bound.update(t.name for t in best if isinstance(t, Var))
+            rows = self._join(state, best, counts[best], rows, bound, fresh)
+            bound.update(names[best])
         return rows
 
     def query(self, q: Query) -> list[dict[str, Term]]:

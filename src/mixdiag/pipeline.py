@@ -28,7 +28,7 @@ from .anomalies import (
     detect,
 )
 from .automaton import TimedAutomaton, learn, serialize
-from .errors import MixdiagError, ParseError
+from .errors import MixdiagError, ParseError, parse_json
 from .events import split_cycles, to_trace
 from .kg import (
     KnowledgeGraph,
@@ -219,10 +219,7 @@ def catalog_to_json(catalog: CqCatalog) -> str:
 
 
 def catalog_from_json(text: str) -> CqCatalog:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    doc = parse_json(text)
     try:
         items = []
         for raw in doc["competency_questions"]:

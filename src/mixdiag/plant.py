@@ -47,7 +47,7 @@ from itertools import compress, count, islice
 from operator import gt
 from typing import Callable, Iterable, Mapping
 
-from .errors import MixdiagError, ParseError
+from .errors import MixdiagError, ParseError, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -753,10 +753,7 @@ def config_to_json(config: PlantConfig) -> str:
 
 
 def config_from_json(text: str) -> PlantConfig:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    doc = parse_json(text)
     try:
         config = PlantConfig(
             tanks=tuple(

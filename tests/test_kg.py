@@ -702,6 +702,43 @@ def test_malformed_source_raises_until_fixed(logged):
         assert len(graph.query(OBSERVATIONS)) == n_samples
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_log_that_is_not_utf8_raises_on_its_line_until_fixed(logged, end):
+    """A byte that is not UTF-8 raises ParseError on its physical line, with
+    any line ends before it, and leaves the view as it was."""
+    graph, n_samples, path = logged
+    binding = graph.virtual_sources[0]
+    good = path.read_bytes().replace(b"\n", end)
+    path.write_bytes(good)
+    assert len(graph.query(OBSERVATIONS)) == n_samples
+    view = binding.data, binding.size
+    path.write_bytes(good + b"999,sensor,L\xff1,1.0" + end)
+    for _ in range(2):
+        with pytest.raises(ParseError, match="not UTF-8: byte 0xff") as err:
+            graph.query(OBSERVATIONS)
+        assert err.value.line == good.count(end) + 1
+        assert (binding.data, binding.size) == view
+    path.write_bytes(good)
+    assert len(graph.query(OBSERVATIONS)) == n_samples
+    # a binding that never parsed raises too, and keeps no view
+    fresh = KnowledgeGraph().bind_virtual(VirtualBinding(path))
+    path.write_bytes(b"t_s,kind,id,value" + end + b"\xc3")
+    with pytest.raises(ParseError, match="line 2: not UTF-8: byte 0xc3"):
+        fresh.query(OBSERVATIONS)
+    assert fresh.virtual_sources[0].text is None
+
+
+def test_an_observation_number_that_is_not_a_row_matches_nothing(logged):
+    """``ex:obs_i`` names row ``i`` only as ``str`` writes ``i``; a number
+    too long to convert matches nothing instead of raising ValueError."""
+    graph, n_samples, _ = logged
+    value = [["?v"], [["ex:obs_1", "sosa:hasSimpleResult", "?v"]]]
+    assert len(graph.query(q(*value))) == 1
+    for digits in ("1" * 5000, "-1", "01", "+1", "1_0", " 1", "١", str(n_samples)):
+        value[1][0][0] = f"ex:obs_{digits}"
+        assert graph.query(q(*value)) == []
+
+
 def test_a_binding_with_no_parsed_view_raises_on_every_query(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

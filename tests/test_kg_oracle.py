@@ -23,7 +23,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mixdiag import events
+from mixdiag import events, kg
 from mixdiag.errors import MixdiagError
 from mixdiag.kg import (
     EX_ATTRIBUTE_TO_CLASS,
@@ -765,6 +765,74 @@ def test_an_append_of_k_rows_parses_k_rows_at_any_log_length(tmp_path, monkeypat
         assert binding.append_count == appends + 1
         sizes.append(binding.size)
     assert sizes[1] > 5 * sizes[0]
+
+
+def test_a_bound_time_query_reads_the_same_rows_at_any_log_length(tmp_path):
+    """Cost: a snapshot query at one sample time reads from the view's
+    columns the rows of that time and no others, over a 10-cycle and a
+    100-cycle plant log alike: the time is looked up in its index and each
+    observation it binds by its number."""
+    reads = []
+
+    class CountingColumn(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    counts, sizes = [], []
+    for cycles in (10, 100):
+        text = write_log_csv(simulate(default_config(), cycles, (), 7))
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        times = sorted({float(t) for t, kind, _, _ in rows if kind == "sensor"})
+        query = Query(
+            ("s", "v"),
+            (
+                (O, SOSA_RESULT_TIME, Literal.double(times[len(times) // 2])),
+                (O, SOSA_MADE_BY_SENSOR, S),
+                (O, SOSA_HAS_SIMPLE_RESULT, V),
+            ),
+        )
+        path = tmp_path / f"log_{cycles}.csv"
+        path.write_text(text, encoding="utf-8")
+        binding = VirtualBinding(path)
+        graph = KnowledgeGraph((), [binding])
+        expected = graph.query(query)
+        assert len(expected) == len(default_config().sensors)
+        for predicate, column in binding.columns.items():
+            binding.columns[predicate] = CountingColumn(column)
+        reads.clear()
+        assert graph.query(query) == expected
+        counts.append(len(reads))
+        sizes.append(binding.size)
+    assert counts[0] == counts[1] == 3 * len(default_config().sensors)
+    assert sizes[1] > 5 * sizes[0]
+
+
+def test_crlf_and_cr_line_ends_answer_as_line_feeds_do(tmp_path, monkeypatch):
+    """A bound log's bytes are decoded as ``Path.read_text`` decodes a file:
+    a CRLF and a CR copy of a plant log answer every live query as the LF
+    log does, rewriting a bound LF log as CRLF is no new content, and a
+    query of an unchanged file decodes nothing."""
+    text = write_log_csv(simulate(default_config(), 1, (), 7))
+    answers = {}
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        answers[name] = live_answers(KnowledgeGraph((), [VirtualBinding(path)]))
+    assert isinstance(answers["lf"], list) and all(answers["lf"][:2])
+    assert answers["crlf"] == answers["lf"] and answers["cr"] == answers["lf"]
+
+    path = tmp_path / "lf.csv"
+    binding = VirtualBinding(path)
+    graph = KnowledgeGraph((), [binding])
+    live_answers(graph)
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert live_answers(graph) == answers["lf"]
+    assert (binding.scan_count, binding.data) == (1, path.read_bytes())
+    decoded = []
+    monkeypatch.setattr(kg, "_decode", decoded.append)
+    assert live_answers(graph) == answers["lf"]
+    assert decoded == []
 
 
 @example(  # a rewind past a quoted row: the view keeps only the rows before it

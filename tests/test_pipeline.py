@@ -4,11 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixdiag.anomalies import Anomaly, anomalies_from_json
-from mixdiag.automaton import serialize
+from mixdiag.automaton import deserialize, serialize
 from mixdiag.cli import main
-from mixdiag.errors import ParseError
+from mixdiag.errors import MixdiagError, ParseError, parse_json
 from mixdiag.kg import KnowledgeGraph, QueryError
 from mixdiag.pipeline import (
     CqCatalog,
@@ -24,7 +25,7 @@ from mixdiag.pipeline import (
     validate_catalog,
 )
 from mixdiag.kg import query_from_dict
-from mixdiag.plant import write_log_csv
+from mixdiag.plant import config_from_json, write_log_csv
 from mixdiag.terms import iri
 
 from conftest import state_by_active
@@ -95,6 +96,91 @@ def test_catalog_rejects_duplicate_ids():
     item = default_catalog().items[0]
     with pytest.raises(ParseError):
         CqCatalog((item, item))
+
+
+# Structure-aware mutations of the shipped catalog's JSON documents: one node
+# anywhere is replaced by any JSON value, dropped, or given a sibling.
+_CATALOG_DOC = json.loads(catalog_to_json(default_catalog()))
+_NAMES = st.sampled_from(
+    ["select", "where", "filters", "order_by", "limit", "competency_questions", "id",
+     "phase", "question", "query", "expected", "lexical", "datatype", "?part", "?s"]
+)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+        st.sampled_from(["?x", "?", "ex:B201", "rdf:type", "ex:", "no:x", "<http://x/a>",
+                         "<>", "xsd:double", "=", "<=", "~", "1.5"]),
+        _NAMES,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.one_of(_NAMES, st.text(max_size=4)), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated(draw, node):
+    if isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        copy = dict(node) if isinstance(node, dict) else list(node)
+        action = draw(st.sampled_from(["descend", "descend", "drop", "add"]))
+        if action == "descend":
+            copy[key] = draw(_mutated(node[key]))
+        elif action == "drop":
+            del copy[key]
+        elif isinstance(copy, dict):
+            copy[draw(_NAMES)] = draw(_JSON)
+        else:
+            copy.insert(key, draw(_JSON))
+        return copy
+    return draw(_JSON)
+
+
+# JSON-like text: fragments of the shipped catalog, raw characters, and
+# numbers and nesting past what ``json`` converts
+_JSON_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(list(catalog_to_json(default_catalog()).split('"'))), max_size=12)
+    .map('"'.join),
+    st.sampled_from(["[" * 100_000, '{"a":' * 100_000, "1" * 5_000, "-" + "9" * 5_000, "1e999"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutated(_CATALOG_DOC), _JSON_TEXTS))
+def test_catalog_from_json_returns_a_catalog_or_a_mixdiag_error(doc):
+    try:
+        catalog_from_json(doc if isinstance(doc, str) else json.dumps(doc))
+    except MixdiagError:
+        pass  # any other exception fails the test
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.sampled_from(_CATALOG_DOC["competency_questions"]).flatmap(lambda cq: _mutated(cq["query"])),
+    _JSON_TEXTS,
+))
+def test_query_from_dict_returns_a_query_or_a_mixdiag_error(doc):
+    try:  # raw text goes through the reader ``mixdiag query`` uses
+        query_from_dict(parse_json(doc) if isinstance(doc, str) else doc)
+    except MixdiagError:
+        pass  # any other exception fails the test
+
+
+def test_json_loaders_reject_deep_nesting_and_long_numbers(tmp_path, capsys):
+    """``json`` raises RecursionError and a bare ValueError on these; every
+    JSON loader, and ``mixdiag query``, raises ParseError instead."""
+    query, graph = tmp_path / "query.json", tmp_path / "graph.nt"
+    graph.write_text("", encoding="utf-8")
+    for text in ("[" * 100_000, "1" * 5_000):
+        for load in (catalog_from_json, deserialize, anomalies_from_json, config_from_json):
+            with pytest.raises(ParseError, match="invalid JSON"):
+                load(text)
+        query.write_text(text, encoding="utf-8")
+        assert main(["query", "--graph", str(graph), "--query", str(query)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: invalid JSON: ")
 
 
 def test_validation_uses_multiset_row_comparison(blockage_run):
