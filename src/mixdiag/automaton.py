@@ -29,7 +29,8 @@ class DeterminismViolation(MixdiagError):
 
 
 class InvalidDwell(MixdiagError):
-    """A step's dwell time is not a positive finite number of seconds."""
+    """A step's dwell time is not a positive finite number of seconds, or
+    it would make its transition's dwell variance overflow."""
 
 
 class InvalidWindow(MixdiagError):
@@ -129,16 +130,19 @@ class TimedAutomaton:
         else:
             target = transition.target
             assert self.states[target].vector == new_vector  # implied by label determinism
+            count = transition.count + 1
+            delta = dwell_s - transition.mean_s
+            mean = transition.mean_s + delta / count  # between two finite dwells
+            m2 = transition.m2_s2 + delta * (dwell_s - mean)
+            if not math.isfinite(m2):
+                raise InvalidDwell(f"dwell_s {dwell_s!r} overflows the dwell variance of {key}")
             if dwell_s < transition.t_min_s:
                 shift = transition.t_min_s - dwell_s
                 transition.t_min_s = dwell_s
             elif dwell_s > transition.t_max_s:
                 shift = dwell_s - transition.t_max_s
                 transition.t_max_s = dwell_s
-            transition.count += 1
-            delta = dwell_s - transition.mean_s
-            transition.mean_s += delta / transition.count
-            transition.m2_s2 += delta * (dwell_s - transition.mean_s)
+            transition.count, transition.mean_s, transition.m2_s2 = count, mean, m2
         self._updates.append((transition is None, shift))
         return target
 
@@ -216,6 +220,8 @@ def _from_parts(
         key_set.add(key)
         if t.count < 1:
             raise ValueError("transition count must be >= 1")
+        if not all(map(math.isfinite, (t.t_min_s, t.t_max_s, t.mean_s, t.m2_s2))):
+            raise ValueError("transition timing statistics are not finite")
         if not (
             t.t_min_s - _STAT_SLACK <= t.mean_s <= t.t_max_s + _STAT_SLACK
         ) or t.t_min_s > t.t_max_s:
@@ -237,7 +243,8 @@ def _from_parts(
 
 def serialize(automaton: TimedAutomaton) -> str:
     """Canonical JSON: sorted keys, states by id, transitions by
-    (source, label).  ``deserialize(serialize(a)) == a``."""
+    (source, label).  ``deserialize(serialize(a)) == a``.  Every number is
+    finite, so the text is standard JSON, without ``Infinity`` or ``NaN``."""
     doc = {
         "alphabet": sorted(automaton.alphabet),
         "states": [

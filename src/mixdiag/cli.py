@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (MixdiagError, OSError, ValueError) as exc:
+    except (MixdiagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

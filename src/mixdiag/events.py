@@ -135,24 +135,23 @@ def _parse_rows(
     return _read_records(csv.reader(io.StringIO(text)), first_line - 1, prev_ms)
 
 
-def _rows_before(text: str, end: int) -> tuple[int, int | None]:
-    """The number of sensor records in ``text[:end]`` and the ``t_ms`` of
-    its last record (None when it holds none), where ``text[:end]`` is a
-    log that parses, ends on a newline and holds no quote after its header
-    line.  Each of its other lines is then one row split at its commas,
-    whose kind is its second field and whose value holds no comma, and the
-    header holds no ``,sensor,``.  So ``str.count`` finds ``,sensor,`` once
-    in each line whose kind or id is ``sensor`` and in no other, and
-    ``,actuator,sensor,`` once in each actuator row among those."""
-    sensors = text.count(",sensor,", 0, end) - text.count(",actuator,sensor,", 0, end)
-    line_end = end
-    while True:
-        start = text.rfind("\n", 0, line_end - 1) + 1
-        if start == 0:  # the header
-            return sensors, None
-        if text[start:line_end].rstrip("\r\n"):  # not a blank line
-            return sensors, _parse_rows(text[start:line_end], 1, None)[2]
-        line_end = start
+def _rows_before(data: bytes, end: int) -> tuple[int, int | None]:
+    """The number of sensor records in ``data[:end]`` and the ``t_ms`` of
+    its last record (None when it holds none), where ``data[:end]`` is the
+    UTF-8 of a log that parses, ends on a line feed and holds no quote after
+    its header line.  Each of its other lines is then one row split at its
+    commas, whose kind is its second field and whose value holds no comma,
+    and the header holds no ``,sensor,``.  So ``bytes.count`` finds
+    ``,sensor,`` once in each line whose kind or id is ``sensor`` and in no
+    other, and ``,actuator,sensor,`` once in each actuator row among those."""
+    sensors = data.count(b",sensor,", 0, end) - data.count(b",actuator,sensor,", 0, end)
+    while data[end - 1] in b"\r\n":  # blank lines; the header line is not blank
+        end -= 1
+    line_feed = data.rfind(b"\n", 0, end)
+    start = max(line_feed, data.rfind(b"\r", line_feed + 1, end)) + 1
+    if start == 0:  # the header
+        return sensors, None
+    return sensors, _parse_rows(data[start:end].decode("utf-8"), 1, None)[2]
 
 
 def _read_records(
@@ -164,19 +163,21 @@ def _read_records(
 
     actuator_records: list[tuple[int, str, bool]] = []
     sensor_records: list[tuple[int, str, float]] = []
-    # each distinct timestamp and sensor-value text is converted once; only
-    # texts that passed every check enter these
-    times: dict[str, int] = {}
+    add_sensor = sensor_records.append
+    # a timestamp text is converted and checked where it differs from the
+    # last row's, each distinct sensor-value text once; only texts that
+    # passed every check enter ``values``
+    raw_prev: str | None = None
     values: dict[str, float] = {}
     try:
         for row in reader:
-            if not row:
-                continue  # tolerate blank lines
-            if len(row) != 4:
-                raise error(f"expected 4 columns, got {len(row)}")
-            raw_t, kind, rid, raw_value = row
-            t_ms = times.get(raw_t)
-            if t_ms is None:
+            try:
+                raw_t, kind, rid, raw_value = row
+            except ValueError:
+                if not row:
+                    continue  # tolerate blank lines
+                raise error(f"expected 4 columns, got {len(row)}") from None
+            if raw_t != raw_prev:
                 try:
                     t_s = float(raw_t)
                     # round() rejects nan (ValueError) and values that overflow to inf
@@ -185,17 +186,12 @@ def _read_records(
                     raise error(f"bad timestamp {raw_t!r}") from None
                 if t_s < 0:
                     raise error(f"negative timestamp {raw_t!r}")
-                times[raw_t] = t_ms
-            if prev_ms is not None and t_ms < prev_ms:
-                raise error("timestamps not sorted")
-            prev_ms = t_ms
+                if prev_ms is not None and t_ms < prev_ms:
+                    raise error("timestamps not sorted")
+                prev_ms, raw_prev = t_ms, raw_t
             if not rid:
                 raise error("empty record id")
-            if kind == "actuator":
-                if raw_value not in ("0", "1"):
-                    raise error(f"actuator value must be 0 or 1, got {raw_value!r}")
-                actuator_records.append((t_ms, rid, raw_value == "1"))
-            elif kind == "sensor":
+            if kind == "sensor":
                 value = values.get(raw_value)
                 if value is None:
                     try:
@@ -205,7 +201,11 @@ def _read_records(
                     if not math.isfinite(value):
                         raise error(f"non-finite sensor value {raw_value!r}")
                     values[raw_value] = value
-                sensor_records.append((t_ms, rid, value))
+                add_sensor((t_ms, rid, value))
+            elif kind == "actuator":
+                if raw_value not in ("0", "1"):
+                    raise error(f"actuator value must be 0 or 1, got {raw_value!r}")
+                actuator_records.append((t_ms, rid, raw_value == "1"))
             else:
                 raise error(f"unknown record kind {kind!r}")
     except csv.Error as exc:

@@ -189,7 +189,7 @@ class PlantConfig:
                 raise ConfigError(f"tank {t.id}: initial level outside [0, capacity]")
         for a in self.actuators:
             for side in (a.from_tank, a.to_tank):
-                if side is not None and side not in tanks:
+                if side is not None and not (isinstance(side, str) and side in tanks):
                     raise ConfigError(f"actuator {a.id}: unknown tank {side!r}")
         for s in self.sensors:
             if s.attached_to not in tanks | acts:

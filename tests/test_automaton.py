@@ -1,5 +1,6 @@
 """Timed-automaton learning, updating, convergence, serialization."""
 
+import json
 import math
 import statistics
 
@@ -333,6 +334,10 @@ def toggle_trace(flips):
     return EventTrace(ActuatorVector.from_mapping(dict.fromkeys("xyz", False)), tuple(steps))
 
 
+def not_json(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
 @example([toggle_trace([("x", d) for d in (TINY, TINY, TINY, HUGE, HUGE, TINY, HUGE)])])
 @example([toggle_trace([("x", d) for d in (HUGE, HUGE, 1e300, HUGE, 3.0, HUGE)]),
           toggle_trace([("y", TINY), ("x", HUGE)])])
@@ -340,11 +345,47 @@ def toggle_trace(flips):
 @given(st.lists(st.lists(st.tuples(st.sampled_from("xyz"), _dwells), max_size=12)
                 .map(toggle_trace), min_size=1, max_size=3))
 def test_serialize_round_trip_property(traces):
-    automaton = learn(traces)
+    """Every automaton learned round-trips through standard JSON; learning
+    refuses a dwell whose variance would overflow, which takes a dwell past
+    the square root of the greatest double."""
+    try:
+        automaton = learn(traces)
+    except InvalidDwell:
+        assert max(step.dwell_s for trace in traces for step in trace.steps) > 1e154
+        return
     text = serialize(automaton)
+    json.loads(text, parse_constant=not_json)
     again = deserialize(text)
     assert again == automaton
     assert serialize(again) == text
+
+
+def test_a_dwell_whose_variance_overflows_is_refused_and_changes_nothing():
+    """Dwells of the greatest double and 1.0 on one transition would make
+    its Welford M2 infinite, which ``serialize`` would write as
+    ``Infinity``: the second raises InvalidDwell and leaves the transition
+    as the first left it."""
+    automaton = learn([toggle_trace([("x", HUGE), ("x", 1.0)])])
+    up = automaton.transitions[0, "x↑"]
+    up_vector = automaton.states[up.target].vector
+    before = (up.t_min_s, up.t_max_s, up.mean_s, up.m2_s2, up.count)
+    with pytest.raises(InvalidDwell, match="overflows the dwell variance"):
+        automaton.update(0, Event("x↑", 2.0), up_vector, 1.0)
+    assert (up.t_min_s, up.t_max_s, up.mean_s, up.m2_s2, up.count) == before
+    assert automaton.update(0, Event("x↑", 2.0), up_vector, HUGE) == up.target
+    json.loads(serialize(automaton), parse_constant=not_json)
+    with pytest.raises(InvalidDwell):
+        learn([toggle_trace([("x", HUGE), ("x", 1.0), ("x", 1.0)])])
+
+
+@pytest.mark.parametrize("field", ["t_min_s", "t_max_s", "mean_s", "m2_s2"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_deserialize_rejects_non_finite_timing_statistics(field, value):
+    automaton = learn([toggle_trace([("x", HUGE), ("x", 1.0)])])
+    doc = json.loads(serialize(automaton))
+    doc["transitions"][0][field] = value  # written as Infinity or NaN
+    with pytest.raises(ParseError, match="not finite"):
+        deserialize(json.dumps(doc))
 
 
 def test_serialize_is_canonical(automaton, cycle_traces):

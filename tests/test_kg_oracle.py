@@ -19,9 +19,10 @@ import io
 import random
 import time
 from collections import Counter
+from operator import itemgetter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from mixdiag import events, kg
 from mixdiag.errors import MixdiagError
@@ -36,6 +37,7 @@ from mixdiag.kg import (
     Filter,
     KnowledgeGraph,
     Query,
+    QueryError,
     SourceUnavailable,
     VirtualBinding,
     _Closure,
@@ -50,9 +52,11 @@ from mixdiag.terms import (
     Term,
     Triple,
     XSD_DOUBLE,
+    XSD_INTEGER,
     Var,
     format_term,
     iri,
+    term_sort_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,62 @@ def test_engine_agrees_on_queries_with_order_and_limit():
         for row in map(canonical, rows):
             assert full_counts[row] > 0
             full_counts[row] -= 1
+
+
+# Literals whose order is easy to get wrong: numbers in several lexical
+# forms, both zeros, booleans, strings, and "7" as an integer, a double and
+# a string (the first two share a sort key, so only the solve order
+# breaks their tie)
+ORDER_OBJECTS = OBJECTS + [
+    Literal("1", XSD_INTEGER), Literal("01", XSD_INTEGER), Literal("1.0", XSD_DOUBLE),
+    Literal("1e0", XSD_DOUBLE), Literal.double(0.0), Literal.double(-0.0),
+    Literal.boolean(True), Literal.boolean(False), Literal("7", XSD_DOUBLE),
+    Literal.string("7"), Literal.string(""),
+]
+
+
+def reference_order(rows, q):
+    """The answer ``KnowledgeGraph.query`` built from solved ``rows`` before
+    it sorted on flat keys: one tuple of term keys per row, nested in a
+    pair with the ``order_by`` key, and one ``zip`` per answer row."""
+    columns = [list(map(itemgetter(name), rows)) for name in q.select]
+    keys = list(zip(*[list(map(term_sort_key, column)) for column in columns]))
+    if q.order_by is not None:
+        keys = list(zip(map(term_sort_key, map(itemgetter(q.order_by), rows)), keys))
+    projected = list(zip(*columns))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    out = [dict(zip(q.select, projected[i])) for i in order]
+    return out if q.limit is None else out[: q.limit]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.one_of(st.none(), st.integers(0, 6)))
+def test_answers_come_in_the_reference_order(rng, ordered, limit):
+    """Over random graphs and queries, with and without ``order_by`` and
+    ``limit``, with one or several selected variables and duplicate rows,
+    ``query`` returns exactly the list the reference builds from the same
+    solved rows: ties keep the order the rows were solved in."""
+    graph = KnowledgeGraph().insert(
+        Triple(rng.choice(SUBJECTS), rng.choice(PREDICATES), rng.choice(ORDER_OBJECTS))
+        for _ in range(rng.randrange(0, 200))
+    )
+    if rng.random() < 0.5:  # two open patterns: many rows, and duplicates once projected
+        a, b, c = Var("a"), Var("b"), Var("c")
+        where = ((a, rng.choice(PREDICATES), b), (a, rng.choice(PREDICATES), c))
+        base = Query(tuple(rng.sample("abc", rng.randint(1, 3))), where)
+    else:
+        try:
+            base = random_query(rng)
+        except QueryError:  # random_query can leave a variable out of its patterns
+            reject()
+    names = sorted({t.name for pattern in base.where for t in pattern if isinstance(t, Var)})
+    query = Query(base.select, base.where, base.filters,
+                  rng.choice(names) if ordered else None, limit)
+    rows = [r for r in graph._solve(query.where)
+            if all(kg._filter_accepts(r, f) for f in query.filters)]
+    assert [list(r.items()) for r in graph.query(query)] == [
+        list(r.items()) for r in reference_order(rows, query)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -735,20 +795,31 @@ def test_plant_log_appends_extend_the_view(tmp_path):
 
 def test_an_append_of_k_rows_parses_k_rows_at_any_log_length(tmp_path, monkeypatch):
     """Cost: once a bound log was queried, appending k sensor rows makes the
-    next query parse those k rows and no others, over a 1-cycle and a
-    10-cycle plant log alike."""
-    parsed = []
-    parse_rows = events._parse_rows
+    next query decode only the appended bytes, parse those k rows and no
+    others, and cut nothing from the view, over a 1-cycle and a 100-cycle
+    plant log alike."""
+    parsed, decoded, cut = [], [], []
+    parse_rows, decode, cut_view = events._parse_rows, kg._decode, VirtualBinding._cut
 
-    def counting(*args):
+    def counting_parse(*args):
         records = parse_rows(*args)
         parsed.append(len(records[1]))
         return records
 
-    monkeypatch.setattr(events, "_parse_rows", counting)
+    def counting_decode(data, *rest):
+        decoded.append(len(data))
+        return decode(data, *rest)
+
+    def counting_cut(view, size):
+        cut.append(view.size - size)
+        cut_view(view, size)
+
+    monkeypatch.setattr(events, "_parse_rows", counting_parse)
+    monkeypatch.setattr(kg, "_decode", counting_decode)
+    monkeypatch.setattr(VirtualBinding, "_cut", counting_cut)
     query = Query(("o",), ((O, SOSA_MADE_BY_SENSOR, iri("ex:L204")),))
     k, sizes = 7, []
-    for cycles in (1, 10):
+    for cycles in (1, 100):
         text = write_log_csv(simulate(default_config(), cycles, (), 7))
         path = tmp_path / f"log_{cycles}.csv"
         path.write_text(text, encoding="utf-8")
@@ -756,15 +827,18 @@ def test_an_append_of_k_rows_parses_k_rows_at_any_log_length(tmp_path, monkeypat
         graph = KnowledgeGraph((), [binding])
         before = len(graph.query(query))
         end = float(text.rstrip("\n").rsplit("\n", 1)[1].split(",", 1)[0])
+        appended = "".join(f"{end + i / 1000:.3f},sensor,L204,{i}.5\n" for i in range(1, k + 1))
         with path.open("a", encoding="utf-8") as f:
-            f.write("".join(f"{end + i / 1000:.3f},sensor,L204,{i}.5\n" for i in range(1, k + 1)))
-        parsed.clear()
+            f.write(appended)
+        parsed.clear(), decoded.clear(), cut.clear()
         appends = binding.append_count
         assert len(graph.query(query)) == before + k
         assert parsed == [k]
+        assert sum(decoded) == len(appended.encode("utf-8"))
+        assert cut == [0]
         assert binding.append_count == appends + 1
         sizes.append(binding.size)
-    assert sizes[1] > 5 * sizes[0]
+    assert sizes[1] > 50 * sizes[0]
 
 
 def test_a_bound_time_query_reads_the_same_rows_at_any_log_length(tmp_path):

@@ -10,7 +10,7 @@ from mixdiag.anomalies import Anomaly, anomalies_from_json
 from mixdiag.automaton import deserialize, serialize
 from mixdiag.cli import main
 from mixdiag.errors import MixdiagError, ParseError, parse_json
-from mixdiag.kg import KnowledgeGraph, QueryError
+from mixdiag.kg import KnowledgeGraph, QueryError, parse_ntriples
 from mixdiag.pipeline import (
     CqCatalog,
     CqItem,
@@ -25,7 +25,9 @@ from mixdiag.pipeline import (
     validate_catalog,
 )
 from mixdiag.kg import query_from_dict
-from mixdiag.plant import config_from_json, write_log_csv
+from mixdiag.plant import (
+    ConfigError, config_from_json, config_to_json, default_config, write_log_csv,
+)
 from mixdiag.terms import iri
 
 from conftest import state_by_active
@@ -166,6 +168,47 @@ def test_query_from_dict_returns_a_query_or_a_mixdiag_error(doc):
         query_from_dict(parse_json(doc) if isinstance(doc, str) else doc)
     except MixdiagError:
         pass  # any other exception fails the test
+
+
+# A valid document of each loader with no fuzz test of its own above
+_LOADER_DOCS = {
+    deserialize: json.loads((GOLDEN_DIR / "automaton.json").read_text(encoding="utf-8")),
+    anomalies_from_json: json.loads((GOLDEN_DIR / "anomalies.json").read_text(encoding="utf-8")),
+    config_from_json: json.loads(config_to_json(default_config())),
+    # N-Triples as lines of space-separated tokens, written back by _nt_text
+    parse_ntriples: [line.split(" ") for line in
+                     (GOLDEN_DIR / "graph.nt").read_text(encoding="utf-8").splitlines()[:40]],
+}
+
+
+def _nt_text(doc) -> str:
+    if not isinstance(doc, list):
+        return str(doc)
+    return "\n".join(" ".join(map(str, line)) if isinstance(line, list) else str(line)
+                     for line in doc)
+
+
+@pytest.mark.parametrize("load", list(_LOADER_DOCS), ids=lambda load: load.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_loaders_return_a_value_or_a_mixdiag_error(load, data):
+    """Each loader, given one node of a valid document replaced, dropped or
+    given a sibling, or raw JSON-like text, returns or raises MixdiagError."""
+    doc = data.draw(st.one_of(_mutated(_LOADER_DOCS[load]), _JSON_TEXTS))
+    if not isinstance(doc, str):
+        doc = _nt_text(doc) if load is parse_ntriples else json.dumps(doc)
+    try:
+        load(doc)
+    except MixdiagError:
+        pass  # any other exception fails the test
+
+
+def test_config_from_json_rejects_a_tank_reference_that_is_no_string():
+    """A list there raised a bare TypeError when validation hashed it."""
+    doc = json.loads(config_to_json(default_config()))
+    doc["actuators"][0]["from_tank"] = []
+    with pytest.raises(ConfigError, match=r"unknown tank \[\]"):
+        config_from_json(json.dumps(doc))
 
 
 def test_json_loaders_reject_deep_nesting_and_long_numbers(tmp_path, capsys):
