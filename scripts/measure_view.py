@@ -4,7 +4,7 @@
 For seed-1 plant logs of 1, 100 and 1,000 cycles (``--cycles``), each
 repeat writes the log, times a cold ``VirtualBinding.refresh``, then appends
 7 sensor rows and times the refresh that reads them, counting the bytes
-``kg._decode`` was given.  A separate run under ``tracemalloc`` gives the
+``kg.decode`` was given.  A separate run under ``tracemalloc`` gives the
 memory the view holds after the cold refresh and the peak during it, both
 in MiB.  Prints one JSON object: the median of ``--repeats`` runs per log
 size, and the Python version, platform and CPU count.  Stdlib only.
@@ -56,17 +56,17 @@ def one_repeat(path: Path, text: str, tail: str) -> dict:
     with path.open("a", encoding="utf-8") as f:
         f.write(tail)
     decoded = []
-    decode = kg._decode
+    decode = kg.decode
 
     def counting(data, *rest):
         decoded.append(len(data))
         return decode(data, *rest)
 
-    kg._decode = counting
+    kg.decode = counting
     try:
         append = timed_refresh(binding)
     finally:
-        kg._decode = decode
+        kg.decode = decode
     if len(binding) != 4 * binding.size:
         raise AssertionError("the view does not hold four triples per row")
     return {"cold_refresh_s": cold, "append_refresh_s": append,

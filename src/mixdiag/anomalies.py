@@ -9,13 +9,12 @@ tolerance only decides whether an anomaly is emitted at all.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, asdict
 
 from .automaton import TimedAutomaton
-from .errors import MixdiagError, ParseError, parse_json
+from .errors import MixdiagError, ParseError, dump_json, parse_json
 from .events import EventTrace, parse_label
 
 log = logging.getLogger(__name__)
@@ -159,7 +158,7 @@ def detect(
 
 def anomalies_to_json(anomalies: list[Anomaly]) -> str:
     doc = {"anomalies": [asdict(a) for a in anomalies]}
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def _optional(a: dict, key: str, types: type | tuple[type, ...]):

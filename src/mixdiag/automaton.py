@@ -10,11 +10,10 @@ statistics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import MixdiagError, ParseError, parse_json
+from .errors import MixdiagError, ParseError, dump_json, parse_json
 from .events import ActuatorVector, Event, EventTrace, parse_label
 
 _STAT_SLACK = 1e-9
@@ -269,7 +268,7 @@ def serialize(automaton: TimedAutomaton) -> str:
             for t in sorted(automaton.transitions.values(), key=lambda t: (t.source, t.event_label))
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def deserialize(text: str) -> TimedAutomaton:

@@ -7,13 +7,12 @@ found anomalies, 1 on any error including bad usage.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .anomalies import DetectionSettings, anomalies_from_json, anomalies_to_json, detect
 from .automaton import deserialize, learn, serialize
-from .errors import MixdiagError, parse_json
+from .errors import MixdiagError, dump_json, parse_json, read_text
 from .events import parse_log, split_cycles, to_trace
 from .kg import (
     KnowledgeGraph,
@@ -54,11 +53,11 @@ def _emit(text: str, out: str | None) -> None:
 def _load_config(path: str | None):
     if path is None:
         return default_config()
-    return config_from_json(Path(path).read_text(encoding="utf-8"))
+    return config_from_json(read_text(path))
 
 
 def _load_log(path: str):
-    return parse_log(Path(path).read_text(encoding="utf-8"))
+    return parse_log(read_text(path))
 
 
 def _actuator_ids(args, log):
@@ -71,7 +70,7 @@ def _actuator_ids(args, log):
 def _load_catalog(path: str | None):
     if not path:
         return default_catalog()
-    return catalog_from_json(Path(path).read_text(encoding="utf-8"))
+    return catalog_from_json(read_text(path))
 
 
 def _parse_fault(spec: str) -> FaultSpec:
@@ -94,7 +93,7 @@ def _settings(args) -> DetectionSettings:
 
 
 def _load_graph(graph_path: str, log_path: str | None) -> KnowledgeGraph:
-    graph = parse_ntriples(Path(graph_path).read_text(encoding="utf-8"))
+    graph = parse_ntriples(read_text(graph_path))
     if log_path:
         graph = graph.bind_virtual(VirtualBinding(Path(log_path)))
     return graph.infer()
@@ -129,7 +128,7 @@ def cmd_trace(args) -> int:
             for step in trace.steps
         ],
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", args.out)
+    _emit(dump_json(doc), args.out)
     return 0
 
 
@@ -150,7 +149,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    automaton = deserialize(Path(args.automaton).read_text(encoding="utf-8"))
+    automaton = deserialize(read_text(args.automaton))
     log = _load_log(args.log)
     trace = to_trace(log, automaton.actuator_ids())
     anomalies = detect(automaton, trace, _settings(args))
@@ -163,12 +162,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    automaton = deserialize(Path(args.automaton).read_text(encoding="utf-8"))
-    anomalies = (
-        anomalies_from_json(Path(args.anomalies).read_text(encoding="utf-8"))
-        if args.anomalies
-        else []
-    )
+    automaton = deserialize(read_text(args.automaton))
+    anomalies = anomalies_from_json(read_text(args.anomalies)) if args.anomalies else []
     graph = build_graph(export_mapping_sources(default_config()), automaton, anomalies)
     _emit(serialize_ntriples(graph), args.out)
     return 0
@@ -176,9 +171,9 @@ def cmd_annotate(args) -> int:
 
 def cmd_query(args) -> int:
     graph = _load_graph(args.graph, args.log)
-    query = query_from_dict(parse_json(Path(args.query).read_text(encoding="utf-8")))
+    query = query_from_dict(parse_json(read_text(args.query)))
     doc = rows_doc(graph.query(query))
-    _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", args.out)
+    _emit(dump_json(doc), args.out)
     return 0
 
 
@@ -195,7 +190,7 @@ def cmd_validate(args) -> int:
 
 def cmd_report(args) -> int:
     graph = _load_graph(args.graph, args.log)
-    anomalies = anomalies_from_json(Path(args.anomalies).read_text(encoding="utf-8"))
+    anomalies = anomalies_from_json(read_text(args.anomalies))
     catalog = _load_catalog(args.catalog)
     contexts = context_service(graph, anomalies) if anomalies else []
     cq_results = validate_catalog(graph, catalog)

@@ -1,7 +1,10 @@
-"""Shared exception types for the mixdiag package, and the JSON reader
-whose failures they name."""
+"""Shared exception types, and the one document boundary: :func:`decode`
+reads every input file's bytes, :func:`parse_json` reads and :func:`dump_json`
+writes every JSON document.  A byte that is not UTF-8 or text that is not
+JSON raises ParseError."""
 
 import json
+from pathlib import Path
 
 
 class MixdiagError(Exception):
@@ -16,6 +19,23 @@ class ParseError(MixdiagError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def decode(data: bytes, line: int = 1) -> str:
+    """``data`` decoded as ``Path.read_text`` does: UTF-8, ``\\r\\n`` and ``\\r``
+    read as ``\\n``; a byte that is not UTF-8 raises ParseError on its line,
+    counted from ``line``, the one ``data`` starts on."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line += decode(data[:exc.start]).count("\n")
+        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path) -> str:
+    """The text of the file at ``path``, decoded by :func:`decode`."""
+    return decode(Path(path).read_bytes())
+
+
 def parse_json(text: str):
     """``json.loads(text)``; text that is not JSON, nests too deep or holds
     a number too long to convert raises ``ParseError``."""
@@ -25,3 +45,9 @@ def parse_json(text: str):
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def dump_json(doc) -> str:
+    """The canonical text of ``doc``: indented, keys sorted, non-ASCII kept,
+    ending in a line feed."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

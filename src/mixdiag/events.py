@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MixdiagError, ParseError
+from .errors import MixdiagError, ParseError, decode
 from .plant import LOG_HEADER, PlantConfig, SimulationLog
 
 RISE = "↑"
@@ -151,7 +151,7 @@ def _rows_before(data: bytes, end: int) -> tuple[int, int | None]:
     start = max(line_feed, data.rfind(b"\r", line_feed + 1, end)) + 1
     if start == 0:  # the header
         return sensors, None
-    return sensors, _parse_rows(data[start:end].decode("utf-8"), 1, None)[2]
+    return sensors, _parse_rows(decode(data[start:end]), 1, None)[2]
 
 
 def _read_records(

@@ -17,7 +17,7 @@ reads the file's bytes to check they are unchanged and answers observation
 patterns from the view, building a term only for a row it binds.  When the
 bytes changed, the binding keeps the rows before the first changed byte and
 decodes and parses only what follows them; a whole parse is the case that
-keeps none.
+keeps none.  Bytes are decoded, and JSON mapping sources read, by ``errors``.
 A query joins its patterns in a fixed order, most constrained first.  Each
 pattern is joined with all the rows so far at once by each source: the
 closure unless no fact fits the pattern's constants, each bound log unless
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 import weakref
@@ -46,7 +45,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import events  # its functions are looked up per call, so a wrapper is seen
-from .errors import MixdiagError, ParseError
+from .errors import MixdiagError, ParseError, decode, parse_json
 from .terms import (
     PREFIXES,
     RDF_TYPE,
@@ -262,18 +261,6 @@ _OBSERVATION_PREFIX = PREFIXES["ex"] + "obs_"
 _LINE_BREAK = re.compile(rb"[\r\n]")
 
 
-def _decode(data: bytes, line: int = 1) -> str:
-    """``data`` decoded as ``Path.read_text`` does: UTF-8, ``\\r\\n`` and ``\\r``
-    read as ``\\n``; a byte that is not UTF-8 raises ParseError on its line,
-    counted from ``line``, the one ``data`` starts on."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line += _decode(data[:exc.start]).count("\n")
-        raise ParseError(f"not UTF-8: byte {data[exc.start]:#04x}", line) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
 class _Seconds:
     """The term of each time in seconds, built when it is read."""
 
@@ -374,8 +361,8 @@ class VirtualBinding:
     ``sosa:madeBySensor``, ``sosa:hasSimpleResult`` and ``sosa:resultTime``,
     for any pattern, open predicates too.  Nothing is ever materialized.
 
-    The binding holds the view of the bytes it last parsed (``data``; its
-    ``text`` is decoded on demand): the sensor records as three array
+    The binding holds the view of the bytes it last parsed (``data``,
+    None until a parse succeeds): the sensor records as three array
     columns, where row ``i`` is ``ex:obs_{i}``, each with an index
     (:class:`_Runs` for the result times, :class:`_Codes` for the sensors
     and values, whose columns hold codes into term tables that persist
@@ -413,11 +400,6 @@ class VirtualBinding:
             SOSA_HAS_SIMPLE_RESULT: _Codes(Literal.double),
         }
 
-    @property
-    def text(self) -> str | None:
-        """The text last parsed, or None before a parse succeeds."""
-        return None if self.data is None else _decode(self.data)
-
     def ready(self, pattern: Pattern, fresh: set) -> bool:
         """Whether ``pattern``'s constants leave any row: a subject that is
         no ``ex:obs_`` IRI, another predicate, or an ``rdf:type`` class but
@@ -454,9 +436,9 @@ class VirtualBinding:
         binding, whose ``len()`` is its number of virtual triples."""
         old = self.data or b""
         keep = self._shared(old, data)
-        old_tail = _decode(old[keep:])
+        old_tail = decode(old[keep:])
         lines = self.lines - old_tail.count("\n")
-        text = _decode(data[keep:], lines + 1)
+        text = decode(data[keep:], lines + 1)
         if text != old_tail or self.data is None:
             self.scan_count += 1
             if not keep:  # a whole parse, header included
@@ -1106,14 +1088,16 @@ def _iter_rows(rule: MappingRule, sources: Mapping[str, str]) -> list[Mapping[st
         if rule.iterator != "row":
             raise MappingError(rule.id, None, "csv sources iterate by 'row'")
         reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
-            return []
-        return [dict(r) for r in reader]
+        try:
+            return [dict(r) for r in reader]
+        except csv.Error as exc:
+            message = f"line {reader.reader.line_num}: malformed CSV: {exc}"
+            raise MappingError(rule.id, None, message) from None
     if rule.source_kind == "json":
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MappingError(rule.id, None, f"invalid JSON: {exc.msg}") from None
+            doc = parse_json(text)
+        except ParseError as exc:
+            raise MappingError(rule.id, None, str(exc)) from None
         node = _json_pointer(doc, rule.iterator, rule)
         if not isinstance(node, list):
             raise MappingError(rule.id, None, "iterator must select an array")

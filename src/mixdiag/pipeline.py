@@ -15,7 +15,6 @@ byte-deterministic for a fixed seed and scenario.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -28,7 +27,7 @@ from .anomalies import (
     detect,
 )
 from .automaton import TimedAutomaton, learn, serialize
-from .errors import MixdiagError, ParseError, parse_json
+from .errors import MixdiagError, ParseError, dump_json, parse_json
 from .events import split_cycles, to_trace
 from .kg import (
     KnowledgeGraph,
@@ -215,7 +214,7 @@ def catalog_to_json(catalog: CqCatalog) -> str:
             for item in catalog.items
         ]
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def catalog_from_json(text: str) -> CqCatalog:
@@ -646,18 +645,12 @@ def run_pipeline(
             {"id": r.cq_id, "phase": r.phase, "passed": r.passed} for r in cq_results
         ],
     }
-    write(
-        "validation.json",
-        json.dumps(validation, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-    )
+    write("validation.json", dump_json(validation))
 
     generated_at = f"plant run, seed {seed}, scenario {scenario}"
     report = Report(generated_at, scenario, anomalies, contexts, cq_results)
     text = stage("report", lambda: render_report(report))
-    write(
-        "report.json",
-        json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-    )
+    write("report.json", dump_json(report.to_dict()))
     write("report.txt", text)
 
     return PipelineResult(

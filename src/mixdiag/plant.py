@@ -37,7 +37,6 @@ Conventions that downstream code relies on:
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
@@ -47,7 +46,7 @@ from itertools import compress, count, islice
 from operator import gt
 from typing import Callable, Iterable, Mapping
 
-from .errors import MixdiagError, ParseError, parse_json
+from .errors import MixdiagError, ParseError, dump_json, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -749,7 +748,7 @@ def config_to_json(config: PlantConfig) -> str:
         ],
         "dt_s": config.dt_s,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def config_from_json(text: str) -> PlantConfig:

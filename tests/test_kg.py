@@ -725,7 +725,7 @@ def test_a_log_that_is_not_utf8_raises_on_its_line_until_fixed(logged, end):
     path.write_bytes(b"t_s,kind,id,value" + end + b"\xc3")
     with pytest.raises(ParseError, match="line 2: not UTF-8: byte 0xc3"):
         fresh.query(OBSERVATIONS)
-    assert fresh.virtual_sources[0].text is None
+    assert fresh.virtual_sources[0].data is None
 
 
 def test_an_observation_number_that_is_not_a_row_matches_nothing(logged):

@@ -123,3 +123,25 @@ def test_pipeline_source_export_round_trips(config):
     ) in triples
     assert Triple(iri("ex:Transfer"), iri("vdi3682:assignedTo"), iri("ex:P201")) in triples
     assert Triple(iri("ex:Dose1"), iri("vdi3682:hasOutput"), iri("ex:B204")) in triples
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("id\n" + "a" * 200_000, "line 2: malformed CSV: field larger than field limit"),
+        ("id\r\nx\ry\n", "line 2: malformed CSV: new-line character seen in unquoted field"),
+    ],
+    ids=["field-limit", "bare-cr"],
+)
+def test_a_csv_source_the_csv_module_cannot_read_raises_mapping_error(text, message):
+    with pytest.raises(MappingError, match=f"rule r1: {message}"):
+        apply_mappings([rule(source="t.csv")], {"t.csv": text})
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5_000], ids=["deep", "long-number"])
+def test_a_json_source_json_cannot_load_raises_mapping_error(text):
+    """Deep nesting and a too long number are read as every JSON document
+    is, so they raise MappingError, not RecursionError or ValueError."""
+    r = rule(kind="json", source="cfg.json", iterator="/tanks")
+    with pytest.raises(MappingError, match="rule r1: invalid JSON"):
+        apply_mappings([r], {"cfg.json": text})

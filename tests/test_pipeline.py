@@ -523,3 +523,60 @@ def test_cli_error_paths(capsys, tmp_path):
     )
     assert bad_fault == 1
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A valid file for each file-reading CLI flag, from one blockage run."""
+    out = tmp_path_factory.mktemp("cli_inputs")
+    run_pipeline("blockage", out, seed=42, train_cycles=2)
+    query = out / "query.json"
+    query.write_text(
+        json.dumps({"select": ["?s"], "where": [["?s", "rdf:type", "sosa:Sensor"]]}, indent=2),
+        encoding="utf-8",
+    )
+    return {
+        "--config": out / "sources" / "plant_config.json",
+        "--log": out / "eval_log.csv",
+        "--automaton": out / "automaton.json",
+        "--anomalies": out / "anomalies.json",
+        "--graph": out / "graph.nt",
+        "--query": query,
+        "--catalog": out / "cq_catalog.json",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flags, bad",
+    [
+        ("simulate", ["--config"], "--config"),
+        ("trace", ["--log"], "--log"),
+        ("trace", ["--log", "--config"], "--config"),
+        ("learn", ["--log"], "--log"),
+        ("learn", ["--log", "--config"], "--config"),
+        ("detect", ["--automaton", "--log"], "--automaton"),
+        ("detect", ["--automaton", "--log"], "--log"),
+        ("annotate", ["--automaton"], "--automaton"),
+        ("annotate", ["--automaton", "--anomalies"], "--anomalies"),
+        ("query", ["--graph", "--query"], "--graph"),
+        ("query", ["--graph", "--query"], "--query"),
+        ("validate", ["--graph", "--catalog"], "--catalog"),
+        ("report", ["--graph", "--anomalies"], "--graph"),
+        ("report", ["--graph", "--anomalies"], "--anomalies"),
+    ],
+)
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+def test_cli_input_that_is_not_utf8_is_one_error_line(
+    cli_inputs, tmp_path, capsys, command, flags, bad, end
+):
+    """Every input file is decoded as a bound log is: a byte that is not
+    UTF-8 exits 1 with one error line naming its physical line."""
+    lines = cli_inputs[bad].read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    broken = tmp_path / cli_inputs[bad].name
+    broken.write_bytes(b"".join(lines).replace(b"\n", end))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, str(broken if flag == bad else cli_inputs[flag])]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: line 3: not UTF-8: byte 0xff"]
