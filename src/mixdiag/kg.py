@@ -13,19 +13,22 @@ closed over the inserted triples: a child of a materialized snapshot takes
 that closure over and joins only the delta (see ``_Closure``).
 A bound log (``VirtualBinding``) holds an indexed view of the bytes it
 last parsed, in arrays of times and of codes into term tables; a query
-reads the file's bytes to check they are unchanged and answers observation
-patterns from the view, building a term only for a row it binds.  When the
-bytes changed, the binding keeps the rows before the first changed byte and
-decodes and parses only what follows them; a whole parse is the case that
-keeps none.  Bytes are decoded, and JSON mapping sources read, by ``errors``.
+reads the file's bytes (in one read and one that confirms the end) to check
+they are unchanged and answers observation patterns from the view, building
+a term only for a row it binds.  When the bytes changed, the binding keeps
+the rows before the first changed byte and decodes and parses only what
+follows them; a whole parse is the case that keeps none.  Bytes are
+decoded, and JSON mapping sources read, by ``errors``.
 A query joins its patterns in a fixed order, most constrained first.  Each
 pattern is joined with all the rows so far at once by each source: the
 closure unless no fact fits the pattern's constants, each bound log unless
-they rule out all its rows (refreshed then, once per query).  A source
-sorts the positions into constants, bound and free variables once; each
-row only looks its terms up in the source's indexes.  A log triple the
-closure also holds is answered by the closure alone.  Answers are sorted
-on one flat key per row.
+they rule out all its rows (refreshed then, once per query).  A pattern's
+shape (``Query.shapes``) is read once, when the query is built, and a
+source picks the index it reads once per join; each row only looks its
+terms up in the source's indexes, and a row a log extended keeps the row
+number of the subject it bound, for the log's later patterns.  A log triple
+the closure also holds is answered by the closure alone.  Answers are
+sorted on one flat key per row.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 import weakref
 from array import array
@@ -126,7 +130,8 @@ class Query:
     with an ``Iri`` or a ``Literal``, and ``limit`` is a non-negative
     ``int``; anything else raises ``QueryError`` instead of answering
     quietly (a plain ``"ex:p"`` matches nothing, and a tuple that spells out
-    a term's fields would compare equal to it).
+    a term's fields would compare equal to it).  ``shapes`` holds each
+    pattern's variable names by position, None at a constant.
     """
 
     select: tuple[str, ...]
@@ -134,6 +139,7 @@ class Query:
     filters: tuple[Filter, ...] = ()
     order_by: str | None = None
     limit: int | None = None
+    shapes: tuple[tuple[str | None, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.select:
@@ -141,6 +147,7 @@ class Query:
         if not self.where:
             raise QueryError("where clause is empty")
         seen: set[str] = set()
+        shapes = []
         for pattern in self.where:
             if len(pattern) != 3:
                 raise QueryError("patterns have exactly three positions")
@@ -149,6 +156,8 @@ class Query:
                     seen.add(term.name)
                 elif not isinstance(term, (Iri, Literal)):
                     raise QueryError(f"not a term: {term!r}")
+            shapes.append(tuple(t.name if isinstance(t, Var) else None for t in pattern))
+        object.__setattr__(self, "shapes", tuple(shapes))
         for name in self.select:
             if name not in seen:
                 raise QueryError(f"selected variable ?{name} not used in any pattern")
@@ -259,6 +268,8 @@ def _filter_accepts(binding: Mapping[str, Term], f: Filter) -> bool:
 
 _OBSERVATION_PREFIX = PREFIXES["ex"] + "obs_"
 _LINE_BREAK = re.compile(rb"[\r\n]")
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # no newline translation
+_ROOM = 1 << 16  # under glibc's 128 KiB mmap threshold: a confirming read maps no pages
 
 
 class _Seconds:
@@ -367,11 +378,14 @@ class VirtualBinding:
     (:class:`_Runs` for the result times, :class:`_Codes` for the sensors
     and values, whose columns hold codes into term tables that persist
     across parses), so a bound subject or object becomes a lookup
-    (:meth:`join`) and a term is built only for a row that binds it.  It
+    (:meth:`join`; a subject this binding bound is read as the row number
+    its row kept) and a term is built only for a row that binds it.  It
     also keeps the text's number of newlines and its last record's ``t_ms``
     (of either kind), which a parse of what follows starts from.  Each query
-    that needs the binding reads the file's bytes once (:meth:`refresh`): an
-    edit of any size is seen at once, and an unchanged file is not decoded.
+    that needs the binding reads the file's bytes once, in one system call
+    and one that confirms the end (:meth:`refresh`): an edit of any size,
+    however it leaves the size and modification time, is seen at once, and
+    an unchanged file is not decoded.
     New bytes go to :meth:`scan`, which keeps the rows before the first
     changed byte (and before the first quote after the header, which could
     leave a field open into what follows) and decodes and parses only what
@@ -400,17 +414,18 @@ class VirtualBinding:
             SOSA_HAS_SIMPLE_RESULT: _Codes(Literal.double),
         }
 
-    def ready(self, pattern: Pattern, fresh: set) -> bool:
+    def ready(self, pattern: Pattern, shape: Sequence[str | None], fresh: set) -> bool:
         """Whether ``pattern``'s constants leave any row: a subject that is
         no ``ex:obs_`` IRI, another predicate, or an ``rdf:type`` class but
         ``sosa:Observation`` rules out every one.  The first time a query
         asks (``fresh`` holds the logs it has asked), the view is refreshed,
         so one query sees one version of the file."""
         s, p, o = pattern
+        s_name, p_name, o_name = shape
         fits = (
-            (isinstance(s, Var) or isinstance(s, Iri) and s.value.startswith(_OBSERVATION_PREFIX))
-            and (isinstance(p, Var) or p in _PREDICATES)
-            and (p != RDF_TYPE or isinstance(o, Var) or o == SOSA_OBSERVATION)
+            (s_name is not None or isinstance(s, Iri) and s.value.startswith(_OBSERVATION_PREFIX))
+            and (p_name is not None or p in _PREDICATES)
+            and (p != RDF_TYPE or o_name is not None or o == SOSA_OBSERVATION)
         )
         if fits and self not in fresh:
             self.refresh()
@@ -418,11 +433,19 @@ class VirtualBinding:
         return fits
 
     def refresh(self) -> None:
-        """Bring the view to the file as it is now.  A failed read, decode or
-        parse raises and changes nothing; it never falls back to an earlier view."""
+        """Bring the view to the file as it is now, read in one call and one
+        that confirms the end.  A failed read, decode or parse raises and
+        changes nothing; it never falls back to an earlier view."""
         try:
-            with open(self.csv_path, "rb", buffering=0) as f:
-                data = f.read()
+            fd = os.open(self.csv_path, _READ_FLAGS)
+            try:
+                size = os.fstat(fd).st_size + 1 if self.data is None else len(self.data) + _ROOM
+                chunks = [os.read(fd, size)]
+                while chunks[-1]:  # until a read confirms the end
+                    chunks.append(os.read(fd, _ROOM))
+                data = chunks[0] if len(chunks) < 3 else b"".join(chunks)  # one copy if it grew
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise SourceUnavailable(f"cannot read {self.csv_path}: {exc}") from None
         if data != self.data:
@@ -532,57 +555,62 @@ class VirtualBinding:
         return ()
 
     def join(
-        self, pattern: Pattern, rows: list[dict[str, Term]], bound: Collection[str],
-        closure: _Closure | None,
-    ) -> list[dict[str, Term]]:
+        self, pattern: Pattern, shape: Sequence[str | None], rows: list[dict],
+        bound: Collection[str], closure: _Closure | None,
+    ) -> list[dict]:
         """Extend each of ``rows``, which bind the variables in ``bound``, by
-        every binding of ``pattern``'s others by the view's triples, in file
-        order: a subject is looked up by its row number, else an object (but
-        that of ``rdf:type``) by its key in its column's index, and a
-        constant object's key is tested against the column.  An open
+        every binding of ``pattern``'s others (``shape`` names them) by the
+        view's triples, in file order: a subject is looked up by its row
+        number, else an object (but that of ``rdf:type``) by its key in its
+        column's index, and a constant object's key is tested against the
+        column.  A row that binds a subject here keeps its row number too,
+        under ``(self, name)``, a key no variable or other log takes, which
+        a later pattern reads instead of parsing the IRI.  An open
         predicate, or class of ``rdf:type``, is fixed to each value it
         takes, splitting rows that bind it.  A triple ``closure`` knows is
         left to it, so a log triple that is also asserted is answered once."""
         s, p, o = pattern
-        if isinstance(p, Var) or p == RDF_TYPE and isinstance(o, Var):
-            term, values = (p, _PREDICATES) if isinstance(p, Var) else (o, (SOSA_OBSERVATION,))
+        s_name, p_name, o_name = shape
+        if p_name is not None or p == RDF_TYPE and o_name is not None:
+            name = p_name if p_name is not None else o_name
+            values = _PREDICATES if p_name is not None else (SOSA_OBSERVATION,)
+            fixed_shape = tuple([None if n == name else n for n in shape])
             joined = []
             for value in values:  # the open term fixed to each value, wherever it occurs
-                fixed = tuple([value if t == term else t for t in pattern])
-                if term.name in bound:
-                    split = [row for row in rows if row[term.name] == value]
-                    joined += self.join(fixed, split, bound, closure)
+                fixed = tuple([value if n == name else t for t, n in zip(pattern, shape)])
+                if name in bound:
+                    split = [row for row in rows if row[name] == value]
+                    joined += self.join(fixed, fixed_shape, split, bound, closure)
                 else:
-                    found = self.join(fixed, rows, bound, closure)
-                    joined += [{**row, term.name: value} for row in found]
+                    found = self.join(fixed, fixed_shape, rows, bound, closure)
+                    joined += [{**row, name: value} for row in found]
             return joined
         # None for rdf:type, whose object is sosa:Observation here
         column, index = self.columns.get(p), self.indexes.get(p)
         if column is None and o != SOSA_OBSERVATION:
             return []
-        # a constant subject or object, else None; a bound one is read per row
-        subject, obj = [None if isinstance(t, Var) else t for t in (s, o)]
-        s_name, o_name = [t.name if isinstance(t, Var) else None for t in (s, o)]
         s_bound, o_bound = s_name in bound, o_name in bound
+        s_free = s_name is not None and not s_bound
+        obj = o if o_name is None else None  # a constant object; a bound one is read per row
         key = None  # the column's key of a constant or bound object
         if obj is not None and index is not None:
             key = index.key(obj)
             if key is None:
                 return []
         size, terms = self.size, None if index is None else index.terms
+        mark = (self, s_name)
         joined = []
         for row in rows:
-            if s_bound:
-                subject = row[s_name]
             if o_bound:
                 obj = row[o_name]
                 key = index.key(obj)
                 if key is None:
                     continue
-            found: Iterable[int] = (
-                self._row_of(subject) if subject is not None
-                else range(size) if key is None else index.rows(key, size)
-            )
+            if s_free:
+                found: Iterable[int] = range(size) if key is None else index.rows(key, size)
+            else:  # a constant subject, or a bound one whose row number a row may keep
+                i = row.get(mark)
+                found = self._row_of(row[s_name] if s_bound else s) if i is None else (i,)
             for i in found:
                 if key is None:
                     value = SOSA_OBSERVATION if terms is None else terms[column[i]]
@@ -590,12 +618,13 @@ class VirtualBinding:
                     continue
                 else:
                     value = obj
-                row_subject = Iri(f"{_OBSERVATION_PREFIX}{i}") if subject is None else subject
-                if closure is not None and closure.knows((row_subject, p, value)):
+                if s_free:
+                    subject = Iri(f"{_OBSERVATION_PREFIX}{i}")
+                elif closure is not None:
+                    subject = row[s_name] if s_bound else s
+                if closure is not None and closure.knows((subject, p, value)):
                     continue
-                extended = {**row}
-                if subject is None:
-                    extended[s_name] = row_subject
+                extended = {**row, s_name: subject, mark: i} if s_free else {**row}
                 if obj is None and extended.setdefault(o_name, value) != value:  # ?x p ?x
                     continue
                 joined.append(extended)
@@ -805,48 +834,58 @@ class _Closure:
                     stack.append(sup)
         return list(seen)
 
-    def select(self, pattern: Pattern) -> Collection[tuple]:
-        """The numbered facts that fit all of ``pattern``'s constants."""
-        number = self.number
-        return self._select([None if isinstance(t, Var) else number.get(t, -1) for t in pattern])
+    def _reader(self, shape: Sequence[str | None], bound: Collection[str]) -> tuple:
+        """Where the facts that fit a pattern whose constants and ``bound``
+        variables are given are read: the position of the subject, else the
+        object, else the predicate, and its index (None: every fact), and a
+        getter of the other given positions, which each fact is tested on."""
+        s, p, o = shape
+        s, p, o = s is None or s in bound, p is None or p in bound, o is None or o in bound
+        if s:
+            test = itemgetter(1, 2) if p and o else itemgetter(1 if p else 2) if p or o else None
+            return 0, self.by_subject, test
+        if o:
+            return 2, self.by_object, itemgetter(1) if p else None
+        return 1, self.by_predicate if p else None, None
 
-    def _select(self, ids: Sequence[int | None]) -> Collection[tuple]:
-        """The facts that fit the term numbers in ``ids`` (None fits any), read
-        from the index of the subject or object, else of the predicate."""
-        s, p, o = ids
-        if s is None and o is None:
-            return self.facts if p is None else self.by_predicate.get(p, ())
-        if s is None or o is None:
-            found = self.by_subject.get(s, ()) if o is None else self.by_object.get(o, ())
-            return found if p is None or not found else [t for t in found if t[1] == p]
-        return [t for t in self.by_subject.get(s, ()) if t[2] == o and p in (None, t[1])]
+    def count(self, pattern: Pattern, shape: Sequence[str | None]) -> int:
+        """How many known facts fit ``pattern``'s constants."""
+        ids = list(map(self.number.get, pattern))  # None: unknown, or a variable's (never read)
+        at, index, test = self._reader(shape, ())
+        facts = self.facts if index is None else index.get(ids[at], ())
+        return len(facts) if test is None else list(map(test, facts)).count(test(ids))
 
     def join(
-        self, pattern: Pattern, rows: list[dict[str, Term]], bound: Collection[str]
-    ) -> list[dict[str, Term]]:
+        self, pattern: Pattern, shape: Sequence[str | None], rows: list[dict],
+        bound: Collection[str],
+    ) -> list[dict]:
         """Extend each of ``rows``, which bind the variables in ``bound``, by
-        every binding of ``pattern``'s other variables by the known facts
-        that fit it.  Constants are numbered once and each row's bound terms
-        are looked up; a free variable that occurs twice must take one term,
-        which compares numbers, not terms."""
+        every binding of ``pattern``'s other variables (``shape`` names
+        them) by the known facts that fit it.  The index read and the
+        positions tested are picked, and constants numbered, once per call;
+        each row looks its bound terms' numbers up.  A free variable that
+        occurs twice must take one term, which compares numbers, not terms."""
         number, terms = self.number, self.terms
-        ids = [None if isinstance(t, Var) else number.get(t, -1) for t in pattern]
-        variables = [(i, t.name) for i, t in enumerate(pattern) if isinstance(t, Var)]
-        keyed = [(i, name) for i, name in variables if name in bound]
-        free = [(i, name) for i, name in variables if name not in bound]
+        ids = list(map(number.get, pattern))  # a bound variable's is set per row
+        keyed = [(i, name) for i, name in enumerate(shape) if name in bound]
+        free = [(i, name) for i, name in enumerate(shape) if name is not None and name not in bound]
+        at, index, test = self._reader(shape, bound)
         first = {name: i for i, name in reversed(free)}  # each free variable's first position
-        names, at = list(first), list(first.values())
-        joined: list[dict[str, Term]] = []
+        twice = len(first) < len(free)
+        if len(first) == 1:  # the common case
+            (name, place), = first.items()
+        joined: list[dict] = []
         for row in rows:
-            for i, name in keyed:
-                ids[i] = number.get(row[name], -1)
-            facts = self._select(ids)
-            if len(first) < len(free):
-                facts = [f for f in facts if all(f[i] == f[first[name]] for i, name in free)]
-            if len(at) == 1:  # one free variable, the common case
-                joined += [{**row, names[0]: terms[f[at[0]]]} for f in facts]
-            else:
-                joined += [{**row, **dict(zip(names, [terms[f[i]] for i in at]))} for f in facts]
+            for i, var in keyed:
+                ids[i] = number.get(row[var])
+            want = test(ids) if test else None
+            for f in self.facts if index is None else index.get(ids[at], ()):
+                if test and test(f) != want or twice and any(f[i] != f[first[n]] for i, n in free):
+                    continue
+                if len(first) == 1:
+                    joined.append({**row, name: terms[f[place]]})
+                else:
+                    joined.append({**row, **{n: terms[f[i]] for n, i in first.items()}})
         return joined
 
     def knows(self, triple: tuple[Term, Term, Term]) -> bool:
@@ -948,43 +987,43 @@ class KnowledgeGraph:
     # -- query answering ------------------------------------------------------
 
     def _join(
-        self, state: _Closure, pattern: Pattern, count: int, rows: list[dict[str, Term]],
-        bound: set[str], fresh: set[VirtualBinding],
-    ) -> list[dict[str, Term]]:
+        self, state: _Closure, pattern: Pattern, shape: Sequence[str | None], count: int,
+        rows: list[dict], bound: set[str], fresh: set[VirtualBinding],
+    ) -> list[dict]:
         """Extend each of ``rows``, which bind the variables in ``bound``, by
         every binding of ``pattern``.  Each source is asked once, with every
         row: the closure unless ``count``, its facts that fit, is 0, and
         each bound log unless the pattern's constants rule out its every
         row."""
         known = state if count else None
-        joined = state.join(pattern, rows, bound) if count else []
+        joined = state.join(pattern, shape, rows, bound) if count else []
         for log in self.virtual_sources:
-            if log.ready(pattern, fresh):
-                joined += log.join(pattern, rows, bound, known)
+            if log.ready(pattern, shape, fresh):
+                joined += log.join(pattern, shape, rows, bound, known)
         return joined
 
-    def _solve(self, patterns: Sequence[Pattern]) -> list[dict[str, Term]]:
+    def _solve(self, q: Query) -> list[dict[str, Term]]:
         # Evaluate the most constrained pattern first, and of those the one
         # with the fewest stored candidates for its constants (counted once:
         # no row changes them); result multiplicity does not depend on join
         # order.
         state = self._state()
-        counts = {pattern: len(state.select(pattern)) for pattern in patterns}
-        names = {pattern: [t.name for t in pattern if isinstance(t, Var)] for pattern in patterns}
-        remaining = list(patterns)
+        steps = [(p, shape, state.count(p, shape)) for p, shape in zip(q.where, q.shapes)]
         bound: set[str] = set()
         fresh: set[VirtualBinding] = set()
 
-        def constrained(pattern: Pattern) -> tuple[int, int]:
-            variables = names[pattern]  # fixed: the constants and the bound variables
-            return 3 - len(variables) + sum(map(bound.__contains__, variables)), -counts[pattern]
-
-        rows: list[dict[str, Term]] = [{}]
-        while remaining and rows:
-            best = max(remaining, key=constrained)
-            remaining.remove(best)
-            rows = self._join(state, best, counts[best], rows, bound, fresh)
-            bound.update(names[best])
+        rows: list[dict] = [{}]
+        while steps and rows:
+            ranks = [  # fixed positions: the constants and the bound variables
+                (shape.count(None) + sum(map(bound.__contains__, shape)), -count)
+                for _, shape, count in steps
+            ]
+            best = steps.pop(ranks.index(max(ranks)))
+            rows = self._join(state, *best, rows, bound, fresh)
+            bound.update(set(best[1]) - {None})  # None stands at a constant
+        for mark in {(log, shape[0]) for log in fresh for shape in q.shapes}:  # logs' row numbers
+            for row in rows:
+                row.pop(mark, None)
         return rows
 
     def query(self, q: Query) -> list[dict[str, Term]]:
@@ -992,7 +1031,7 @@ class KnowledgeGraph:
         virtual triples.  Rows come back in a deterministic order: by the
         ``order_by`` variable when given (ties broken by the selected
         values), otherwise sorted by the selected values."""
-        rows = self._solve(q.where)
+        rows = self._solve(q)
         if q.filters:
             rows = [r for r in rows if all(_filter_accepts(r, f) for f in q.filters)]
 

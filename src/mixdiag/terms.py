@@ -178,17 +178,18 @@ def term_sort_key(term: Term) -> tuple:
     infinity, since NaN orders with nothing), everything else by lexical
     form.
     """
-    if isinstance(term, Iri):
-        return (0, 0.0, term.value)
-    if term.is_numeric():
+    if term[0] == _IRI:
+        return (0, 0.0, term[1])
+    _, lexical, datatype = term
+    if datatype in _NUMERIC_DATATYPES:
         try:
-            value = float(term.lexical)
+            value = float(lexical)
         except ValueError:
             value = math.inf
-        return (1, math.inf if math.isnan(value) else value, term.lexical)
-    if term.datatype == XSD_BOOLEAN:
-        return (2, 0.0 if term.lexical == "false" else 1.0, term.lexical)
-    return (3, 0.0, term.lexical)
+        return (1, math.inf if value != value else value, lexical)  # NaN is not itself
+    if datatype == XSD_BOOLEAN:
+        return (2, 0.0 if lexical == "false" else 1.0, lexical)
+    return (3, 0.0, lexical)
 
 
 def format_term(term: Term) -> str:

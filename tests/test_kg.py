@@ -776,6 +776,56 @@ def test_missing_source_raises_at_query_time(tmp_path):
     assert len(graph) == 0
 
 
+def test_a_directory_path_raises_source_unavailable(tmp_path, logged):
+    graph = KnowledgeGraph().bind_virtual(VirtualBinding(tmp_path))
+    with pytest.raises(SourceUnavailable):
+        graph.query(OBSERVATIONS)
+    # a file that a directory replaced after a query
+    graph, n_samples, path = logged
+    assert len(graph.query(OBSERVATIONS)) == n_samples
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(SourceUnavailable):
+        graph.query(OBSERVATIONS)
+
+
+def _last_value(graph, n_samples):
+    rows = graph.query(q(["?v"], [[f"ex:obs_{n_samples - 1}", "sosa:hasSimpleResult", "?v"]]))
+    return [float(r["v"].lexical) for r in rows]
+
+
+def test_a_same_length_rewrite_of_one_byte_is_seen(logged):
+    """The case a size or modification-time shortcut would miss."""
+    graph, n_samples, path = logged
+    data = path.read_bytes()
+    (value,) = _last_value(graph, n_samples)
+    digit = data.rstrip(b"\n").rindex(b".") - 1  # the last value's units digit
+    changed = b"7" if data[digit:digit + 1] != b"7" else b"3"
+    before = path.stat()
+    path.write_bytes(data[:digit] + changed + data[digit + 1:])
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert _last_value(graph, n_samples) != [value]
+
+
+def test_a_file_grown_by_one_byte_is_seen(logged):
+    graph, n_samples, path = logged
+    data = path.read_bytes()
+    assert data.endswith(b"\n")
+    (value,) = _last_value(graph, n_samples)
+    path.write_bytes(data[:-1] + b"5\n")  # one more digit on the last value
+    assert _last_value(graph, n_samples) == [float(f"{value!r}5")]
+    assert graph.virtual_sources[0].data == path.read_bytes()
+
+
+def test_a_file_cut_back_to_its_header_is_seen(logged):
+    graph, n_samples, path = logged
+    assert len(graph.query(OBSERVATIONS)) == n_samples
+    path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[0] + "\n", encoding="utf-8")
+    assert graph.query(OBSERVATIONS) == []
+    assert _last_value(graph, n_samples) == []
+
+
 def test_observation_values_match_the_csv(logged):
     graph, _, path = logged
     rows = graph.query(

@@ -305,7 +305,7 @@ def test_answers_come_in_the_reference_order(rng, ordered, limit):
     names = sorted({t.name for pattern in base.where for t in pattern if isinstance(t, Var)})
     query = Query(base.select, base.where, base.filters,
                   rng.choice(names) if ordered else None, limit)
-    rows = [r for r in graph._solve(query.where)
+    rows = [r for r in graph._solve(query)
             if all(kg._filter_accepts(r, f) for f in query.filters)]
     assert [list(r.items()) for r in graph.query(query)] == [
         list(r.items()) for r in reference_order(rows, query)
@@ -879,6 +879,50 @@ def test_a_bound_time_query_reads_the_same_rows_at_any_log_length(tmp_path):
         sizes.append(binding.size)
     assert counts[0] == counts[1] == 3 * len(default_config().sensors)
     assert sizes[1] > 5 * sizes[0]
+
+
+def test_a_snapshot_query_parses_no_observation_name(tmp_path, monkeypatch):
+    """Cost: a row keeps the row number of the observation a bound log bound,
+    so a snapshot query (three log patterns and one asserted) turns no
+    ``ex:obs_{i}`` back into a row number; a constant ``ex:obs_5`` is
+    parsed once; and a query of an unchanged file scans nothing."""
+    parsed, scanned = [], []
+    row_of, scan = VirtualBinding._row_of, VirtualBinding.scan
+
+    def counting_row_of(binding, subject):
+        parsed.append(subject)
+        return row_of(binding, subject)
+
+    def counting_scan(binding, data):
+        scanned.append(len(data))
+        return scan(binding, data)
+
+    monkeypatch.setattr(VirtualBinding, "_row_of", counting_row_of)
+    monkeypatch.setattr(VirtualBinding, "scan", counting_scan)
+    config = default_config()
+    text = write_log_csv(simulate(config, 1, (), 7))
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    parts = [Triple(iri(f"ex:{s.id}"), PART_OF, iri(f"ex:{s.attached_to}")) for s in config.sensors]
+    graph = KnowledgeGraph(parts, [VirtualBinding(path)])
+    t_s = float(list(csv.reader(io.StringIO(text)))[-1][0])
+    part = Var("part")
+    snapshot = Query(
+        ("s", "part", "v"),
+        (
+            (O, SOSA_RESULT_TIME, Literal.double(t_s)),
+            (O, SOSA_MADE_BY_SENSOR, S),
+            (O, SOSA_HAS_SIMPLE_RESULT, V),
+            (S, PART_OF, part),
+        ),
+    )
+    rows = graph.query(snapshot)
+    assert sorted(r["part"] for r in rows) == sorted(t.object for t in parts)
+    assert (parsed, len(scanned)) == ([], 1)
+    assert graph.query(snapshot) == rows
+    one = Query(("v",), ((iri("ex:obs_5"), SOSA_HAS_SIMPLE_RESULT, V),))
+    assert len(graph.query(one)) == 1
+    assert (parsed, len(scanned)) == ([iri("ex:obs_5")], 1)
 
 
 def test_crlf_and_cr_line_ends_answer_as_line_feeds_do(tmp_path, monkeypatch):

@@ -2,11 +2,23 @@
 
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from mixdiag.terms import XSD_DOUBLE, XSD_STRING, Iri, Literal, Var, iri
+from mixdiag.terms import (
+    XSD_BOOLEAN,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    XSD_STRING,
+    Iri,
+    Literal,
+    Var,
+    iri,
+    term_sort_key,
+)
 
 NAME = "http://example.org/mixing-plant#a"
 
@@ -78,3 +90,52 @@ def test_copy_deepcopy_and_pickle_round_trip(round_trip):
         assert type(again) is type(term)
         assert again == term and hash(again) == hash(term)
         assert repr(again) == repr(term)
+
+
+def reference_sort_key(term) -> tuple:
+    """``term_sort_key`` as it was written through the terms' classes and
+    properties, before it read their tuples directly."""
+    if isinstance(term, Iri):
+        return (0, 0.0, term.value)
+    if term.is_numeric():
+        try:
+            value = float(term.lexical)
+        except ValueError:
+            value = math.inf
+        return (1, math.inf if math.isnan(value) else value, term.lexical)
+    if term.datatype == XSD_BOOLEAN:
+        return (2, 0.0 if term.lexical == "false" else 1.0, term.lexical)
+    return (3, 0.0, term.lexical)
+
+
+LEXICAL_FORMS = st.one_of(
+    st.floats().map(repr),  # NaN, both infinities, -0.0 and 0.0 among them
+    st.integers().map(str),
+    st.sampled_from(["abc", "NaN", "INF", "-INF", "inf", "nan", "-0.0", "1e0", "01", " 1",
+                     "true", "false", "1", "0", ""]),
+    st.text(max_size=8),
+)
+TERMS = st.one_of(
+    st.text(max_size=12).map(lambda local: Iri("http://example.org/mixing-plant#" + local)),
+    st.builds(
+        Literal, LEXICAL_FORMS,
+        st.sampled_from([XSD_DOUBLE, XSD_INTEGER, XSD_BOOLEAN, XSD_STRING, iri("ex:unit")]),
+    ),
+)
+
+
+@given(st.lists(TERMS, max_size=12))
+@example([Literal("abc", XSD_DOUBLE), Literal("NaN", XSD_DOUBLE), Literal("INF", XSD_DOUBLE),
+          Literal.double(-0.0), Literal.double(0.0), Literal.boolean(True),
+          Literal.boolean(False), Literal.string("7"), Literal("7", XSD_DOUBLE),
+          Literal("7", XSD_INTEGER), Literal("", XSD_BOOLEAN), Literal("1", XSD_BOOLEAN),
+          Literal("", XSD_STRING), iri("ex:a")])
+def test_sort_keys_are_the_reference_keys(terms):
+    """The key of every IRI and literal, of any datatype and lexical form
+    (one lexical form under several datatypes too), equals the reference's
+    and has its types, so every list sorts as it did."""
+    for term in terms:
+        key, reference = term_sort_key(term), reference_sort_key(term)
+        assert key == reference and list(map(type, key)) == list(map(type, reference))
+        assert math.copysign(1.0, key[1]) == math.copysign(1.0, reference[1])  # -0.0 stays
+    assert sorted(terms, key=term_sort_key) == sorted(terms, key=reference_sort_key)
