@@ -4,7 +4,7 @@
 For seed-1 plant logs of 1, 100 and 1,000 cycles (``--cycles``), each
 repeat writes the log, times a cold ``VirtualBinding.refresh``, then appends
 7 sensor rows and times the refresh that reads them, counting the bytes
-``kg.decode`` was given.  A separate run under ``tracemalloc`` gives the
+``virtual.decode`` was given.  A separate run under ``tracemalloc`` gives the
 memory the view holds after the cold refresh and the peak during it, both
 in MiB.  Prints one JSON object: the median of ``--repeats`` runs per log
 size, and the Python version, platform and CPU count.  Stdlib only.
@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mixdiag import kg
+from mixdiag import virtual
 from mixdiag.plant import default_config, simulate, write_log_csv
 
 APPENDED_ROWS = 7
@@ -42,7 +42,7 @@ def appended_rows(text: str) -> str:
     )
 
 
-def timed_refresh(binding: kg.VirtualBinding) -> float:
+def timed_refresh(binding: virtual.VirtualBinding) -> float:
     start = time.perf_counter()
     binding.refresh()
     return time.perf_counter() - start
@@ -51,22 +51,22 @@ def timed_refresh(binding: kg.VirtualBinding) -> float:
 def one_repeat(path: Path, text: str, tail: str) -> dict:
     """The cold refresh, then the 7-row append's refresh and decoded bytes."""
     path.write_text(text, encoding="utf-8")
-    binding = kg.VirtualBinding(path)
+    binding = virtual.VirtualBinding(path)
     cold = timed_refresh(binding)
     with path.open("a", encoding="utf-8") as f:
         f.write(tail)
     decoded = []
-    decode = kg.decode
+    decode = virtual.decode
 
     def counting(data, *rest):
         decoded.append(len(data))
         return decode(data, *rest)
 
-    kg.decode = counting
+    virtual.decode = counting
     try:
         append = timed_refresh(binding)
     finally:
-        kg.decode = decode
+        virtual.decode = decode
     if len(binding) != 4 * binding.size:
         raise AssertionError("the view does not hold four triples per row")
     return {"cold_refresh_s": cold, "append_refresh_s": append,
@@ -77,7 +77,7 @@ def memory(path: Path, text: str) -> dict:
     """MiB the view holds after a cold refresh, and the peak during it,
     over what was allocated before it."""
     path.write_text(text, encoding="utf-8")
-    binding = kg.VirtualBinding(path)
+    binding = virtual.VirtualBinding(path)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -19,25 +19,14 @@ from .annotate import annotate_anomalies, annotate_automaton, rebuild_automaton
 from .automaton import State, TimedAutomaton, Transition, deserialize, learn, serialize
 from .errors import MixdiagError, ParseError
 from .events import ActuatorVector, Event, EventTrace, parse_log, split_cycles, to_trace
-from .kg import (
-    Filter,
-    KnowledgeGraph,
-    MappingRule,
-    Query,
-    VirtualBinding,
-    apply_mappings,
-    parse_ntriples,
-    serialize_ntriples,
-)
-from .pipeline import (
-    CqCatalog,
-    CqItem,
-    PipelineResult,
-    Report,
-    default_catalog,
-    run_pipeline,
-    validate_catalog,
-)
+from .catalog import CqCatalog, CqItem, default_catalog, validate_catalog
+from .kg import KnowledgeGraph
+from .mappings import MappingRule, apply_mappings
+from .ntriples import parse_ntriples, serialize_ntriples
+from .pipeline import PipelineResult, run_pipeline
+from .query import Filter, Query
+from .report import Report
+from .virtual import VirtualBinding
 from .plant import (
     FaultSpec,
     PhaseUnreachable,

@@ -14,26 +14,13 @@ from .anomalies import DetectionSettings, anomalies_from_json, anomalies_to_json
 from .automaton import deserialize, learn, serialize
 from .errors import MixdiagError, dump_json, parse_json, read_text
 from .events import parse_log, split_cycles, to_trace
-from .kg import (
-    KnowledgeGraph,
-    VirtualBinding,
-    parse_ntriples,
-    query_from_dict,
-    serialize_ntriples,
-)
-from .pipeline import (
-    SCENARIOS,
-    Report,
-    build_graph,
-    catalog_from_json,
-    context_service,
-    default_catalog,
-    export_mapping_sources,
-    render_report,
-    rows_doc,
-    run_pipeline,
-    validate_catalog,
-)
+from .catalog import catalog_from_json, default_catalog, validate_catalog
+from .kg import KnowledgeGraph
+from .ntriples import parse_ntriples, serialize_ntriples
+from .pipeline import SCENARIOS, build_graph, export_mapping_sources, run_pipeline
+from .query import query_from_dict
+from .report import Report, context_service, render_report, rows_doc
+from .virtual import VirtualBinding
 from .plant import (
     FaultSpec,
     config_from_json,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MixdiagError, ParseError, decode
+from .errors import MixdiagError, ParseError
 from .plant import LOG_HEADER, PlantConfig, SimulationLog
 
 RISE = "↑"
@@ -133,25 +133,6 @@ def _parse_rows(
     ``first_line`` after a record at ``prev_ms``.  Also returns the last
     record's ``t_ms`` (``prev_ms`` when ``text`` holds no record)."""
     return _read_records(csv.reader(io.StringIO(text)), first_line - 1, prev_ms)
-
-
-def _rows_before(data: bytes, end: int) -> tuple[int, int | None]:
-    """The number of sensor records in ``data[:end]`` and the ``t_ms`` of
-    its last record (None when it holds none), where ``data[:end]`` is the
-    UTF-8 of a log that parses, ends on a line feed and holds no quote after
-    its header line.  Each of its other lines is then one row split at its
-    commas, whose kind is its second field and whose value holds no comma,
-    and the header holds no ``,sensor,``.  So ``bytes.count`` finds
-    ``,sensor,`` once in each line whose kind or id is ``sensor`` and in no
-    other, and ``,actuator,sensor,`` once in each actuator row among those."""
-    sensors = data.count(b",sensor,", 0, end) - data.count(b",actuator,sensor,", 0, end)
-    while data[end - 1] in b"\r\n":  # blank lines; the header line is not blank
-        end -= 1
-    line_feed = data.rfind(b"\n", 0, end)
-    start = max(line_feed, data.rfind(b"\r", line_feed + 1, end)) + 1
-    if start == 0:  # the header
-        return sensors, None
-    return sensors, _parse_rows(decode(data[start:end]), 1, None)[2]
 
 
 def _read_records(

@@ -8,6 +8,8 @@ render a technician report.  An exclusive gateway skips context collection
 when no anomalies were found; the report is written either way.
 ``build_graph`` is the one way the graph is populated; ``mixdiag annotate``
 uses it too.
+Both call each stage by its name in this module, so a wrapper set on the
+module (``bench/tracing.py``) is seen.
 
 Every artifact is serialized canonically, so a pipeline run is
 byte-deterministic for a fixed seed and scenario.
@@ -15,49 +17,22 @@ byte-deterministic for a fixed seed and scenario.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import annotate as ann
-from .anomalies import (
-    Anomaly,
-    DetectionSettings,
-    anomalies_to_json,
-    detect,
-)
+from .anomalies import Anomaly, DetectionSettings, anomalies_to_json, detect
 from .automaton import TimedAutomaton, learn, serialize
-from .errors import MixdiagError, ParseError, dump_json, parse_json
+from .catalog import CqResult, catalog_to_json, default_catalog, validate_catalog
+from .errors import MixdiagError, dump_json
 from .events import split_cycles, to_trace
-from .kg import (
-    KnowledgeGraph,
-    MappingRule,
-    Query,
-    VirtualBinding,
-    apply_mappings,
-    query_from_dict,
-    query_to_dict,
-    serialize_ntriples,
-)
-from .plant import (
-    FaultSpec,
-    PlantConfig,
-    config_to_json,
-    default_config,
-    simulate,
-    write_log_csv,
-)
-from .terms import (
-    Iri,
-    Literal,
-    RDF_TYPE,
-    Term,
-    Var,
-    format_term,
-    iri,
-    term_from_jsonable,
-    term_to_jsonable,
-)
+from .kg import KnowledgeGraph
+from .mappings import MappingRule, apply_mappings
+from .ntriples import serialize_ntriples
+from .plant import FaultSpec, PlantConfig, config_to_json, default_config, simulate, write_log_csv
+from .report import AnomalyContext, Report, context_service, render_report
+from .terms import Iri, iri
+from .virtual import VirtualBinding
 
 SCENARIOS: dict[str, tuple[FaultSpec, ...]] = {
     "nominal": (),
@@ -66,12 +41,7 @@ SCENARIOS: dict[str, tuple[FaultSpec, ...]] = {
 }
 
 VDI_PROCESS_OPERATOR = iri("vdi3682:ProcessOperator")
-VDI_ASSIGNED_TO = iri("vdi3682:assignedTo")
-VDI_HAS_INPUT = iri("vdi3682:hasInput")
-VDI_HAS_OUTPUT = iri("vdi3682:hasOutput")
 ISA_EQUIPMENT = iri("isa88:Equipment")
-ISA_IS_PART_OF = iri("isa88:isPartOf")
-SOSA_SENSOR = iri("sosa:Sensor")
 SOSA_ACTUATOR = iri("sosa:Actuator")
 SOSA_OBSERVES = iri("sosa:observes")
 DIN_CAPACITY = iri("din61360:capacityLiters")
@@ -79,201 +49,6 @@ DIN_CAPACITY = iri("din61360:capacityLiters")
 
 class PipelineError(MixdiagError):
     """A pipeline stage failed; the message names the stage."""
-
-
-# ---------------------------------------------------------------------------
-# competency-question catalog
-
-
-@dataclass(frozen=True)
-class CqItem:
-    """One competency question with its query and optional expected rows."""
-
-    id: str
-    phase: str  # contextualization | diagnosis
-    question: str
-    query: Query
-    expected: tuple[dict[str, Term], ...] | None = None
-
-
-@dataclass(frozen=True)
-class CqCatalog:
-    items: tuple[CqItem, ...]
-
-    def __post_init__(self):
-        ids = [item.id for item in self.items]
-        if len(set(ids)) != len(ids):
-            raise ParseError("duplicate competency question id")
-
-
-@dataclass
-class CqResult:
-    cq_id: str
-    phase: str
-    question: str
-    passed: bool
-    actual: list[dict[str, Term]]
-    expected: list[dict[str, Term]] | None
-
-
-def default_catalog() -> CqCatalog:
-    """The shipped question set: three structural questions with frozen
-    answers and two diagnosis questions that require a populated graph."""
-
-    def q(select, where, **kwargs):
-        return query_from_dict({"select": select, "where": where, **kwargs})
-
-    return CqCatalog(
-        (
-            CqItem(
-                "CQ1",
-                "contextualization",
-                "Which part of the module is responsible for filling tank B201?",
-                q(
-                    ["?part"],
-                    [
-                        ["?f", "rdf:type", "vdi3682:ProcessOperator"],
-                        ["?f", "vdi3682:hasInput", "ex:B201"],
-                        ["?f", "vdi3682:assignedTo", "?part"],
-                    ],
-                ),
-                ({"part": iri("ex:V201")},),
-            ),
-            CqItem(
-                "CQ2",
-                "contextualization",
-                "Which sensors are part of tank B201?",
-                q(
-                    ["?s"],
-                    [
-                        ["?s", "rdf:type", "sosa:Sensor"],
-                        ["?s", "isa88:isPartOf", "ex:B201"],
-                    ],
-                ),
-                ({"s": iri("ex:L201")},),
-            ),
-            CqItem(
-                "CQ3",
-                "contextualization",
-                "What property does the sensor at tank B201 measure?",
-                q(
-                    ["?p"],
-                    [
-                        ["?s", "rdf:type", "sosa:Sensor"],
-                        ["?s", "isa88:isPartOf", "ex:B201"],
-                        ["?s", "sosa:observes", "?p"],
-                    ],
-                ),
-                ({"p": iri("din61360:FillLevel")},),
-            ),
-            CqItem(
-                "CQ4",
-                "diagnosis",
-                "Between which two states was a temporal anomaly identified?",
-                q(
-                    ["?src", "?tgt"],
-                    [
-                        ["?a", "rdf:type", "ex:TimingAnomaly"],
-                        ["?a", "iso17359:locatedAt", "?t"],
-                        ["?t", "sm:source", "?src"],
-                        ["?t", "sm:target", "?tgt"],
-                    ],
-                ),
-            ),
-            CqItem(
-                "CQ5",
-                "diagnosis",
-                "By how many seconds was the anomaly outside the max?",
-                q(
-                    ["?d"],
-                    [
-                        ["?a", "rdf:type", "ex:TimingAnomaly"],
-                        ["?a", "ex:deviationSeconds", "?d"],
-                    ],
-                ),
-            ),
-        )
-    )
-
-
-def catalog_to_json(catalog: CqCatalog) -> str:
-    doc = {
-        "competency_questions": [
-            {
-                "id": item.id,
-                "phase": item.phase,
-                "question": item.question,
-                "query": query_to_dict(item.query),
-                "expected": None
-                if item.expected is None
-                else [
-                    {f"?{name}": term_to_jsonable(value) for name, value in sorted(row.items())}
-                    for row in item.expected
-                ],
-            }
-            for item in catalog.items
-        ]
-    }
-    return dump_json(doc)
-
-
-def catalog_from_json(text: str) -> CqCatalog:
-    doc = parse_json(text)
-    try:
-        items = []
-        for raw in doc["competency_questions"]:
-            expected = None
-            if raw.get("expected") is not None:
-                expected = tuple(
-                    {
-                        key.lstrip("?"): _expected_term(value)
-                        for key, value in row.items()
-                    }
-                    for row in raw["expected"]
-                )
-            items.append(
-                CqItem(
-                    str(raw["id"]),
-                    str(raw.get("phase", "contextualization")),
-                    str(raw["question"]),
-                    query_from_dict(raw["query"]),
-                    expected,
-                )
-            )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"bad catalog document: {exc}") from None
-    return CqCatalog(tuple(items))
-
-
-def _expected_term(raw) -> Term:
-    term = term_from_jsonable(raw)
-    if isinstance(term, Var):
-        raise ParseError("expected rows must be ground terms")
-    return term
-
-
-def _row_key(row: dict[str, Term]) -> tuple:
-    return tuple(sorted((name, format_term(value)) for name, value in row.items()))
-
-
-def validate_catalog(graph: KnowledgeGraph, catalog: CqCatalog) -> list[CqResult]:
-    """Run every question.  With expected rows the actual rows must match as
-    multisets; without them the question passes iff it returns anything."""
-    results = []
-    for item in catalog.items:
-        actual = graph.query(item.query)
-        if item.expected is None:
-            passed = bool(actual)
-            expected = None
-        else:
-            expected = [dict(row) for row in item.expected]
-            passed = Counter(map(_row_key, actual)) == Counter(map(_row_key, expected))
-        results.append(CqResult(item.id, item.phase, item.question, passed, actual, expected))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# default graph population
 
 
 def export_mapping_sources(config: PlantConfig) -> dict[str, str]:
@@ -379,182 +154,6 @@ def build_graph(
     if log_path is not None:
         graph = graph.bind_virtual(VirtualBinding(log_path))
     return graph.infer()
-
-
-# ---------------------------------------------------------------------------
-# services
-
-
-@dataclass
-class AnomalyContext:
-    """Graph context for one anomaly: where it sits in the state machine and
-    which plant parts and sensors a technician should look at."""
-
-    anomaly: Anomaly
-    resolved: bool
-    transition: str | None = None
-    source_state: str | None = None
-    target_state: str | None = None
-    source_signals: tuple[str, ...] = ()
-    target_signals: tuple[str, ...] = ()
-    equipment: tuple[str, ...] = ()
-    functions: tuple[str, ...] = ()
-    sensors: tuple[str, ...] = ()
-
-
-def _query_values(graph: KnowledgeGraph, select: str, where) -> list[Term]:
-    rows = graph.query(Query((select,), tuple(where)))
-    return [row[select] for row in rows]
-
-
-def _active_signals(graph: KnowledgeGraph, state: Iri) -> tuple[str, ...]:
-    values = _query_values(graph, "v", [(state, ann.EX_SIGNAL_VALUE, Var("v"))])
-    active = []
-    for value in values:
-        if isinstance(value, Literal) and value.lexical.endswith("=true"):
-            active.append(value.lexical.removesuffix("=true"))
-    return tuple(sorted(active))
-
-
-def context_service(graph: KnowledgeGraph, anomalies: list[Anomaly]) -> list[AnomalyContext]:
-    """Run the fixed context queries for every anomaly.
-
-    The chain is: transition, its states and signals, related equipment, the
-    functions assigned to that equipment, and finally the sensors attached
-    to the equipment or to the functions' input/output tanks.  An anomaly
-    whose transition is not in the graph comes back marked unresolved.
-    """
-    contexts = []
-    for anomaly in anomalies:
-        if anomaly.source_state is None or anomaly.target_state is None:
-            contexts.append(AnomalyContext(anomaly, resolved=False))
-            continue
-        tr = ann.transition_iri(anomaly.source_state, anomaly.event_label, anomaly.target_state)
-        if not _query_values(graph, "c", [(tr, RDF_TYPE, Var("c"))]):
-            contexts.append(AnomalyContext(anomaly, resolved=False))
-            continue
-        source = ann.state_iri(anomaly.source_state)
-        target = ann.state_iri(anomaly.target_state)
-        # every query is anchored on the transition's equipment; each field
-        # below is a sorted set, so row multiplicity does not matter
-        e, f, s, t = Var("e"), Var("f"), Var("s"), Var("t")
-        related = (tr, ann.ISA_RELATES_TO_EQUIPMENT, e)
-        assigned = (f, VDI_ASSIGNED_TO, e)
-        sensor = (s, RDF_TYPE, SOSA_SENSOR)
-        equipment = _query_values(graph, "e", [related])
-        functions = _query_values(graph, "f", [related, assigned])
-        sensors = _query_values(graph, "s", [related, sensor, (s, ISA_IS_PART_OF, e)])
-        for predicate in (VDI_HAS_INPUT, VDI_HAS_OUTPUT):
-            sensors += _query_values(
-                graph, "s", [related, assigned, (f, predicate, t), sensor, (s, ISA_IS_PART_OF, t)]
-            )
-        contexts.append(
-            AnomalyContext(
-                anomaly,
-                resolved=True,
-                transition=format_term(tr),
-                source_state=format_term(source),
-                target_state=format_term(target),
-                source_signals=_active_signals(graph, source),
-                target_signals=_active_signals(graph, target),
-                equipment=tuple(sorted({format_term(e) for e in equipment})),
-                functions=tuple(sorted({format_term(f) for f in functions})),
-                sensors=tuple(sorted({format_term(s) for s in sensors})),
-            )
-        )
-    return contexts
-
-
-def rows_doc(rows: list[dict[str, Term]]) -> list[dict[str, str]]:
-    """Result rows as ``{"?var": text}`` objects for JSON output."""
-    return [{f"?{k}": format_term(v) for k, v in sorted(row.items())} for row in rows]
-
-
-@dataclass
-class Report:
-    generated_at: str
-    scenario: str
-    anomalies: list[Anomaly]
-    contexts: list[AnomalyContext]
-    cq_results: list[CqResult]
-
-    def to_dict(self) -> dict:
-        return {
-            "generated_at": self.generated_at,
-            "scenario": self.scenario,
-            "anomalies": [asdict(a) for a in self.anomalies],
-            "contexts": [
-                {k: v for k, v in asdict(c).items() if k != "anomaly"} | {"anomaly_index": i}
-                for i, c in enumerate(self.contexts)
-            ],
-            "competency_questions": [
-                {
-                    "id": r.cq_id,
-                    "phase": r.phase,
-                    "question": r.question,
-                    "passed": r.passed,
-                    "actual": rows_doc(r.actual),
-                    "expected": None if r.expected is None else rows_doc(r.expected),
-                }
-                for r in self.cq_results
-            ],
-        }
-
-
-def render_report(report: Report) -> str:
-    lines = [
-        "MIXING MODULE DIAGNOSIS REPORT",
-        f"generated: {report.generated_at}",
-        f"scenario:  {report.scenario}",
-        "",
-    ]
-    if not report.anomalies:
-        lines.append("No anomalies detected; the module behaved within the learned envelope.")
-    else:
-        lines.append(f"Anomalies detected: {len(report.anomalies)}")
-        contexts = list(report.contexts) + [None] * (
-            len(report.anomalies) - len(report.contexts)
-        )
-        for i, (anomaly, context) in enumerate(zip(report.anomalies, contexts), start=1):
-            lines.append("")
-            lines.append(f"[{i}] {anomaly.kind} at t={anomaly.at_t_s} s (event {anomaly.event_label})")
-            if anomaly.observed_dwell_s is not None:
-                bound_kind = "max" if anomaly.kind == "TimingAboveMax" else "min"
-                lines.append(
-                    f"    observed dwell {anomaly.observed_dwell_s} s, "
-                    f"learned {bound_kind} {anomaly.bound_s} s, "
-                    f"deviation {anomaly.deviation_s} s"
-                )
-            if context is None or not context.resolved:
-                lines.append("    context: unresolved (transition not in the knowledge graph)")
-                continue
-            lines.append(
-                f"    between states {context.source_state} "
-                f"(active: {', '.join(context.source_signals) or 'none'}) -> "
-                f"{context.target_state} (active: {', '.join(context.target_signals) or 'none'})"
-            )
-            lines.append(f"    equipment: {', '.join(context.equipment) or 'none'}")
-            lines.append(f"    functions: {', '.join(context.functions) or 'none'}")
-            lines.append(f"    sensors to check: {', '.join(context.sensors) or 'none'}")
-    lines.append("")
-    lines.append("Competency questions:")
-    for r in report.cq_results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"  [{status}] {r.cq_id} ({r.phase}): {r.question}")
-        if r.actual:
-            for row in r.actual:
-                rendered = ", ".join(
-                    f"?{k}={format_term(v)}" for k, v in sorted(row.items())
-                )
-                lines.append(f"         {rendered}")
-        else:
-            lines.append("         (no rows)")
-    lines.append("")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# the pipeline
 
 
 @dataclass

@@ -10,7 +10,7 @@ their class, followed by their fields.  Hashing and equality are the
 tuple's own, in C, so a dict keyed by terms (the closure's numbering, a
 bound log's indexes) runs no Python code per lookup, and the tag keeps terms
 of different classes apart: ``Iri("x") != Var("x")``.  A plain tuple that
-spells out a tag does compare equal to a term; ``kg.Query`` therefore checks
+spells out a tag does compare equal to a term; ``query.Query`` therefore checks
 that its patterns and filters hold terms.
 """
 

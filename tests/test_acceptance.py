@@ -17,8 +17,10 @@ from mixdiag.anomalies import DetectionSettings, detect
 from mixdiag.annotate import annotate_automaton, rebuild_automaton, transition_iri
 from mixdiag.automaton import deserialize, learn, serialize
 from mixdiag.events import split_cycles, to_trace
-from mixdiag.kg import KnowledgeGraph, parse_ntriples, serialize_ntriples
-from mixdiag.pipeline import default_catalog, run_pipeline, validate_catalog
+from mixdiag.catalog import default_catalog, validate_catalog
+from mixdiag.kg import KnowledgeGraph
+from mixdiag.ntriples import parse_ntriples, serialize_ntriples
+from mixdiag.pipeline import run_pipeline
 from mixdiag.plant import default_config, simulate, write_log_csv
 from mixdiag.terms import Literal, iri
 

@@ -14,7 +14,8 @@ from mixdiag.annotate import (
 )
 from mixdiag.anomalies import Anomaly, detect
 from mixdiag.events import to_trace
-from mixdiag.kg import KnowledgeGraph, query_from_dict
+from mixdiag.kg import KnowledgeGraph
+from mixdiag.query import query_from_dict
 from mixdiag.terms import Iri, Literal, Triple, iri
 
 from conftest import state_by_active
@@ -111,7 +112,7 @@ def test_rebuild_round_trip(automaton):
 
 
 def test_rebuild_survives_graph_round_trip(automaton):
-    from mixdiag.kg import parse_ntriples, serialize_ntriples
+    from mixdiag.ntriples import parse_ntriples, serialize_ntriples
 
     g = KnowledgeGraph().insert(annotate_automaton(automaton))
     rebuilt = rebuild_automaton(parse_ntriples(serialize_ntriples(g)).asserted)

@@ -13,18 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 import mixdiag
 from mixdiag.cli import main
 from mixdiag.errors import MixdiagError, ParseError
-from mixdiag.kg import (
-    Filter,
-    KnowledgeGraph,
-    Query,
-    QueryError,
-    SourceUnavailable,
-    VirtualBinding,
-    parse_ntriples,
-    query_from_dict,
-    query_to_dict,
-    serialize_ntriples,
-)
+from mixdiag.kg import KnowledgeGraph
+from mixdiag.ntriples import parse_ntriples, serialize_ntriples
+from mixdiag.query import Filter, Query, QueryError, query_from_dict, query_to_dict
+from mixdiag.virtual import SourceUnavailable, VirtualBinding
 from mixdiag.plant import default_config, simulate, write_log_csv
 from mixdiag.terms import (
     Iri,
@@ -245,7 +237,8 @@ def test_a_plain_query_sorts_an_ill_typed_numeric_literal_as_infinity():
 
 NAN_ORDER = """
 import json
-from mixdiag.kg import parse_ntriples, query_from_dict
+from mixdiag.ntriples import parse_ntriples
+from mixdiag.query import query_from_dict
 
 values = ["3.5", "nan", "-1.0", "10.0", "NaN", "0.25", "2.0", "-7.0"]
 graph = parse_ntriples("".join(

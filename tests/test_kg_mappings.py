@@ -2,7 +2,7 @@
 
 import pytest
 
-from mixdiag.kg import MappingError, MappingRule, apply_mappings
+from mixdiag.mappings import MappingError, MappingRule, apply_mappings
 from mixdiag.terms import Literal, Triple, iri
 
 TANKS_CSV = """id,capacity_l,initial_l

@@ -24,22 +24,18 @@ from operator import itemgetter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mixdiag import events, kg
+from mixdiag import events, virtual
+from mixdiag.closure import EX_ATTRIBUTE_TO_CLASS, EX_EQUIVALENT_TO, EX_RELATION_TO, _Closure
 from mixdiag.errors import MixdiagError
-from mixdiag.kg import (
-    EX_ATTRIBUTE_TO_CLASS,
-    EX_EQUIVALENT_TO,
-    EX_RELATION_TO,
+from mixdiag.kg import KnowledgeGraph
+from mixdiag.query import Filter, Query, _filter_accepts
+from mixdiag.virtual import (
     SOSA_HAS_SIMPLE_RESULT,
     SOSA_MADE_BY_SENSOR,
     SOSA_OBSERVATION,
     SOSA_RESULT_TIME,
-    Filter,
-    KnowledgeGraph,
-    Query,
     SourceUnavailable,
     VirtualBinding,
-    _Closure,
 )
 from mixdiag.pipeline import run_pipeline
 from mixdiag.plant import default_config, simulate, write_log_csv
@@ -306,7 +302,7 @@ def test_answers_come_in_the_reference_order(rng, ordered, limit):
     query = Query(base.select, base.where, base.filters,
                   rng.choice(names) if ordered else None, limit)
     rows = [r for r in graph._solve(query)
-            if all(kg._filter_accepts(r, f) for f in query.filters)]
+            if all(_filter_accepts(r, f) for f in query.filters)]
     assert [list(r.items()) for r in graph.query(query)] == [
         list(r.items()) for r in reference_order(rows, query)
     ]
@@ -798,7 +794,7 @@ def test_an_append_of_k_rows_parses_k_rows_at_any_log_length(tmp_path, monkeypat
     others, and cut nothing from the view, over a 1-cycle and a 100-cycle
     plant log alike."""
     parsed, decoded, cut = [], [], []
-    parse_rows, decode, cut_view = events._parse_rows, kg.decode, VirtualBinding._cut
+    parse_rows, decode, cut_view = events._parse_rows, virtual.decode, VirtualBinding._cut
 
     def counting_parse(*args):
         records = parse_rows(*args)
@@ -814,7 +810,7 @@ def test_an_append_of_k_rows_parses_k_rows_at_any_log_length(tmp_path, monkeypat
         cut_view(view, size)
 
     monkeypatch.setattr(events, "_parse_rows", counting_parse)
-    monkeypatch.setattr(kg, "decode", counting_decode)
+    monkeypatch.setattr(virtual, "decode", counting_decode)
     monkeypatch.setattr(VirtualBinding, "_cut", counting_cut)
     query = Query(("o",), ((O, SOSA_MADE_BY_SENSOR, iri("ex:L204")),))
     k, sizes = 7, []
@@ -947,7 +943,7 @@ def test_crlf_and_cr_line_ends_answer_as_line_feeds_do(tmp_path, monkeypatch):
     assert live_answers(graph) == answers["lf"]
     assert (binding.scan_count, binding.data) == (1, path.read_bytes())
     decoded = []
-    monkeypatch.setattr(kg, "decode", decoded.append)
+    monkeypatch.setattr(virtual, "decode", decoded.append)
     assert live_answers(graph) == answers["lf"]
     assert decoded == []
 

@@ -10,21 +10,19 @@ from mixdiag.anomalies import Anomaly, anomalies_from_json
 from mixdiag.automaton import deserialize, serialize
 from mixdiag.cli import main
 from mixdiag.errors import MixdiagError, ParseError, parse_json
-from mixdiag.kg import KnowledgeGraph, QueryError, parse_ntriples
-from mixdiag.pipeline import (
+from mixdiag.catalog import (
     CqCatalog,
     CqItem,
-    PipelineError,
     catalog_from_json,
     catalog_to_json,
-    context_service,
     default_catalog,
-    equipment_map_for,
-    render_report,
-    run_pipeline,
     validate_catalog,
 )
-from mixdiag.kg import query_from_dict
+from mixdiag.kg import KnowledgeGraph
+from mixdiag.ntriples import parse_ntriples
+from mixdiag.pipeline import PipelineError, equipment_map_for, run_pipeline
+from mixdiag.query import QueryError, query_from_dict
+from mixdiag.report import context_service, render_report
 from mixdiag.plant import (
     ConfigError, config_from_json, config_to_json, default_config, write_log_csv,
 )
