@@ -1,8 +1,4 @@
-"""Queries: basic graph patterns with comparison filters, and their JSON form.
-
-A filter compares a bound term with a constant; two terms that cannot be
-compared fail the filter, which drops the row.
-"""
+"""Queries: basic graph patterns with comparison filters, and their JSON form."""
 
 from __future__ import annotations
 
@@ -11,11 +7,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import MixdiagError
-from .terms import (
-    XSD_STRING, Iri, Literal, PatternTerm, Term, Var, term_from_jsonable, term_to_jsonable,
-)
+from .terms import XSD_BOOLEAN, XSD_STRING, Iri, Literal, PatternTerm, Term, Var
+from .terms import term_from_jsonable, term_to_jsonable
 
 _COMPARISON_OPS = ("<=", ">=", "!=", "=", "<", ">")
+_TRUTH = {"false": False, "0": False, "true": True, "1": True}  # xsd:boolean lexical forms
 
 
 class QueryError(MixdiagError):
@@ -151,6 +147,10 @@ def _compare_terms(left: Term, right: Term) -> int | None:
             return None
     elif left.datatype == XSD_STRING and right.datatype == XSD_STRING:
         a, b = left.lexical, right.lexical
+    elif left.datatype == XSD_BOOLEAN and right.datatype == XSD_BOOLEAN:
+        a, b = _TRUTH.get(left.lexical), _TRUTH.get(right.lexical)
+        if a is None or b is None:
+            return None
     else:
         return None
     return (a > b) - (a < b)
@@ -163,9 +163,10 @@ def _filter_accepts(binding: Mapping[str, Term], f: Filter) -> bool:
             equal = value == f.constant
         else:
             cmp = _compare_terms(value, f.constant)
-            if cmp is None:
+            # a literal term equals itself, unless it is a number with no value
+            if cmp is None and (value != f.constant or value.is_numeric()):
                 return False
-            equal = cmp == 0
+            equal = cmp is None or cmp == 0
         return equal if f.op == "=" else not equal
     cmp = _compare_terms(value, f.constant)
     if cmp is None:

@@ -24,6 +24,7 @@ from mixdiag.terms import (
     RDFS_SUBCLASS_OF,
     Triple,
     Var,
+    XSD_BOOLEAN,
     XSD_DOUBLE,
     XSD_STRING,
     iri,
@@ -131,6 +132,38 @@ def test_iri_equality_filter(family):
         q(["?c"], [["?p", "ex:parentOf", "?c"]], filters=[["?c", "!=", "ex:bob"]])
     )
     assert {r["c"] for r in rows} == {iri("ex:carol"), iri("ex:dave")}
+
+
+def test_boolean_literals_compare_by_value():
+    """``true`` and ``1`` are true, ``false`` and ``0`` false, and false < true;
+    another lexical form compares with nothing, and any literal term is equal
+    to itself, whatever its datatype, unless it is a number with no value."""
+    flag, date = iri("sm:isInitial"), Literal("2024-01-01", iri("xsd:date"))
+    graph = KnowledgeGraph([
+        Triple(iri("ex:s0"), flag, Literal.boolean(True)),
+        Triple(iri("ex:s1"), flag, Literal.boolean(False)),
+        Triple(iri("ex:s2"), flag, Literal("yes", XSD_BOOLEAN)),
+        Triple(iri("ex:s3"), flag, date),
+        Triple(iri("ex:s4"), flag, Literal("nan", XSD_DOUBLE)),
+    ])
+
+    def subjects(op, constant):
+        query = Query(("s",), ((Var("s"), flag, Var("b")),), (Filter("b", op, constant),))
+        return [str(row["s"]) for row in graph.query(query)]
+
+    true = Literal.boolean(True)
+    assert subjects("=", true) == ["ex:s0"]
+    assert subjects("!=", true) == ["ex:s1"]
+    assert subjects("=", Literal("1", XSD_BOOLEAN)) == ["ex:s0"]
+    assert subjects("=", Literal("0", XSD_BOOLEAN)) == ["ex:s1"]
+    assert subjects("<", true) == ["ex:s1"]
+    assert subjects(">=", Literal.boolean(False)) == ["ex:s0", "ex:s1"]
+    assert subjects("=", Literal("yes", XSD_BOOLEAN)) == ["ex:s2"]
+    assert subjects("!=", Literal("yes", XSD_BOOLEAN)) == []
+    assert subjects("=", date) == ["ex:s3"]
+    assert subjects("<=", date) == []
+    assert subjects("=", Literal("nan", XSD_DOUBLE)) == []
+    assert subjects("!=", Literal("nan", XSD_DOUBLE)) == []
 
 
 def test_cross_datatype_comparison_drops_the_row(family):

@@ -46,10 +46,10 @@ from mixdiag.terms import (
     Literal,
     Term,
     Triple,
+    XSD_BOOLEAN,
     XSD_DOUBLE,
     XSD_INTEGER,
     Var,
-    format_term,
     iri,
     term_sort_key,
 )
@@ -71,6 +71,7 @@ def _match_term(pattern_term, concrete, binding):
 
 
 _STRING = "http://www.w3.org/2001/XMLSchema#string"
+_BOOLEAN = "http://www.w3.org/2001/XMLSchema#boolean"
 
 
 def _oracle_compare(a, b):
@@ -85,6 +86,11 @@ def _oracle_compare(a, b):
             return None
     elif a.datatype.value == _STRING and b.datatype.value == _STRING:
         x, y = a.lexical, b.lexical
+    elif a.datatype.value == _BOOLEAN and b.datatype.value == _BOOLEAN:
+        truth = ("false", "0", "true", "1")  # false before true: index // 2
+        if a.lexical not in truth or b.lexical not in truth:
+            return None
+        x, y = truth.index(a.lexical) // 2, truth.index(b.lexical) // 2
     else:
         return None
     return (x > y) - (x < y)
@@ -95,11 +101,12 @@ def _oracle_filter(row, f):
     if f.op in ("=", "!="):
         if isinstance(value, Iri) or isinstance(f.constant, Iri):
             equal = value == f.constant
+        elif _oracle_compare(value, f.constant) is not None:
+            equal = _oracle_compare(value, f.constant) == 0
+        elif value == f.constant and not value.is_numeric():
+            equal = True  # one term is itself, but NaN and "abc"^^xsd:double are no value
         else:
-            cmp = _oracle_compare(value, f.constant)
-            if cmp is None:
-                return False
-            equal = cmp == 0
+            return False
         return equal if f.op == "=" else not equal
     cmp = _oracle_compare(value, f.constant)
     if cmp is None:
@@ -134,7 +141,7 @@ def oracle_query(triples, query):
 
 
 def canonical(row):
-    return tuple(format_term(row[k]) for k in sorted(row))
+    return tuple(str(row[k]) for k in sorted(row))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +155,8 @@ LITERALS = (
     + [Literal("abc", XSD_DOUBLE)]
     + [Literal.string(s) for s in ("red", "green", "blue")]
     + [Literal.integer(7)]
+    + [Literal.boolean(True), Literal.boolean(False), Literal("1", XSD_BOOLEAN)]
+    + [Literal("yes", XSD_BOOLEAN), Literal("2024-01-01", iri("xsd:date"))]
 )
 OBJECTS = SUBJECTS[:5] + LITERALS
 
