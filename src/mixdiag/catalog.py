@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import ParseError, dump_json, parse_json
 from .kg import KnowledgeGraph
 from .query import Query, query_from_dict, query_to_dict
-from .terms import Term, Var, format_term, iri, term_from_jsonable, term_to_jsonable
+from .terms import Term, Var, iri, term_from_jsonable, term_to_jsonable
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def _expected_term(raw) -> Term:
 
 
 def _row_key(row: dict[str, Term]) -> tuple:
-    return tuple(sorted((name, format_term(value)) for name, value in row.items()))
+    return tuple(sorted((name, str(value)) for name, value in row.items()))
 
 
 def validate_catalog(graph: KnowledgeGraph, catalog: CqCatalog) -> list[CqResult]:

@@ -40,12 +40,6 @@ SCENARIOS: dict[str, tuple[FaultSpec, ...]] = {
     "leakage": (FaultSpec("leakage", "B204", 0.02),),
 }
 
-VDI_PROCESS_OPERATOR = iri("vdi3682:ProcessOperator")
-ISA_EQUIPMENT = iri("isa88:Equipment")
-SOSA_ACTUATOR = iri("sosa:Actuator")
-SOSA_OBSERVES = iri("sosa:observes")
-DIN_CAPACITY = iri("din61360:capacityLiters")
-
 
 class PipelineError(MixdiagError):
     """A pipeline stage failed; the message names the stage."""

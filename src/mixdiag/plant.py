@@ -52,9 +52,6 @@ logger = logging.getLogger(__name__)
 
 AMBIENT_TEMPERATURE_C = 20.0
 
-# Units are fixed per sensor kind; the record CSV carries plain numbers.
-UNIT_BY_SENSOR_KIND = {"level": "L", "flow": "L/s", "temperature": "degC"}
-
 LOG_HEADER = ("t_s", "kind", "id", "value")
 
 _UL_PER_L = 1_000_000

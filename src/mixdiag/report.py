@@ -10,7 +10,7 @@ from .anomalies import Anomaly
 from .catalog import CqResult
 from .kg import KnowledgeGraph
 from .query import Query
-from .terms import RDF_TYPE, Iri, Literal, Term, Var, format_term, iri
+from .terms import RDF_TYPE, Iri, Literal, Term, Var, iri
 
 VDI_ASSIGNED_TO = iri("vdi3682:assignedTo")
 VDI_HAS_INPUT = iri("vdi3682:hasInput")
@@ -86,14 +86,14 @@ def context_service(graph: KnowledgeGraph, anomalies: list[Anomaly]) -> list[Ano
             AnomalyContext(
                 anomaly,
                 resolved=True,
-                transition=format_term(tr),
-                source_state=format_term(source),
-                target_state=format_term(target),
+                transition=str(tr),
+                source_state=str(source),
+                target_state=str(target),
                 source_signals=_active_signals(graph, source),
                 target_signals=_active_signals(graph, target),
-                equipment=tuple(sorted({format_term(e) for e in equipment})),
-                functions=tuple(sorted({format_term(f) for f in functions})),
-                sensors=tuple(sorted({format_term(s) for s in sensors})),
+                equipment=tuple(sorted({str(e) for e in equipment})),
+                functions=tuple(sorted({str(f) for f in functions})),
+                sensors=tuple(sorted({str(s) for s in sensors})),
             )
         )
     return contexts
@@ -101,7 +101,7 @@ def context_service(graph: KnowledgeGraph, anomalies: list[Anomaly]) -> list[Ano
 
 def rows_doc(rows: list[dict[str, Term]]) -> list[dict[str, str]]:
     """Result rows as ``{"?var": text}`` objects for JSON output."""
-    return [{f"?{k}": format_term(v) for k, v in sorted(row.items())} for row in rows]
+    return [{f"?{k}": str(v) for k, v in sorted(row.items())} for row in rows]
 
 
 @dataclass
@@ -178,7 +178,7 @@ def render_report(report: Report) -> str:
         if r.actual:
             for row in r.actual:
                 rendered = ", ".join(
-                    f"?{k}={format_term(v)}" for k, v in sorted(row.items())
+                    f"?{k}={v}" for k, v in sorted(row.items())
                 )
                 lines.append(f"         {rendered}")
         else:

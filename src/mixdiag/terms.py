@@ -192,13 +192,6 @@ def term_sort_key(term: Term) -> tuple:
     return (3, 0.0, lexical)
 
 
-def format_term(term: Term) -> str:
-    """Human-oriented rendering used in reports and validation output."""
-    if isinstance(term, Iri):
-        return str(term)
-    return term.lexical
-
-
 def term_to_jsonable(term: PatternTerm):
     """Encode a term for query / catalog JSON documents."""
     if isinstance(term, Var):

@@ -25,9 +25,9 @@ def _occurrences(name, texts):
 
 
 def test_no_definition_is_named_only_where_it_is_defined():
-    """A non-dunder function, method or class whose name occurs once in
-    ``src/`` (its own definition) and never in ``bench/`` or ``scripts/`` is
-    used by the tests alone, so it is dead code."""
+    """A non-dunder function, method, class or module-level name whose name
+    occurs once in ``src/`` (its own definition) and never in ``bench/`` or
+    ``scripts/`` is used by the tests alone, so it is dead code."""
     package = _texts("src")
     outside = _texts("bench", "scripts")
     names = {
@@ -35,8 +35,15 @@ def test_no_definition_is_named_only_where_it_is_defined():
         for text in package
         for node in ast.walk(ast.parse(text))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+    } | {
+        target.id
+        for text in package
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in ast.walk(node.targets[0] if isinstance(node, ast.Assign) else node.target)
+        if isinstance(target, ast.Name)
     }
+    names = {name for name in names if not (name.startswith("__") and name.endswith("__"))}
     assert names
     dead = sorted(
         name
