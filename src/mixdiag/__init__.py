@@ -17,16 +17,13 @@ from .anomalies import (
 )
 from .annotate import annotate_anomalies, annotate_automaton, rebuild_automaton
 from .automaton import State, TimedAutomaton, Transition, deserialize, learn, serialize
+from .catalog import CqCatalog, CqItem, default_catalog, validate_catalog
 from .errors import MixdiagError, ParseError
 from .events import ActuatorVector, Event, EventTrace, parse_log, split_cycles, to_trace
-from .catalog import CqCatalog, CqItem, default_catalog, validate_catalog
 from .kg import KnowledgeGraph
 from .mappings import MappingRule, apply_mappings
 from .ntriples import parse_ntriples, serialize_ntriples
 from .pipeline import PipelineResult, run_pipeline
-from .query import Filter, Query
-from .report import Report
-from .virtual import VirtualBinding
 from .plant import (
     FaultSpec,
     PhaseUnreachable,
@@ -38,7 +35,10 @@ from .plant import (
     simulate,
     write_log_csv,
 )
+from .query import Filter, Query
+from .report import Report
 from .terms import Iri, Literal, Triple, Var, iri
+from .virtual import VirtualBinding
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,6 @@ characters that are awkward in IRIs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .anomalies import TIMING_KINDS, Anomaly

@@ -12,15 +12,12 @@ from pathlib import Path
 
 from .anomalies import DetectionSettings, anomalies_from_json, anomalies_to_json, detect
 from .automaton import deserialize, learn, serialize
+from .catalog import catalog_from_json, default_catalog, validate_catalog
 from .errors import MixdiagError, dump_json, parse_json, read_text
 from .events import parse_log, split_cycles, to_trace
-from .catalog import catalog_from_json, default_catalog, validate_catalog
 from .kg import KnowledgeGraph
 from .ntriples import parse_ntriples, serialize_ntriples
 from .pipeline import SCENARIOS, build_graph, export_mapping_sources, run_pipeline
-from .query import query_from_dict
-from .report import Report, context_service, render_report, rows_doc
-from .virtual import VirtualBinding
 from .plant import (
     FaultSpec,
     config_from_json,
@@ -28,6 +25,9 @@ from .plant import (
     simulate,
     write_log_csv,
 )
+from .query import query_from_dict
+from .report import Report, context_service, render_report, rows_doc
+from .virtual import VirtualBinding
 
 
 def _emit(text: str, out: str | None) -> None:

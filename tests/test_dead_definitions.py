@@ -19,6 +19,16 @@ def _texts(*directories):
     ]
 
 
+def _without_imports(text):
+    """``text`` with its import statements blanked: importing a name into
+    another module is no use of it."""
+    lines = text.split("\n")
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
 def _occurrences(name, texts):
     word = re.compile(rf"\b{re.escape(name)}\b")
     return sum(len(word.findall(text)) for text in texts)
@@ -27,8 +37,10 @@ def _occurrences(name, texts):
 def test_no_definition_is_named_only_where_it_is_defined():
     """A non-dunder function, method, class or module-level name whose name
     occurs once in ``src/`` (its own definition) and never in ``bench/`` or
-    ``scripts/`` is used by the tests alone, so it is dead code."""
+    ``scripts/`` is used by the tests alone, so it is dead code.  Import
+    statements in ``src/`` do not count."""
     package = _texts("src")
+    used = [_without_imports(text) for text in package]
     outside = _texts("bench", "scripts")
     names = {
         node.name
@@ -48,6 +60,6 @@ def test_no_definition_is_named_only_where_it_is_defined():
     dead = sorted(
         name
         for name in names
-        if _occurrences(name, package) == 1 and _occurrences(name, outside) == 0
+        if _occurrences(name, used) == 1 and _occurrences(name, outside) == 0
     )
     assert dead == KEPT
