@@ -16,8 +16,8 @@ import pytest
 from mixdiag.anomalies import DetectionSettings, detect
 from mixdiag.annotate import annotate_automaton, rebuild_automaton, transition_iri
 from mixdiag.automaton import deserialize, learn, serialize
-from mixdiag.events import split_cycles, to_trace
 from mixdiag.catalog import default_catalog, validate_catalog
+from mixdiag.events import split_cycles, to_trace
 from mixdiag.kg import KnowledgeGraph
 from mixdiag.ntriples import parse_ntriples, serialize_ntriples
 from mixdiag.pipeline import run_pipeline

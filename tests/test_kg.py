@@ -15,9 +15,8 @@ from mixdiag.cli import main
 from mixdiag.errors import MixdiagError, ParseError
 from mixdiag.kg import KnowledgeGraph
 from mixdiag.ntriples import parse_ntriples, serialize_ntriples
-from mixdiag.query import Filter, Query, QueryError, query_from_dict, query_to_dict
-from mixdiag.virtual import SourceUnavailable, VirtualBinding
 from mixdiag.plant import default_config, simulate, write_log_csv
+from mixdiag.query import Filter, Query, QueryError, query_from_dict, query_to_dict
 from mixdiag.terms import (
     Iri,
     Literal,
@@ -30,6 +29,7 @@ from mixdiag.terms import (
     iri,
     term_from_jsonable,
 )
+from mixdiag.virtual import SourceUnavailable, VirtualBinding
 
 
 def t(s, p, o):

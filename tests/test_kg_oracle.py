@@ -28,17 +28,9 @@ from mixdiag import events, virtual
 from mixdiag.closure import EX_ATTRIBUTE_TO_CLASS, EX_EQUIVALENT_TO, EX_RELATION_TO, _Closure
 from mixdiag.errors import MixdiagError
 from mixdiag.kg import KnowledgeGraph
-from mixdiag.query import Filter, Query, _filter_accepts
-from mixdiag.virtual import (
-    SOSA_HAS_SIMPLE_RESULT,
-    SOSA_MADE_BY_SENSOR,
-    SOSA_OBSERVATION,
-    SOSA_RESULT_TIME,
-    SourceUnavailable,
-    VirtualBinding,
-)
 from mixdiag.pipeline import run_pipeline
 from mixdiag.plant import default_config, simulate, write_log_csv
+from mixdiag.query import Filter, Query, _filter_accepts
 from mixdiag.terms import (
     RDF_TYPE,
     RDFS_SUBCLASS_OF,
@@ -52,6 +44,14 @@ from mixdiag.terms import (
     Var,
     iri,
     term_sort_key,
+)
+from mixdiag.virtual import (
+    SOSA_HAS_SIMPLE_RESULT,
+    SOSA_MADE_BY_SENSOR,
+    SOSA_OBSERVATION,
+    SOSA_RESULT_TIME,
+    SourceUnavailable,
+    VirtualBinding,
 )
 
 # ---------------------------------------------------------------------------

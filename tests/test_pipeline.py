@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mixdiag.anomalies import Anomaly, anomalies_from_json
 from mixdiag.automaton import deserialize, serialize
-from mixdiag.cli import main
-from mixdiag.errors import MixdiagError, ParseError, parse_json
 from mixdiag.catalog import (
     CqCatalog,
     CqItem,
@@ -18,14 +16,16 @@ from mixdiag.catalog import (
     default_catalog,
     validate_catalog,
 )
+from mixdiag.cli import main
+from mixdiag.errors import MixdiagError, ParseError, parse_json
 from mixdiag.kg import KnowledgeGraph
 from mixdiag.ntriples import parse_ntriples
 from mixdiag.pipeline import PipelineError, equipment_map_for, run_pipeline
-from mixdiag.query import QueryError, query_from_dict
-from mixdiag.report import context_service, render_report
 from mixdiag.plant import (
     ConfigError, config_from_json, config_to_json, default_config, write_log_csv,
 )
+from mixdiag.query import QueryError, query_from_dict
+from mixdiag.report import context_service, render_report
 from mixdiag.terms import iri
 
 from conftest import state_by_active
