@@ -40,10 +40,10 @@ from __future__ import annotations
 import logging
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, asdict
 from itertools import compress, count, islice
-from operator import gt
+from operator import gt, itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import MixdiagError, ParseError, dump_json, parse_json
@@ -334,15 +334,31 @@ def _prepare_fault(f: FaultSpec) -> _PreparedFault:
 
 @dataclass
 class _StoredCycle:
-    """A simulated cycle kept for replay: its window, the state it ended in
-    and the index ranges of its records in the output lists."""
+    """A simulated cycle kept for replay: its duration, the state it ended
+    in, and its records with each time replaced by its index in
+    ``offsets``, the cycle's distinct times less its start, in order.  A
+    replay shifts each distinct time once, so the records of one
+    millisecond share one int, as simulated ones do."""
 
-    start_ms: int
     duration_ms: int
-    actuator_span: tuple[int, int]
-    sensor_span: tuple[int, int]
     levels: dict[str, int]
     vector: dict[str, bool]
+    offsets: list[int]
+    actuators: list[tuple[int, str, bool]]
+    sensors: list[tuple[int, str, float]]
+
+    @classmethod
+    def of(
+        cls, start_ms: int, end_ms: int, actuators: list[tuple], sensors: list[tuple],
+        levels: dict[str, int], vector: dict[str, bool],
+    ) -> _StoredCycle:
+        """The cycle from ``start_ms`` to ``end_ms`` that emitted these records."""
+        times = sorted({t for t, _, _ in actuators} | {t for t, _, _ in sensors})
+        index = {t: k for k, t in enumerate(times)}
+        return cls(
+            end_ms - start_ms, dict(levels), dict(vector), [t - start_ms for t in times],
+            [(index[t], i, v) for t, i, v in actuators], [(index[t], i, v) for t, i, v in sensors],
+        )
 
     def replay(
         self,
@@ -351,11 +367,9 @@ class _StoredCycle:
         sensor_records: list[tuple[int, str, float]],
     ) -> None:
         """Append this cycle's records again, shifted to start at ``start_ms``."""
-        shift = start_ms - self.start_ms
-        actuators = actuator_records[slice(*self.actuator_span)]
-        sensors = sensor_records[slice(*self.sensor_span)]
-        actuator_records.extend([(t + shift, i, v) for t, i, v in actuators])
-        sensor_records.extend([(t + shift, i, v) for t, i, v in sensors])
+        shifted = [start_ms + t for t in self.offsets]
+        actuator_records.extend([(shifted[k], i, v) for k, i, v in self.actuators])
+        sensor_records.extend([(shifted[k], i, v) for k, i, v in self.sensors])
 
 
 def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
@@ -596,13 +610,9 @@ def simulate(
                         phase.name, cycle, "end condition not reached within 10x nominal time"
                     )
         if key is not None and not _fault_boundary_inside(prepared, start_ms, t_ms):
-            stored[key] = _StoredCycle(
-                start_ms,
-                t_ms - start_ms,
-                (actuator_lo, len(actuator_records)),
-                (sensor_lo, len(sensor_records)),
-                dict(levels),
-                dict(current),
+            stored[key] = _StoredCycle.of(
+                start_ms, t_ms, actuator_records[actuator_lo:], sensor_records[sensor_lo:],
+                levels, current,
             )
     # Close the final cycle by returning to the first phase's vector.
     enter_vector(config.phases[0].actuator_vector)
@@ -613,6 +623,10 @@ def simulate(
 
 class InvalidRecord(MixdiagError):
     """A log record that the CSV format cannot represent."""
+
+
+_CHUNK = 4096  # sorted sensor records whose lines exist at once in write_log_csv
+_time = itemgetter(0)
 
 
 class _Memo(dict):
@@ -674,36 +688,52 @@ def write_log_csv(log: SimulationLog) -> str:
     ``lineterminator="\\n"`` quotes it: when it holds ``,``, ``"`` or
     ``\\n``, with each ``"`` doubled; a ``\\r`` is written as it is.  A
     record with a negative time raises :class:`InvalidRecord`.
+
+    The sorted sensor records are written ``_CHUNK`` at a time, each chunk
+    cut back to the first record of the millisecond at its end, so that
+    only one chunk's lines exist at once and no millisecond spans two
+    chunks.  A chunk whose first millisecond holds more records runs to
+    the end of that millisecond.
     """
     actuators = sorted(log.actuator_records)
     sensors = sorted(log.sensor_records)
     for first in actuators[:1] + sensors[:1]:
         if first[0] < 0:
             raise InvalidRecord(f"record {first!r} has a negative time")
-    # Each distinct millisecond and each distinct (id, value) is formatted
-    # once.  A zero value is keyed with its sign: -0.0 == 0.0 as a key, but
-    # not as text.
+    # Each distinct (id, value) is formatted once, and each millisecond once
+    # for the actuator lines and once for its chunk.  A zero value is keyed
+    # with its sign: -0.0 == 0.0 as a key, but not as text.
     stamps = _Memo(format_timestamp)
     actuator_tails = _Memo(
         lambda key: f",actuator,{_csv_field(key[0])},{'1' if key[1] else '0'}\n"
     )
     sensor_tails = _Memo(lambda key: f",sensor,{_csv_field(key[0])},{float(key[1])!r}\n")
     actuator_lines = [stamps[t] + actuator_tails[rid, v] for t, rid, v in actuators]
-    sensor_lines = [
-        stamps[t] + sensor_tails[(rid, v) if v else (rid, v, math.copysign(1.0, v))]
-        for t, rid, v in sensors
-    ]
     _order_ties(actuators, actuator_lines)
-    _order_ties(sensors, sensor_lines)
-    # Actuator lines go before the sensor lines of the same millisecond.
     pieces = [",".join(LOG_HEADER) + "\n"]
-    start = 0
-    for record, line in zip(actuators, actuator_lines):
-        end = bisect_left(sensors, (record[0],), start)
-        pieces += sensor_lines[start:end]
-        pieces.append(line)
-        start = end
-    pieces += sensor_lines[start:]
+    written = 0  # actuator lines in pieces
+    lo = 0
+    while lo < len(sensors):
+        hi = lo + _CHUNK
+        if hi < len(sensors):
+            cut = bisect_left(sensors, sensors[hi][0], lo, hi, key=_time)
+            hi = cut if cut > lo else bisect_right(sensors, sensors[lo][0], hi, key=_time)
+        chunk = sensors[lo:hi]
+        lines = [
+            stamps[t] + sensor_tails[(rid, v) if v else (rid, v, math.copysign(1.0, v))]
+            for t, rid, v in chunk
+        ]
+        _order_ties(chunk, lines)
+        # Actuator lines go before the sensor lines of the same millisecond.
+        # Inserting the last one first leaves the chunk's positions valid for
+        # the rest, and keeps the lines of one millisecond in record order.
+        end = bisect_right(actuators, chunk[-1][0], written, key=_time)
+        for k in reversed(range(written, end)):
+            lines.insert(bisect_left(chunk, actuators[k][0], key=_time), actuator_lines[k])
+        pieces.append("".join(lines))
+        stamps.clear()  # no later chunk holds these milliseconds
+        written, lo = end, hi
+    pieces += actuator_lines[written:]
     return "".join(pieces)
 
 

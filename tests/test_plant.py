@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -469,3 +470,30 @@ def test_cycle_with_fault_onset_inside_is_simulated(config, caplog):
     assert transfer_dwells[:3] == [30.0] * 3
     assert transfer_dwells[3] == 45.0
     assert transfer_dwells[4:] == [60.0, 60.0]
+
+
+def test_replayed_records_share_one_int_per_millisecond(config):
+    """A replay shifts each distinct time of its cycle once, so, as in a
+    simulated cycle, the records of one millisecond hold one int object.
+    The actuator and sensor records at a cycle boundary come from two
+    cycles, so each list is counted on its own."""
+    log = simulate(config, 100)
+    for records in (log.actuator_records, log.sensor_records):
+        times = [t for t, _, _ in records]
+        assert len(set(map(id, times))) == len(set(times))
+    assert len({t for t, _, _ in log.sensor_records}) == 12_501
+
+
+def test_log_writer_peak_is_bounded_by_its_text(config):
+    """``write_log_csv`` holds one chunk's lines at a time, so what it
+    allocates above its input peaks below four times the text it returns:
+    not every line, the list of them and the joined text at once."""
+    log = simulate(config, 100)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = write_log_csv(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)

@@ -10,10 +10,11 @@ type they check.  Equal records and byte-equal CSV on random runs, faults
 that start and end on, near and inside cycle boundaries included, are
 strong evidence the shortcuts preserve the log.
 
-``write_log_csv`` builds each line from cached pieces and joins them once.
-``head_write_log_csv`` is the writer it replaced, ``csv.writer`` over
-sorted rows, and the two must agree byte for byte on any log, hand-built
-ones with quoted ids, tied records and signed zeros included.
+``write_log_csv`` builds each line from cached pieces and joins them a
+chunk of sensor records at a time.  ``head_write_log_csv`` is the writer it
+replaced, ``csv.writer`` over sorted rows, and the two must agree byte for
+byte on any log, hand-built ones with quoted ids, tied records and signed
+zeros included, at any chunk size.
 """
 
 import csv
@@ -391,5 +392,23 @@ def _tied(kind, rid, values):
         + [("sensor", 3, "r\rb", 1e-7), ("actuator", 3, "n\nl", False)]
     )
 )
+@example(
+    log=_split(
+        [("sensor", 6, "L201", 1.0), ("actuator", 6, "V1", True), ("sensor", 6, "a,b", 2.0)]
+        + _tied("sensor", "L201", [0.0, -0.0, 10.0, 9.0])
+        + _tied("sensor", "a,b", [-0.0, 1.0, 0.0])
+        + [("actuator", 7, "V1", False), ("sensor", 8, "L201", 9.0), ("actuator", 9, "V2", True)]
+    )
+)
 def test_write_log_csv_matches_csv_writer(log):
-    assert write_log_csv(log) == head_write_log_csv(log)
+    """At the default chunk size and at chunks smaller than the sensor
+    records of one millisecond, whose tie runs and signed zeros then fill
+    several chunks' worth of records."""
+    expected = head_write_log_csv(log)
+    default = plant._CHUNK
+    try:
+        for size in (1, 2, 3, default):
+            plant._CHUNK = size
+            assert write_log_csv(log) == expected
+    finally:
+        plant._CHUNK = default
