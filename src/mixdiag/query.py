@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import MixdiagError
-from .terms import XSD_BOOLEAN, XSD_STRING, Iri, Literal, PatternTerm, Term, Var
+from .terms import XSD_BOOLEAN, XSD_STRING, _TRUTH, Iri, Literal, PatternTerm, Term, Var
 from .terms import term_from_jsonable, term_to_jsonable
 
 _COMPARISON_OPS = ("<=", ">=", "!=", "=", "<", ">")
-_TRUTH = {"false": False, "0": False, "true": True, "1": True}  # xsd:boolean lexical forms
 
 
 class QueryError(MixdiagError):

@@ -104,6 +104,7 @@ RDFS_SUBCLASS_OF = iri("rdfs:subClassOf")
 RDFS_LABEL = iri("rdfs:label")
 
 _NUMERIC_DATATYPES = {XSD_DOUBLE, XSD_INTEGER}
+_TRUTH = {"false": False, "0": False, "true": True, "1": True}  # xsd:boolean lexical forms
 
 
 class Literal(_Term):
@@ -175,8 +176,9 @@ def term_sort_key(term: Term) -> tuple:
 
     IRIs sort before literals; numeric literals sort numerically among
     themselves (NaN, and one whose lexical form is not a number, as
-    infinity, since NaN orders with nothing), everything else by lexical
-    form.
+    infinity, since NaN orders with nothing); booleans sort false (``false``
+    or ``0``), then true (``true`` or ``1``), then any other lexical form;
+    everything else by lexical form.  Lexical forms break ties.
     """
     if term[0] == _IRI:
         return (0, 0.0, term[1])
@@ -188,7 +190,7 @@ def term_sort_key(term: Term) -> tuple:
             value = math.inf
         return (1, math.inf if value != value else value, lexical)  # NaN is not itself
     if datatype == XSD_BOOLEAN:
-        return (2, 0.0 if lexical == "false" else 1.0, lexical)
+        return (2, float(_TRUTH.get(lexical, 2)), lexical)
     return (3, 0.0, lexical)
 
 

@@ -93,8 +93,9 @@ def test_copy_deepcopy_and_pickle_round_trip(round_trip):
 
 
 def reference_sort_key(term) -> tuple:
-    """``term_sort_key`` as it was written through the terms' classes and
-    properties, before it read their tuples directly."""
+    """``term_sort_key`` written through the terms' classes and properties,
+    as it was before it read their tuples directly.  A boolean ranks as the
+    filters read it: false, then true, then a form that is neither."""
     if isinstance(term, Iri):
         return (0, 0.0, term.value)
     if term.is_numeric():
@@ -104,7 +105,9 @@ def reference_sort_key(term) -> tuple:
             value = math.inf
         return (1, math.inf if math.isnan(value) else value, term.lexical)
     if term.datatype == XSD_BOOLEAN:
-        return (2, 0.0 if term.lexical == "false" else 1.0, term.lexical)
+        truth = ("false", "0", "true", "1")  # false before true: index // 2
+        rank = truth.index(term.lexical) // 2 if term.lexical in truth else 2
+        return (2, float(rank), term.lexical)
     return (3, 0.0, term.lexical)
 
 
@@ -130,6 +133,7 @@ TERMS = st.one_of(
           Literal.boolean(False), Literal.string("7"), Literal("7", XSD_DOUBLE),
           Literal("7", XSD_INTEGER), Literal("", XSD_BOOLEAN), Literal("1", XSD_BOOLEAN),
           Literal("", XSD_STRING), iri("ex:a")])
+@example([Literal(lexical, XSD_BOOLEAN) for lexical in ("true", "0", "false", "1", "")])
 def test_sort_keys_are_the_reference_keys(terms):
     """The key of every IRI and literal, of any datatype and lexical form
     (one lexical form under several datatypes too), equals the reference's
