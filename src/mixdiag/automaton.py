@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MixdiagError, ParseError, dump_json, parse_json
+from .errors import MixdiagError, ParseError, dump_json, parse_json, typed
 from .events import ActuatorVector, Event, EventTrace, parse_label
 
 _STAT_SLACK = 1e-9
@@ -276,22 +276,22 @@ def deserialize(text: str) -> TimedAutomaton:
     try:
         states = [
             State(
-                int(s["id"]),
-                ActuatorVector.from_mapping(s["vector"]),
-                bool(s["is_initial"]),
+                typed(s["id"], int),
+                ActuatorVector.from_mapping({k: typed(v, bool) for k, v in s["vector"].items()}),
+                typed(s["is_initial"], bool),
             )
             for s in doc["states"]
         ]
         transitions = [
             Transition(
-                int(t["source"]),
+                typed(t["source"], int),
                 str(t["event_label"]),
-                int(t["target"]),
+                typed(t["target"], int),
                 float(t["t_min_s"]),
                 float(t["t_max_s"]),
                 float(t["mean_s"]),
                 float(t["m2_s2"]),
-                int(t["count"]),
+                typed(t["count"], int),
             )
             for t in doc["transitions"]
         ]

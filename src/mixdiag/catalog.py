@@ -6,10 +6,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ParseError, dump_json, parse_json
+from .errors import ParseError, dump_json, parse_json, typed
 from .kg import KnowledgeGraph
 from .query import Query, query_from_dict, query_to_dict
 from .terms import Term, Var, iri, term_from_jsonable, term_to_jsonable
+
+
+PHASES = ("contextualization", "diagnosis")
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,14 @@ def catalog_from_json(text: str) -> CqCatalog:
                     }
                     for row in raw["expected"]
                 )
+            phase = raw.get("phase", "contextualization")
+            if phase not in PHASES:
+                raise ParseError(f"bad catalog document: phase {phase!r} is none of {PHASES}")
             items.append(
                 CqItem(
-                    str(raw["id"]),
-                    str(raw.get("phase", "contextualization")),
-                    str(raw["question"]),
+                    typed(raw["id"], str),
+                    phase,
+                    typed(raw["question"], str),
                     query_from_dict(raw["query"]),
                     expected,
                 )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .anomalies import DetectionSettings, anomalies_from_json, anomalies_to_json, detect
 from .automaton import deserialize, learn, serialize
-from .catalog import catalog_from_json, default_catalog, validate_catalog
+from .catalog import PHASES, catalog_from_json, default_catalog, validate_catalog
 from .errors import MixdiagError, dump_json, parse_json, read_text
 from .events import parse_log, split_cycles, to_trace
 from .kg import KnowledgeGraph
@@ -279,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="N-Triples file")
     p.add_argument("--catalog", help="catalog JSON (default: built-in questions)")
     p.add_argument("--log", help="bind this log CSV as a virtual observation source")
-    p.add_argument("--phase", choices=["contextualization", "diagnosis"],
-                   help="only run questions of this phase")
+    p.add_argument("--phase", choices=PHASES, help="only run questions of this phase")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("report", help="render a technician report")

@@ -47,6 +47,14 @@ def parse_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
+def typed(value, kind: type):
+    """``value`` when its type is ``kind`` exactly, else TypeError: a JSON
+    boolean is no integer, a float no integer and a string no boolean."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def dump_json(doc) -> str:
     """The canonical text of ``doc``: indented, keys sorted, non-ASCII kept,
     ending in a line feed."""

@@ -46,7 +46,7 @@ from itertools import compress, count, islice
 from operator import gt, itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .errors import MixdiagError, ParseError, dump_json, parse_json
+from .errors import MixdiagError, ParseError, dump_json, parse_json, typed
 
 logger = logging.getLogger(__name__)
 
@@ -808,7 +808,7 @@ def config_from_json(text: str) -> PlantConfig:
             phases=tuple(
                 Phase(
                     str(p["name"]),
-                    {str(k): bool(v) for k, v in p["actuator_vector"].items()},
+                    {str(k): typed(v, bool) for k, v in p["actuator_vector"].items()},
                     _end_condition_from_dict(p["end_condition"]),
                 )
                 for p in doc["phases"]

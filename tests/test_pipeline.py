@@ -209,6 +209,51 @@ def test_config_from_json_rejects_a_tank_reference_that_is_no_string():
         config_from_json(json.dumps(doc))
 
 
+def _spoiled(doc: dict, path: tuple, value) -> str:
+    """``doc`` as JSON text, with the node at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "load, path, value, message",
+    [
+        (config_from_json, ("phases", 0, "actuator_vector", "V201"), "false", "bad plant config"),
+        (config_from_json, ("phases", 0, "actuator_vector", "V201"), 0, "bad plant config"),
+        (deserialize, ("transitions", 0, "count"), 2.9, "bad automaton document"),
+        (deserialize, ("transitions", 0, "count"), 2.0, "bad automaton document"),
+        (deserialize, ("transitions", 0, "source"), True, "bad automaton document"),
+        (deserialize, ("transitions", 0, "target"), "1", "bad automaton document"),
+        (deserialize, ("states", 0, "id"), 0.0, "bad automaton document"),
+        (deserialize, ("states", 0, "is_initial"), "false", "bad automaton document"),
+        (deserialize, ("states", 0, "vector", "P201"), 1, "bad automaton document"),
+    ],
+)
+def test_json_loaders_take_booleans_and_integers_only_as_json_gives_them(
+    load, path, value, message
+):
+    """No value is coerced: ``bool("false")`` is True and ``int(2.9)`` is 2."""
+    with pytest.raises(ParseError, match=message):
+        load(_spoiled(_LOADER_DOCS[load], path, value))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("phase", "Contextualization"), ("phase", 5), ("phase", None),
+     ("id", 5), ("id", None), ("question", ["Which part?"])],
+)
+def test_catalog_from_json_rejects_an_unknown_phase_and_a_non_string_id_or_question(key, value):
+    """Such a question loaded as it was, so ``validate --phase`` and
+    ``all_contextualization_passed`` skipped it, and ``"id": null`` read as
+    ``"None"``."""
+    with pytest.raises(ParseError, match="bad catalog document"):
+        catalog_from_json(_spoiled(_CATALOG_DOC, ("competency_questions", 0, key), value))
+
+
 def test_json_loaders_reject_deep_nesting_and_long_numbers(tmp_path, capsys):
     """``json`` raises RecursionError and a bare ValueError on these; every
     JSON loader, and ``mixdiag query``, raises ParseError instead."""
