@@ -11,6 +11,9 @@ one block under ``tracemalloc``.  Jobs:
 
 - ``write``: ``simulate`` and ``write_log_csv`` of the default plant, per
   ``--cycles`` count; both trees must write the same text.
+- ``train``: ``simulate``, ``to_trace``, ``split_cycles`` and ``learn`` on
+  the default plant's log, per ``--cycles`` count; both trees must learn the
+  same automaton text from as many trace steps.
 - ``view``: a ``VirtualBinding``'s cold refresh of the seed-1 plant log, per
   ``--cycles`` count, then the refresh that reads 7 appended sensor rows and
   the bytes it decodes; both views must agree on size, lines and last_ms.
@@ -166,18 +169,33 @@ def compare(sides: dict, blocks: int) -> dict:
     }
 
 
-def write_block(plant, cycles: int, laps: Laps) -> str:
+def write_block(package, cycles: int, laps: Laps) -> str:
     laps.start()
-    log = plant.simulate(plant.default_config(), cycles)
+    log = package.simulate(package.default_config(), cycles)
     laps.stop("simulate")
-    text = plant.write_log_csv(log)
+    text = package.write_log_csv(log)
     laps.stop("write_log_csv")
     return text
 
 
-def write_cases(trees: dict, args, workdir: Path):
+def train_block(package, cycles: int, laps: Laps) -> tuple[str, int]:
+    config = package.default_config()
+    laps.start()
+    log = package.simulate(config, cycles)
+    laps.stop("simulate")
+    trace = package.to_trace(log, config)
+    laps.stop("to_trace")
+    traces = package.split_cycles(trace, trace.initial_vector)
+    laps.stop("split_cycles")
+    automaton = package.learn(traces)
+    laps.stop("learn")
+    return package.serialize(automaton), len(trace.steps)
+
+
+def cycles_cases(block, trees: dict, args, workdir: Path):
+    """One case per ``--cycles`` count, running ``block`` on each tree."""
     for cycles in args.cycles:
-        yield f"{cycles} cycles", {label: partial(write_block, package.plant, cycles)
+        yield f"{cycles} cycles", {label: partial(block, package, cycles)
                                    for label, (package, _) in trees.items()}
 
 
@@ -266,7 +284,8 @@ def query_cases(name: str, trees: dict, args, workdir: Path):
     yield "ops", sides
 
 
-JOBS = {"write": write_cases, "view": view_cases,
+JOBS = {"write": partial(cycles_cases, write_block), "train": partial(cycles_cases, train_block),
+        "view": view_cases,
         **{name: partial(query_cases, name) for name in ("sensor_queries", "live_updates")}}
 
 
@@ -278,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--blocks", type=int, default=10)
     parser.add_argument("--seed", type=int, default=5, help="the query workloads' seed")
     parser.add_argument("--cycles", type=int, nargs="+", default=[100, 1000],
-                        help="plant cycles of the write and view logs")
+                        help="plant cycles of the write, train and view logs")
     parser.add_argument("--ops", type=int, default=32, help="sensor queries per block")
     parser.add_argument("--cold", action="store_true", help="run reference_work before each op")
     args = parser.parse_args(argv)

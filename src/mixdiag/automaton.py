@@ -56,6 +56,22 @@ class Transition:
     count: int
 
 
+def _move(source: State, label: str) -> ActuatorVector:
+    """The vector ``label`` takes ``source`` to.  Raises
+    :class:`DeterminismViolation` when a part names an unknown actuator or
+    flips nothing, and :class:`MixdiagError` when the label is malformed."""
+    changes = parse_label(label)
+    current_values = source.vector.as_dict()
+    for aid, value in changes.items():
+        if aid not in current_values:
+            raise DeterminismViolation(f"label {label!r} references unknown actuator {aid!r}")
+        if current_values[aid] == value:
+            raise DeterminismViolation(
+                f"label {label!r} does not flip {aid!r} in state {source.id}"
+            )
+    return source.vector.apply(changes)
+
+
 class TimedAutomaton:
     """A deterministic timed automaton with one initial state."""
 
@@ -92,31 +108,31 @@ class TimedAutomaton:
         self, current_state: int, event: Event, new_vector: ActuatorVector, dwell_s: float
     ) -> int:
         """Fold one observed step into the automaton; returns the state the
-        step lands in."""
+        step lands in.
+
+        Every transition's label takes its source's vector to its target's:
+        a step that creates a transition parses its label, checks each part
+        flips a known actuator and applies it; ``_from_parts`` checks the
+        same for a loaded automaton.  So a step along an existing
+        ``(state, label)`` costs two dict reads, a vector comparison and the
+        statistics fold: it only checks that the target's vector is
+        ``new_vector``."""
         if current_state not in self.states:
             raise MixdiagError(f"unknown state id {current_state}")
         if not math.isfinite(dwell_s) or dwell_s <= 0:
             raise InvalidDwell(f"dwell_s must be positive and finite, got {dwell_s!r}")
-        source = self.states[current_state]
-        changes = parse_label(event.label)
-        current_values = source.vector.as_dict()
-        for aid, value in changes.items():
-            if aid not in current_values:
-                raise DeterminismViolation(
-                    f"label {event.label!r} references unknown actuator {aid!r}"
-                )
-            if current_values[aid] == value:
-                raise DeterminismViolation(
-                    f"label {event.label!r} does not flip {aid!r} in state {current_state}"
-                )
-        if source.vector.apply(changes) != new_vector:
+        key = (current_state, event.label)
+        transition = self.transitions.get(key)
+        if transition is None:
+            reached = _move(self.states[current_state], event.label)
+        else:
+            reached = self.states[transition.target].vector
+        if reached != new_vector:
             raise DeterminismViolation(
                 f"label {event.label!r} applied to state {current_state} "
                 f"does not produce the recorded vector"
             )
 
-        key = (current_state, event.label)
-        transition = self.transitions.get(key)
         shift = 0.0
         if transition is None:
             target = self._by_vector.get(new_vector)
@@ -128,7 +144,6 @@ class TimedAutomaton:
             self.alphabet.add(event.label)
         else:
             target = transition.target
-            assert self.states[target].vector == new_vector  # implied by label determinism
             count = transition.count + 1
             delta = dwell_s - transition.mean_s
             mean = transition.mean_s + delta / count  # between two finite dwells
@@ -192,7 +207,9 @@ def learn(traces: list[EventTrace]) -> TimedAutomaton:
 def _from_parts(
     states: list[State], transitions: list[Transition], alphabet: set[str]
 ) -> TimedAutomaton:
-    """Assemble and validate an automaton from raw parts.
+    """Assemble and validate an automaton from raw parts, each transition's
+    label taking its source's vector to its target's, as
+    :meth:`TimedAutomaton.update` relies on.
 
     Raises ValueError with a message; callers wrap it into their own error
     type (ParseError for JSON, MalformedAnnotation for graphs).
@@ -208,11 +225,19 @@ def _from_parts(
     vectors = [s.vector for s in states]
     if len(set(vectors)) != len(vectors):
         raise ValueError("duplicate state vector")
-    id_set = set(ids)
+    by_id = {s.id: s for s in states}
     key_set = set()
     for t in transitions:
-        if t.source not in id_set or t.target not in id_set:
+        if t.source not in by_id or t.target not in by_id:
             raise ValueError(f"transition {t.source}->{t.target} references unknown state")
+        try:
+            reached = _move(by_id[t.source], t.event_label)
+        except MixdiagError as exc:
+            raise ValueError(str(exc)) from None
+        if reached != by_id[t.target].vector:
+            raise ValueError(
+                f"label {t.event_label!r} does not take state {t.source} to state {t.target}"
+            )
         key = (t.source, t.event_label)
         if key in key_set:
             raise ValueError(f"duplicate transition for {key}")

@@ -207,6 +207,11 @@ def to_trace(
     such records produces no event.  A NaN or negative ``merge_window_s``,
     or one that is infinite in milliseconds, raises
     :class:`InvalidMergeWindow`.
+
+    A step's label and vector depend only on the vector before it and its
+    group's records, so each distinct such move is derived once per call;
+    every other step costs a dict read and its own ``Event`` and
+    ``TraceStep``.
     """
     if not math.isfinite(merge_window_s * 1000) or merge_window_s < 0:
         raise InvalidMergeWindow(
@@ -242,21 +247,26 @@ def to_trace(
     # Steps share one object per distinct vector, so a long trace holds a
     # handful of vectors, not one per step.
     vectors = {vector: vector}
+    # (vector, group items) -> (label, next vector), or None for a group
+    # that changes nothing: each distinct move is derived once
+    moves: dict[tuple, tuple[str, ActuatorVector] | None] = {}
     steps: list[TraceStep] = []
     for t_ms, values in groups[1:]:
-        current = vector.as_dict()
-        changes = {aid: v for aid, v in values.items() if current[aid] != v}
-        if not changes:
+        key = (vector, tuple(values.items()))
+        try:
+            move = moves[key]
+        except KeyError:
+            current = vector.as_dict()
+            changes = {aid: v for aid, v in values.items() if current[aid] != v}
+            move = None
+            if changes:
+                after = vector.apply(changes)
+                move = build_label(changes), vectors.setdefault(after, after)
+            moves[key] = move
+        if move is None:
             continue
-        vector = vector.apply(changes)
-        vector = vectors.setdefault(vector, vector)
-        steps.append(
-            TraceStep(
-                Event(build_label(changes), t_ms / 1000.0),
-                vector,
-                (t_ms - prev_ms) / 1000.0,
-            )
-        )
+        label, vector = move
+        steps.append(TraceStep(Event(label, t_ms / 1000.0), vector, (t_ms - prev_ms) / 1000.0))
         prev_ms = t_ms
     return EventTrace(initial, tuple(steps))
 

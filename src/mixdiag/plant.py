@@ -365,11 +365,21 @@ class _StoredCycle:
         start_ms: int,
         actuator_records: list[tuple[int, str, bool]],
         sensor_records: list[tuple[int, str, float]],
-    ) -> None:
-        """Append this cycle's records again, shifted to start at ``start_ms``."""
-        shifted = [start_ms + t for t in self.offsets]
+    ) -> int:
+        """Append this cycle's records again, shifted to start at ``start_ms``,
+        and return the time it ends at.  A record at the start holds the
+        ``start_ms`` object, and the time returned is the last record's when
+        that is at the end, so the records of a millisecond that two cycles
+        share hold one int."""
+        offsets = self.offsets
+        shifted = [start_ms + t for t in offsets]
+        if offsets and offsets[0] == 0:
+            shifted[0] = start_ms
         actuator_records.extend([(shifted[k], i, v) for k, i, v in self.actuators])
         sensor_records.extend([(shifted[k], i, v) for k, i, v in self.sensors])
+        if offsets and offsets[-1] == self.duration_ms:
+            return shifted[-1]
+        return start_ms + self.duration_ms
 
 
 def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
@@ -533,10 +543,9 @@ def simulate(
             if hit is not None and not _fault_boundary_inside(
                 prepared, start_ms, start_ms + hit.duration_ms
             ):
-                hit.replay(start_ms, actuator_records, sensor_records)
+                t_ms = hit.replay(start_ms, actuator_records, sensor_records)
                 levels = dict(hit.levels)
                 current = dict(hit.vector)
-                t_ms = start_ms + hit.duration_ms
                 pending_inflow = 0
                 replayed += 1
                 continue

@@ -153,6 +153,20 @@ def test_rebuild_rejects_dangling_transition_endpoint(automaton):
         rebuild_automaton(patched)
 
 
+def test_rebuild_rejects_a_label_that_does_not_lead_to_the_target(automaton):
+    """Every transition retargeted to its own source: each label then leads
+    elsewhere than its target, which the graph reader refuses."""
+    triples = annotate_automaton(automaton)
+    sources = {t.subject: t.object for t in triples if t.predicate == iri("sm:source")}
+    patched = [
+        Triple(t.subject, t.predicate, sources[t.subject]) if t.predicate == iri("sm:target")
+        else t
+        for t in triples
+    ]
+    with pytest.raises(MalformedAnnotation, match="does not take state"):
+        rebuild_automaton(patched)
+
+
 # ---------------------------------------------------------------------------
 # anomaly annotation
 

@@ -7,6 +7,7 @@ import statistics
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mixdiag.automaton as automaton_module
 from mixdiag.automaton import (
     DeterminismViolation,
     InconsistentTraces,
@@ -19,7 +20,16 @@ from mixdiag.automaton import (
     serialize,
 )
 from mixdiag.errors import MixdiagError, ParseError
-from mixdiag.events import ActuatorVector, Event, EventTrace, TraceStep
+from mixdiag.events import (
+    ActuatorVector,
+    Event,
+    EventTrace,
+    TraceStep,
+    parse_label,
+    split_cycles,
+    to_trace,
+)
+from mixdiag.plant import simulate
 
 from conftest import state_by_active
 
@@ -294,6 +304,35 @@ def test_learning_is_order_insensitive(cycle_traces):
     assert transition_stats(forward) == transition_stats(backward)
 
 
+def test_a_step_along_a_known_transition_checks_only_the_target_vector():
+    """A step along an existing ``(state, label)`` is not re-parsed: a
+    vector other than the target's raises the same DeterminismViolation as a
+    new step would, and folds nothing."""
+    a = TimedAutomaton(vec())
+    a.update(0, Event("x↑", 1.0), vec(x=True), 1.0)
+    t = a.transitions[0, "x↑"]
+    before = (t.count, t.mean_s, t.m2_s2, list(a._updates))
+    with pytest.raises(
+        DeterminismViolation,
+        match=r"^label 'x↑' applied to state 0 does not produce the recorded vector$",
+    ):
+        a.update(0, Event("x↑", 2.0), vec(x=True, y=True), 2.0)
+    assert (t.count, t.mean_s, t.m2_s2, a._updates) == before
+
+
+def test_learn_parses_each_label_once_per_transition(config, monkeypatch):
+    """The 100-cycle log's 700 steps follow 7 transitions; only the step
+    that creates a transition parses its label."""
+    trace = to_trace(simulate(config, 100), config)
+    parsed = []
+    monkeypatch.setattr(
+        automaton_module, "parse_label", lambda label: parsed.append(label) or parse_label(label)
+    )
+    a = learn(split_cycles(trace, trace.initial_vector))
+    assert len(trace.steps) == 700
+    assert len(parsed) <= len(a.transitions) == 7
+
+
 def test_replaying_training_data_adds_nothing(automaton, cycle_traces):
     a = learn(cycle_traces)
     before_states = state_set(a)
@@ -400,6 +439,27 @@ def test_deserialize_rejects_bad_json():
 def test_deserialize_rejects_empty_states():
     with pytest.raises(ParseError):
         deserialize('{"states": [], "transitions": [], "alphabet": []}')
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"event_label": "q↑"}, "references unknown actuator 'q'"),
+        ({"event_label": "x↓"}, "does not flip 'x' in state 0"),
+        ({"target": 0}, "does not take state 0 to state 0"),
+    ],
+)
+def test_deserialize_rejects_a_label_that_does_not_lead_to_the_target(edit, message):
+    """Each transition's label must take its source's vector to its
+    target's, which a step along it relies on: a hand-edited document whose
+    ``x↑`` transition names an unknown actuator, flips nothing or loops back
+    to its source is refused on loading."""
+    doc = json.loads(serialize(learn([toggle_trace([("x", 1.0), ("x", 2.0)])])))
+    up = next(t for t in doc["transitions"] if t["event_label"] == "x↑")
+    up.update(edit)
+    doc["alphabet"] = sorted({t["event_label"] for t in doc["transitions"]})
+    with pytest.raises(ParseError, match=message):
+        deserialize(json.dumps(doc))
 
 
 def test_deserialize_rejects_inconsistent_stats(automaton):

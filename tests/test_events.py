@@ -243,6 +243,22 @@ def test_no_op_records_produce_no_step():
     assert trace.steps[0].dwell_s == 9.0
 
 
+def test_to_trace_derives_each_distinct_move_once(config, monkeypatch):
+    """The 100-cycle log has 700 steps but 7 distinct moves, since 98 of its
+    cycles are replays: ``apply`` runs once per move, not once per step."""
+    log = simulate(config, 100)
+    applied = []
+    apply = ActuatorVector.apply
+    monkeypatch.setattr(
+        ActuatorVector, "apply", lambda self, changes: applied.append(1) or apply(self, changes)
+    )
+    trace = to_trace(log, config)
+    before = (trace.initial_vector, *(step.resulting_vector for step in trace.steps))
+    moves = {(vector, step.event.label) for vector, step in zip(before, trace.steps)}
+    assert len(trace.steps) == 700
+    assert len(applied) <= len(moves) == 7
+
+
 def test_merge_window_groups_nearby_changes():
     doc = csv_doc(
         (0, "actuator", "V1", 0),

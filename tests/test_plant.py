@@ -473,15 +473,13 @@ def test_cycle_with_fault_onset_inside_is_simulated(config, caplog):
 
 
 def test_replayed_records_share_one_int_per_millisecond(config):
-    """A replay shifts each distinct time of its cycle once, so, as in a
-    simulated cycle, the records of one millisecond hold one int object.
-    The actuator and sensor records at a cycle boundary come from two
-    cycles, so each list is counted on its own."""
+    """A replay shifts each distinct time of its cycle once, starts from the
+    int the cycle before it ended at and hands its own last one on, so, as
+    in a simulated cycle, the records of one millisecond hold one int
+    object, at a cycle boundary too."""
     log = simulate(config, 100)
-    for records in (log.actuator_records, log.sensor_records):
-        times = [t for t, _, _ in records]
-        assert len(set(map(id, times))) == len(set(times))
-    assert len({t for t, _, _ in log.sensor_records}) == 12_501
+    times = [t for records in (log.actuator_records, log.sensor_records) for t, _, _ in records]
+    assert len(set(map(id, times))) == len(set(times)) == 12_501
 
 
 def test_log_writer_peak_is_bounded_by_its_text(config):
