@@ -18,6 +18,7 @@ from .automaton import State, TimedAutomaton, Transition, _from_parts
 from .errors import MixdiagError
 from .events import ActuatorVector
 from .terms import (
+    _TRUTH,
     RDF_TYPE,
     RDFS_LABEL,
     RDFS_SUBCLASS_OF,
@@ -181,6 +182,8 @@ def rebuild_automaton(triples: Iterable[Triple]) -> TimedAutomaton:
             if not isinstance(value, Literal) or "=" not in value.lexical:
                 raise MalformedAnnotation(f"{s}: bad signal literal {value}")
             aid, _, flag = value.lexical.partition("=")
+            if flag not in ("true", "false"):
+                raise MalformedAnnotation(f"{s}: bad signal literal {value}")
             signals[aid] = flag == "true"
         if not signals:
             raise MalformedAnnotation(f"{s}: state has no signal literals")
@@ -188,9 +191,10 @@ def rebuild_automaton(triples: Iterable[Triple]) -> TimedAutomaton:
             sid = int(index_lit.lexical)
         except (AttributeError, ValueError):
             raise MalformedAnnotation(f"{s}: bad state index {index_lit}") from None
-        states.append(
-            State(sid, ActuatorVector.from_mapping(signals), initial_lit.lexical == "true")
-        )
+        is_initial = _TRUTH.get(getattr(initial_lit, "lexical", None))
+        if is_initial is None:
+            raise MalformedAnnotation(f"{s}: bad initial flag {initial_lit}")
+        states.append(State(sid, ActuatorVector.from_mapping(signals), is_initial))
         id_by_iri[s] = sid
 
     transitions: list[Transition] = []

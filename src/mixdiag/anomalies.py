@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from .automaton import TimedAutomaton
-from .errors import MixdiagError, ParseError, dump_json, parse_json
+from .errors import MixdiagError, ParseError, dump_json, number, parse_json, reading, typed
 from .events import EventTrace, parse_label
 
 log = logging.getLogger(__name__)
@@ -161,15 +161,17 @@ def anomalies_to_json(anomalies: list[Anomaly]) -> str:
     return dump_json(doc)
 
 
-def _optional(a: dict, key: str, types: type | tuple[type, ...]):
-    """``a[key]`` when it is absent, null, or a finite number of ``types``
-    (never a bool); anything else raises ValueError."""
+def _optional(a: dict, key: str, kind: type):
+    """``a[key]`` read as a finite ``kind``, a float or an int, or None
+    when it is absent or null; anything else raises TypeError or
+    ValueError."""
     value = a.get(key)
-    if value is None or (
-        isinstance(value, types) and not isinstance(value, bool) and math.isfinite(value)
-    ):
-        return value
-    raise ValueError(f"bad {key} {value!r}")
+    if value is None:
+        return None
+    value = number(value) if kind is float else typed(value, kind)
+    if not math.isfinite(value):
+        raise ValueError(f"bad {key} {value!r}")
+    return value
 
 
 def anomalies_from_json(text: str) -> list[Anomaly]:
@@ -180,31 +182,30 @@ def anomalies_from_json(text: str) -> list[Anomaly]:
     it."""
     doc = parse_json(text)
     anomalies = []
-    try:
+    with reading("bad anomaly document"):
         for a in doc["anomalies"]:
-            kind = str(a["kind"])
+            kind = typed(a["kind"], str)
             if kind not in ANOMALY_KINDS:
                 raise ValueError(f"unknown anomaly kind {kind!r}")
-            at_t_s = _optional(a, "at_t_s", (int, float))
+            at_t_s = _optional(a, "at_t_s", float)
             if at_t_s is None:
                 raise ValueError("at_t_s is required")
-            label = a["event_label"]
-            if not isinstance(label, str):
-                raise ValueError(f"bad event_label {label!r}")
+            label = typed(a["event_label"], str)
             if label or kind != UNKNOWN_STATE:
-                parse_label(label)
+                try:
+                    parse_label(label)
+                except MixdiagError as exc:
+                    raise ParseError(f"bad anomaly document: {exc}") from None
             anomalies.append(
                 Anomaly(
                     kind=kind,
                     event_label=label,
-                    at_t_s=float(at_t_s),
+                    at_t_s=at_t_s,
                     source_state=_optional(a, "source_state", int),
                     target_state=_optional(a, "target_state", int),
-                    observed_dwell_s=_optional(a, "observed_dwell_s", (int, float)),
-                    bound_s=_optional(a, "bound_s", (int, float)),
-                    deviation_s=_optional(a, "deviation_s", (int, float)),
+                    observed_dwell_s=_optional(a, "observed_dwell_s", float),
+                    bound_s=_optional(a, "bound_s", float),
+                    deviation_s=_optional(a, "deviation_s", float),
                 )
             )
-    except (KeyError, TypeError, ValueError, OverflowError, MixdiagError) as exc:
-        raise ParseError(f"bad anomaly document: {exc}") from None
     return anomalies

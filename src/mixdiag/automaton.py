@@ -11,9 +11,9 @@ statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import MixdiagError, ParseError, dump_json, parse_json, typed
+from .errors import MixdiagError, ParseError, dump_json, number, parse_json, reading, typed
 from .events import ActuatorVector, Event, EventTrace, parse_label
 
 _STAT_SLACK = 1e-9
@@ -207,15 +207,17 @@ def learn(traces: list[EventTrace]) -> TimedAutomaton:
 def _from_parts(
     states: list[State], transitions: list[Transition], alphabet: set[str]
 ) -> TimedAutomaton:
-    """Assemble and validate an automaton from raw parts, each transition's
-    label taking its source's vector to its target's, as
-    :meth:`TimedAutomaton.update` relies on.
+    """Assemble and validate an automaton from raw parts: its states over
+    one actuator-id set, and each transition's label taking its source's
+    vector to its target's, as :meth:`TimedAutomaton.update` relies on.
 
     Raises ValueError with a message; callers wrap it into their own error
     type (ParseError for JSON, MalformedAnnotation for graphs).
     """
     if not states:
         raise ValueError("automaton needs at least one state")
+    if len({s.vector.ids() for s in states}) > 1:
+        raise ValueError("states disagree on the actuator-id set")
     ids = [s.id for s in states]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate state id")
@@ -280,16 +282,7 @@ def serialize(automaton: TimedAutomaton) -> str:
             for s in sorted(automaton.states.values(), key=lambda s: s.id)
         ],
         "transitions": [
-            {
-                "source": t.source,
-                "event_label": t.event_label,
-                "target": t.target,
-                "t_min_s": t.t_min_s,
-                "t_max_s": t.t_max_s,
-                "mean_s": t.mean_s,
-                "m2_s2": t.m2_s2,
-                "count": t.count,
-            }
+            asdict(t)
             for t in sorted(automaton.transitions.values(), key=lambda t: (t.source, t.event_label))
         ],
     }
@@ -298,7 +291,7 @@ def serialize(automaton: TimedAutomaton) -> str:
 
 def deserialize(text: str) -> TimedAutomaton:
     doc = parse_json(text)
-    try:
+    with reading("bad automaton document"):
         states = [
             State(
                 typed(s["id"], int),
@@ -310,22 +303,17 @@ def deserialize(text: str) -> TimedAutomaton:
         transitions = [
             Transition(
                 typed(t["source"], int),
-                str(t["event_label"]),
+                typed(t["event_label"], str),
                 typed(t["target"], int),
-                float(t["t_min_s"]),
-                float(t["t_max_s"]),
-                float(t["mean_s"]),
-                float(t["m2_s2"]),
+                number(t["t_min_s"]),
+                number(t["t_max_s"]),
+                number(t["mean_s"]),
+                number(t["m2_s2"]),
                 typed(t["count"], int),
             )
             for t in doc["transitions"]
         ]
-        alphabet = {str(label) for label in doc.get("alphabet", [])}
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ParseError(f"bad automaton document: {exc}") from None
-    id_vectors = {s.id: s.vector.ids() for s in states}
-    if len({v for v in id_vectors.values()}) > 1:
-        raise ParseError("states disagree on the actuator-id set")
+        alphabet = {typed(label, str) for label in doc.get("alphabet", [])}
     try:
         return _from_parts(states, transitions, alphabet)
     except ValueError as exc:

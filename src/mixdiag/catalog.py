@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ParseError, dump_json, parse_json, typed
+from .errors import ParseError, dump_json, parse_json, reading, typed
 from .kg import KnowledgeGraph
 from .query import Query, query_from_dict, query_to_dict
 from .terms import Term, Var, iri, term_from_jsonable, term_to_jsonable
@@ -149,8 +149,8 @@ def catalog_to_json(catalog: CqCatalog) -> str:
 
 def catalog_from_json(text: str) -> CqCatalog:
     doc = parse_json(text)
-    try:
-        items = []
+    items = []
+    with reading("bad catalog document"):
         for raw in doc["competency_questions"]:
             expected = None
             if raw.get("expected") is not None:
@@ -173,8 +173,6 @@ def catalog_from_json(text: str) -> CqCatalog:
                     expected,
                 )
             )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(f"bad catalog document: {exc}") from None
     return CqCatalog(tuple(items))
 
 

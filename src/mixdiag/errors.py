@@ -1,9 +1,12 @@
 """Shared exception types, and the one document boundary: :func:`decode`
 reads every input file's bytes, :func:`parse_json` reads and :func:`dump_json`
 writes every JSON document.  A byte that is not UTF-8 or text that is not
-JSON raises ParseError."""
+JSON raises ParseError, and so does a record whose fields are missing or of
+the wrong JSON type: loaders read them with :func:`typed` and :func:`number`
+inside :func:`reading`."""
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -53,6 +56,28 @@ def typed(value, kind: type):
     if type(value) is not kind:
         raise TypeError(f"expected {kind.__name__}, got {value!r}")
     return value
+
+
+def number(value) -> float:
+    """``value`` as a float when it is a JSON number, an int or a float,
+    else TypeError: a boolean or a string is no number.  An int too large
+    for a float raises OverflowError."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+@contextmanager
+def reading(what: str):
+    """Read a document's records: a missing field, or one of the wrong type
+    or value, raises ``ParseError(f"{what}: ...")``.  A MixdiagError raised
+    in the block keeps its type."""
+    try:
+        yield
+    except MixdiagError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
 
 
 def dump_json(doc) -> str:

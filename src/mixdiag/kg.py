@@ -140,11 +140,12 @@ class KnowledgeGraph:
                 joined += log.join(pattern, shape, rows, bound, known)
         return joined
 
-    def _solve(self, q: Query) -> list[dict[str, Term]]:
+    def _solve(self, q: Query) -> list[dict]:
         # Evaluate the most constrained pattern first, and of those the one
         # with the fewest stored candidates for its constants (counted once:
         # no row changes them); result multiplicity does not depend on join
-        # order.
+        # order.  A row may also hold a log's row number under a tuple key
+        # (see VirtualBinding.join); callers read only named variables.
         state = self._state()
         steps = [(p, shape, state.count(p, shape)) for p, shape in zip(q.where, q.shapes)]
         bound: set[str] = set()
@@ -159,9 +160,6 @@ class KnowledgeGraph:
             best = steps.pop(ranks.index(max(ranks)))
             rows = self._join(state, *best, rows, bound, fresh)
             bound.update(set(best[1]) - {None})  # None stands at a constant
-        for mark in {(log, shape[0]) for log in fresh for shape in q.shapes}:  # logs' row numbers
-            for row in rows:
-                row.pop(mark, None)
         return rows
 
     def query(self, q: Query) -> list[dict[str, Term]]:

@@ -46,7 +46,7 @@ from itertools import compress, count, islice
 from operator import gt, itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .errors import MixdiagError, ParseError, dump_json, parse_json, typed
+from .errors import MixdiagError, ParseError, dump_json, number, parse_json, reading, typed
 
 logger = logging.getLogger(__name__)
 
@@ -746,59 +746,39 @@ def write_log_csv(log: SimulationLog) -> str:
     return "".join(pieces)
 
 
-def _end_condition_to_dict(cond: EndCondition) -> dict:
-    if isinstance(cond, TimerElapsed):
-        return {"kind": "TimerElapsed", "seconds": cond.seconds}
-    if isinstance(cond, LevelReached):
-        return {"kind": "LevelReached", "tank": cond.tank, "liters": cond.liters}
-    return {"kind": "VolumeTransferred", "liters": cond.liters}
+_END_CONDITIONS = {  # a JSON end condition's reader, by its "kind", the class name
+    "TimerElapsed": lambda raw: TimerElapsed(number(raw["seconds"])),
+    "LevelReached": lambda raw: LevelReached(typed(raw["tank"], str), number(raw["liters"])),
+    "VolumeTransferred": lambda raw: VolumeTransferred(number(raw["liters"])),
+}
 
 
 def _end_condition_from_dict(raw: dict) -> EndCondition:
-    kind = raw.get("kind")
-    try:
-        if kind == "TimerElapsed":
-            return TimerElapsed(float(raw["seconds"]))
-        if kind == "LevelReached":
-            return LevelReached(str(raw["tank"]), float(raw["liters"]))
-        if kind == "VolumeTransferred":
-            return VolumeTransferred(float(raw["liters"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad end condition: {exc}") from None
-    raise ParseError(f"unknown end condition kind {kind!r}")
+    read = _END_CONDITIONS.get(raw.get("kind"))
+    if read is None:
+        raise ParseError(f"unknown end condition kind {raw.get('kind')!r}")
+    return read(raw)
 
 
 def config_to_json(config: PlantConfig) -> str:
-    doc = {
-        "tanks": [asdict(t) for t in config.tanks],
-        "actuators": [asdict(a) for a in config.actuators],
-        "sensors": [asdict(s) for s in config.sensors],
-        "flows": dict(sorted(config.flows.items())),
-        "phases": [
-            {
-                "name": p.name,
-                "actuator_vector": dict(sorted(p.actuator_vector.items())),
-                "end_condition": _end_condition_to_dict(p.end_condition),
-            }
-            for p in config.phases
-        ],
-        "dt_s": config.dt_s,
-    }
+    doc = asdict(config)
+    for phase, raw in zip(config.phases, doc["phases"]):
+        raw["end_condition"]["kind"] = type(phase.end_condition).__name__
     return dump_json(doc)
 
 
 def config_from_json(text: str) -> PlantConfig:
     doc = parse_json(text)
-    try:
+    with reading("bad plant config"):
         config = PlantConfig(
             tanks=tuple(
-                Tank(str(t["id"]), float(t["capacity_l"]), float(t["initial_l"]))
+                Tank(typed(t["id"], str), number(t["capacity_l"]), number(t["initial_l"]))
                 for t in doc["tanks"]
             ),
             actuators=tuple(
                 Actuator(
-                    str(a["id"]),
-                    str(a["kind"]),
+                    typed(a["id"], str),
+                    typed(a["kind"], str),
                     a.get("from_tank"),
                     a.get("to_tank"),
                 )
@@ -806,25 +786,23 @@ def config_from_json(text: str) -> PlantConfig:
             ),
             sensors=tuple(
                 Sensor(
-                    str(s["id"]),
-                    str(s["kind"]),
-                    str(s["attached_to"]),
-                    str(s["observes_property"]),
+                    typed(s["id"], str),
+                    typed(s["kind"], str),
+                    typed(s["attached_to"], str),
+                    typed(s["observes_property"], str),
                 )
                 for s in doc["sensors"]
             ),
-            flows={str(k): float(v) for k, v in doc["flows"].items()},
+            flows={k: number(v) for k, v in doc["flows"].items()},
             phases=tuple(
                 Phase(
-                    str(p["name"]),
-                    {str(k): typed(v, bool) for k, v in p["actuator_vector"].items()},
+                    typed(p["name"], str),
+                    {k: typed(v, bool) for k, v in p["actuator_vector"].items()},
                     _end_condition_from_dict(p["end_condition"]),
                 )
                 for p in doc["phases"]
             ),
-            dt_s=float(doc["dt_s"]),
+            dt_s=number(doc["dt_s"]),
         )
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ParseError(f"bad plant config: {exc}") from None
     config.validate()
     return config

@@ -276,7 +276,7 @@ class VirtualBinding:
         run_times, firsts = runs.times, runs.firsts
         sensor_code, sensor_rows = sensors.code_of.get, sensors.rows_of
         value_code, value_rows = values.code_of.get, values.rows_of
-        entries = times, sensor_codes, value_codes = [], [], []
+        times, sensor_codes, value_codes = self.columns.values()
         last_ms = None
         for row, (t_ms, sensor, value) in enumerate(records, size):
             if t_ms != last_ms:
@@ -296,8 +296,6 @@ class VirtualBinding:
                 code = values.add(value)
             value_rows[code].append(row)
             value_codes.append(code)
-        for column, new in zip(self.columns.values(), entries):
-            column.extend(new)
 
     def __len__(self) -> int:
         """The number of virtual triples: four per sensor record."""

@@ -167,6 +167,51 @@ def test_rebuild_rejects_a_label_that_does_not_lead_to_the_target(automaton):
         rebuild_automaton(patched)
 
 
+def _relexed(triples, predicate: Iri, old: str, new: str) -> list[Triple]:
+    """``triples`` with the first literal ``old`` of ``predicate`` read ``new``."""
+    hit = next(
+        i for i, t in enumerate(triples) if t.predicate == predicate and t.object.lexical == old
+    )
+    t = triples[hit]
+    return triples[:hit] + [Triple(t.subject, predicate, Literal(new, t.object.datatype))] \
+        + triples[hit + 1:]
+
+
+def test_rebuild_rejects_a_signal_flag_that_is_neither_true_nor_false(automaton):
+    """``V201=garbage`` read as ``V201=false``, which rebuilt the automaton."""
+    garbled = _relexed(annotate_automaton(automaton), iri("din61360:hasValue"),
+                       "V201=false", "V201=garbage")
+    with pytest.raises(MalformedAnnotation, match="bad signal literal"):
+        rebuild_automaton(garbled)
+
+
+def test_rebuild_reads_the_initial_flag_as_an_xsd_boolean(automaton):
+    """``"1"`` is an ``xsd:boolean`` lexical for true; it read as false."""
+    triples = annotate_automaton(automaton)
+    assert rebuild_automaton(_relexed(triples, iri("sm:isInitial"), "true", "1")) == automaton
+    with pytest.raises(MalformedAnnotation, match="bad initial flag"):
+        rebuild_automaton(_relexed(triples, iri("sm:isInitial"), "false", "no"))
+
+
+def test_rebuild_rejects_states_over_different_actuator_ids(automaton):
+    """A state over five of the six actuators rebuilt beside the others,
+    where the JSON reader refuses such an automaton."""
+    triples = annotate_automaton(automaton)
+    extra = iri("ex:TA_s_99")
+    triples += [
+        Triple(iri("ex:TA"), iri("sm:hasState"), extra),
+        Triple(extra, iri("rdf:type"), iri("sm:State")),
+        Triple(extra, iri("ex:stateIndex"), Literal.integer(99)),
+        Triple(extra, iri("sm:isInitial"), Literal.boolean(False)),
+    ] + [
+        Triple(extra, iri("din61360:hasValue"), Literal.string(f"{aid}=true"))
+        for aid in automaton.actuator_ids()[:5]
+    ]
+    assert len(automaton.actuator_ids()) == 6
+    with pytest.raises(MalformedAnnotation, match="disagree on the actuator-id set"):
+        rebuild_automaton(triples)
+
+
 # ---------------------------------------------------------------------------
 # anomaly annotation
 

@@ -256,6 +256,13 @@ def test_json_accepts_integral_dwell_fields():
     assert (a.source_state, a.target_state, a.observed_dwell_s) == (1, 2, 9)
 
 
+def test_json_reads_integral_dwell_fields_as_floats():
+    """As the dataclass types them, so the document writes back canonical."""
+    [a] = anomalies_from_json(anomaly_doc(at_t_s=3, bound_s=5, deviation_s=4))
+    assert all(type(v) is float for v in (a.at_t_s, a.observed_dwell_s, a.bound_s, a.deviation_s))
+    assert '"observed_dwell_s": 9.0' in anomalies_to_json([a])
+
+
 @pytest.mark.parametrize(
     "fields",
     [

@@ -32,3 +32,36 @@ def test_only_the_errors_module_decodes_files_or_handles_json():
     assert offenders == []
     uses = set(_boundary_uses(ast.parse((ROOT / "src" / "mixdiag" / "errors.py").read_text())))
     assert uses == {"import json", ".decode(", "json.dumps("}
+
+
+def _parse_error_handlers(tree: ast.AST):
+    """``except`` clauses that catch ``KeyError`` or ``TypeError`` and raise
+    ``ParseError``, by line."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        caught = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+        raised = {
+            n.id
+            for stmt in node.body
+            for r in ast.walk(stmt)
+            if isinstance(r, ast.Raise) and r.exc is not None
+            for n in ast.walk(r.exc)
+            if isinstance(n, ast.Name)
+        }
+        if caught & {"KeyError", "TypeError"} and "ParseError" in raised:
+            yield node.lineno
+
+
+def test_only_the_errors_module_turns_bad_fields_into_parse_errors():
+    """A record loader reads its fields inside ``errors.reading``, which
+    holds the one list of exceptions that mark a malformed document."""
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "mixdiag").glob("*.py"))
+        if path.name != "errors.py"
+        for line in _parse_error_handlers(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert offenders == []
+    errors = ast.parse((ROOT / "src" / "mixdiag" / "errors.py").read_text(encoding="utf-8"))
+    assert list(_parse_error_handlers(errors))

@@ -231,12 +231,19 @@ def _spoiled(doc: dict, path: tuple, value) -> str:
         (deserialize, ("states", 0, "id"), 0.0, "bad automaton document"),
         (deserialize, ("states", 0, "is_initial"), "false", "bad automaton document"),
         (deserialize, ("states", 0, "vector", "P201"), 1, "bad automaton document"),
+        (config_from_json, ("dt_s",), "0.1", "bad plant config"),
+        (config_from_json, ("flows", "V201"), True, "bad plant config"),
+        (config_from_json, ("phases", 0, "end_condition", "seconds"), "5", "bad plant config"),
+        (config_from_json, ("tanks", 0, "id"), None, "bad plant config"),
+        (deserialize, ("transitions", 0, "t_min_s"), True, "bad automaton document"),
+        (deserialize, ("transitions", 0, "m2_s2"), "0.0", "bad automaton document"),
     ],
 )
 def test_json_loaders_take_booleans_and_integers_only_as_json_gives_them(
     load, path, value, message
 ):
-    """No value is coerced: ``bool("false")`` is True and ``int(2.9)`` is 2."""
+    """No value is coerced: ``bool("false")`` is True, ``int(2.9)`` is 2,
+    ``float(True)`` is 1.0 and ``str(None)`` is ``"None"``."""
     with pytest.raises(ParseError, match=message):
         load(_spoiled(_LOADER_DOCS[load], path, value))
 
