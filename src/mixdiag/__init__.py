@@ -19,7 +19,7 @@ from .annotate import annotate_anomalies, annotate_automaton, rebuild_automaton
 from .automaton import State, TimedAutomaton, Transition, deserialize, learn, serialize
 from .catalog import CqCatalog, CqItem, default_catalog, validate_catalog
 from .errors import MixdiagError, ParseError
-from .events import ActuatorVector, Event, EventTrace, parse_log, split_cycles, to_trace
+from .events import ActuatorVector, EventTrace, parse_log, split_cycles, to_trace
 from .kg import KnowledgeGraph
 from .mappings import MappingRule, apply_mappings
 from .ntriples import parse_ntriples, serialize_ntriples
@@ -48,7 +48,6 @@ __all__ = [
     "CqCatalog",
     "CqItem",
     "DetectionSettings",
-    "Event",
     "EventTrace",
     "FaultSpec",
     "Filter",

@@ -22,6 +22,7 @@ from .terms import (
     RDF_TYPE,
     RDFS_LABEL,
     RDFS_SUBCLASS_OF,
+    XSD_BOOLEAN,
     Iri,
     Literal,
     Triple,
@@ -154,6 +155,16 @@ def _one(props: Mapping, predicate: Iri, subject: Iri):
     return values[0]
 
 
+def _read(literal, parse, make):
+    """The value ``literal`` holds when it is ``make(value)``: the datatype
+    and canonical lexical form :func:`annotate_automaton` writes.  Raises
+    ValueError otherwise, and AttributeError for a term that is no literal."""
+    value = parse(literal.lexical)
+    if make(value) != literal:
+        raise ValueError(f"{literal} is not in canonical form")
+    return value
+
+
 def rebuild_automaton(triples: Iterable[Triple]) -> TimedAutomaton:
     """Invert :func:`annotate_automaton`.
 
@@ -188,11 +199,11 @@ def rebuild_automaton(triples: Iterable[Triple]) -> TimedAutomaton:
         if not signals:
             raise MalformedAnnotation(f"{s}: state has no signal literals")
         try:
-            sid = int(index_lit.lexical)
+            sid = _read(index_lit, int, Literal.integer)
         except (AttributeError, ValueError):
             raise MalformedAnnotation(f"{s}: bad state index {index_lit}") from None
         is_initial = _TRUTH.get(getattr(initial_lit, "lexical", None))
-        if is_initial is None:
+        if is_initial is None or initial_lit.datatype != XSD_BOOLEAN:
             raise MalformedAnnotation(f"{s}: bad initial flag {initial_lit}")
         states.append(State(sid, ActuatorVector.from_mapping(signals), is_initial))
         id_by_iri[s] = sid
@@ -213,11 +224,11 @@ def rebuild_automaton(triples: Iterable[Triple]) -> TimedAutomaton:
                 id_by_iri[source],
                 label_lit.lexical,
                 id_by_iri[target],
-                float(_one(props, EX_T_MIN, tr).lexical),
-                float(_one(props, EX_T_MAX, tr).lexical),
-                float(_one(props, EX_MEAN, tr).lexical),
-                float(_one(props, EX_M2, tr).lexical),
-                int(_one(props, EX_COUNT, tr).lexical),
+                _read(_one(props, EX_T_MIN, tr), float, Literal.double),
+                _read(_one(props, EX_T_MAX, tr), float, Literal.double),
+                _read(_one(props, EX_MEAN, tr), float, Literal.double),
+                _read(_one(props, EX_M2, tr), float, Literal.double),
+                _read(_one(props, EX_COUNT, tr), int, Literal.integer),
             )
         except (AttributeError, ValueError) as exc:
             raise MalformedAnnotation(f"{tr}: bad timing literal: {exc}") from None

@@ -107,14 +107,12 @@ def detect(
                 initial.id,
             )
         else:
-            start_t = (
-                trace.steps[0].event.t_s - trace.steps[0].dwell_s if trace.steps else 0.0
-            )
+            start_t = trace.steps[0].t_s - trace.steps[0].dwell_s if trace.steps else 0.0
             anomalies.append(Anomaly(UNKNOWN_STATE, "", start_t))
 
     for step in trace.steps:
-        label = step.event.label
-        t_s = step.event.t_s
+        label = step.label
+        t_s = step.t_s
         if current is None:
             current = automaton.state_id_for(step.resulting_vector)
             continue

@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import MixdiagError, ParseError, dump_json, number, parse_json, reading, typed
-from .events import ActuatorVector, Event, EventTrace, parse_label
+from .events import ActuatorVector, EventTrace, parse_label
 
 _STAT_SLACK = 1e-9
 
@@ -105,7 +105,7 @@ class TimedAutomaton:
     # -- learning ----------------------------------------------------------
 
     def update(
-        self, current_state: int, event: Event, new_vector: ActuatorVector, dwell_s: float
+        self, current_state: int, label: str, new_vector: ActuatorVector, dwell_s: float
     ) -> int:
         """Fold one observed step into the automaton; returns the state the
         step lands in.
@@ -121,15 +121,15 @@ class TimedAutomaton:
             raise MixdiagError(f"unknown state id {current_state}")
         if not math.isfinite(dwell_s) or dwell_s <= 0:
             raise InvalidDwell(f"dwell_s must be positive and finite, got {dwell_s!r}")
-        key = (current_state, event.label)
+        key = (current_state, label)
         transition = self.transitions.get(key)
         if transition is None:
-            reached = _move(self.states[current_state], event.label)
+            reached = _move(self.states[current_state], label)
         else:
             reached = self.states[transition.target].vector
         if reached != new_vector:
             raise DeterminismViolation(
-                f"label {event.label!r} applied to state {current_state} "
+                f"label {label!r} applied to state {current_state} "
                 f"does not produce the recorded vector"
             )
 
@@ -139,9 +139,9 @@ class TimedAutomaton:
             if target is None:
                 target = self._add_state(new_vector)
             self.transitions[key] = Transition(
-                current_state, event.label, target, dwell_s, dwell_s, dwell_s, 0.0, 1
+                current_state, label, target, dwell_s, dwell_s, dwell_s, 0.0, 1
             )
-            self.alphabet.add(event.label)
+            self.alphabet.add(label)
         else:
             target = transition.target
             count = transition.count + 1
@@ -200,7 +200,7 @@ def learn(traces: list[EventTrace]) -> TimedAutomaton:
     for trace in traces:
         current = 0
         for step in trace.steps:
-            current = automaton.update(current, step.event, step.resulting_vector, step.dwell_s)
+            current = automaton.update(current, step.label, step.resulting_vector, step.dwell_s)
     return automaton
 
 

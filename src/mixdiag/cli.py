@@ -107,8 +107,8 @@ def cmd_trace(args) -> int:
         "initial_vector": trace.initial_vector.as_dict(),
         "steps": [
             {
-                "t_s": step.event.t_s,
-                "event": step.event.label,
+                "t_s": step.t_s,
+                "event": step.label,
                 "dwell_s": step.dwell_s,
                 "vector": step.resulting_vector.as_dict(),
             }

@@ -40,7 +40,10 @@ class ActuatorVector:
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, bool]) -> "ActuatorVector":
-        return cls(tuple(sorted((str(k), bool(v)) for k, v in values.items())))
+        for key, value in values.items():
+            if not (isinstance(key, str) and isinstance(value, bool)):
+                raise MixdiagError(f"actuator {key!r}: expected a str id and a bool, got {value!r}")
+        return cls(tuple(sorted(values.items())))
 
     def as_dict(self) -> dict[str, bool]:
         return dict(self.signals)
@@ -56,12 +59,8 @@ class ActuatorVector:
         for key, value in changes.items():
             if key not in values:
                 raise MixdiagError(f"unknown actuator id {key!r} in change set")
-            values[key] = bool(value)
+            values[key] = value
         return ActuatorVector.from_mapping(values)
-
-    def __str__(self) -> str:
-        on = self.active()
-        return "{" + ",".join(on) + "}" if on else "{}"
 
 
 def build_label(changes: Mapping[str, bool]) -> str:
@@ -83,17 +82,12 @@ def parse_label(label: str) -> dict[str, bool]:
 
 
 @dataclass(frozen=True)
-class Event:
+class TraceStep:
+    """One vector change: the event ``label`` fired at ``t_s``.  ``dwell_s``
+    is the time spent in the previous vector before it fired."""
+
     label: str
     t_s: float
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    """One vector change.  ``dwell_s`` is the time spent in the previous
-    vector before this event fired."""
-
-    event: Event
     resulting_vector: ActuatorVector
     dwell_s: float
 
@@ -210,8 +204,7 @@ def to_trace(
 
     A step's label and vector depend only on the vector before it and its
     group's records, so each distinct such move is derived once per call;
-    every other step costs a dict read and its own ``Event`` and
-    ``TraceStep``.
+    every other step costs a dict read and its own ``TraceStep``.
     """
     if not math.isfinite(merge_window_s * 1000) or merge_window_s < 0:
         raise InvalidMergeWindow(
@@ -266,7 +259,7 @@ def to_trace(
         if move is None:
             continue
         label, vector = move
-        steps.append(TraceStep(Event(label, t_ms / 1000.0), vector, (t_ms - prev_ms) / 1000.0))
+        steps.append(TraceStep(label, t_ms / 1000.0, vector, (t_ms - prev_ms) / 1000.0))
         prev_ms = t_ms
     return EventTrace(initial, tuple(steps))
 

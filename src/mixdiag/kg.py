@@ -56,16 +56,6 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self.asserted)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return (
-            self.asserted == other.asserted and self.virtual_sources == other.virtual_sources
-        )
-
-    def __hash__(self):
-        return hash(self.asserted)
-
     # -- mutations (copy-on-write) ------------------------------------------
 
     def insert(self, triples: Iterable[Triple]) -> "KnowledgeGraph":

@@ -42,13 +42,11 @@ class MappingRule:
 
 
 def _fill(template: str, values: Mapping[str, object], rule: MappingRule, row: int) -> str:
-    class _Strict(dict):
-        def __missing__(self, key):
-            raise MappingError(rule.id, row, f"unknown placeholder {{{key}}}")
-
     try:
-        return template.format_map(_Strict(values))
-    except (ValueError, IndexError) as exc:
+        return template.format_map(values)
+    except KeyError as exc:
+        raise MappingError(rule.id, row, f"unknown placeholder {{{exc.args[0]}}}") from None
+    except (ValueError, IndexError, AttributeError, TypeError) as exc:
         raise MappingError(rule.id, row, f"bad template {template!r}: {exc}") from None
 
 

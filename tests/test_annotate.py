@@ -16,7 +16,7 @@ from mixdiag.anomalies import Anomaly, detect
 from mixdiag.events import to_trace
 from mixdiag.kg import KnowledgeGraph
 from mixdiag.query import query_from_dict
-from mixdiag.terms import Iri, Literal, Triple, iri
+from mixdiag.terms import XSD_INTEGER, XSD_STRING, Iri, Literal, Triple, iri
 
 from conftest import state_by_active
 
@@ -191,6 +191,28 @@ def test_rebuild_reads_the_initial_flag_as_an_xsd_boolean(automaton):
     assert rebuild_automaton(_relexed(triples, iri("sm:isInitial"), "true", "1")) == automaton
     with pytest.raises(MalformedAnnotation, match="bad initial flag"):
         rebuild_automaton(_relexed(triples, iri("sm:isInitial"), "false", "no"))
+
+
+@pytest.mark.parametrize(
+    "predicate, relex",
+    [
+        ("ex:observationCount", lambda lit: Literal(f" 0_{lit.lexical} ", lit.datatype)),
+        ("sm:isInitial", lambda lit: Literal(lit.lexical, XSD_STRING)),
+        ("ex:stateIndex", lambda lit: Literal(f" +{lit.lexical} ", lit.datatype)),
+        ("ex:tMinSeconds", lambda lit: Literal(lit.lexical + " ", lit.datatype)),
+        ("ex:meanSeconds", lambda lit: Literal(lit.lexical, XSD_INTEGER)),
+    ],
+    ids=["count-underscore", "initial-string", "index-signed", "tmin-space", "mean-integer"],
+)
+def test_rebuild_reads_only_the_literals_annotation_writes(automaton, predicate, relex):
+    """Each of these relexed literals rebuilt an automaton equal to the
+    original, where the JSON reader refuses the same numbers."""
+    triples = annotate_automaton(automaton)
+    hit = next(i for i, t in enumerate(triples) if t.predicate == iri(predicate))
+    t = triples[hit]
+    triples[hit] = Triple(t.subject, t.predicate, relex(t.object))
+    with pytest.raises(MalformedAnnotation):
+        rebuild_automaton(triples)
 
 
 def test_rebuild_rejects_states_over_different_actuator_ids(automaton):

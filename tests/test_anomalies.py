@@ -20,7 +20,7 @@ from mixdiag.anomalies import (
     detect,
 )
 from mixdiag.errors import ParseError
-from mixdiag.events import ActuatorVector, Event, EventTrace, TraceStep, to_trace
+from mixdiag.events import ActuatorVector, EventTrace, TraceStep, to_trace
 
 from conftest import state_by_active
 
@@ -92,7 +92,7 @@ def test_below_min_deviation_uses_raw_bound(automaton, config):
     # synthetic: leave Idle after only 2 s against a learned min of 5 s
     idle = automaton.initial_state().vector
     dose1 = plant_vec(config, "V201")
-    trace = EventTrace(idle, (TraceStep(Event("V201↑", 2.0), dose1, 2.0),))
+    trace = EventTrace(idle, (TraceStep("V201↑", 2.0, dose1, 2.0),))
     found = detect(automaton, trace, ZERO_TOL)
     assert len(found) == 1
     a = found[0]
@@ -104,7 +104,7 @@ def test_below_min_deviation_uses_raw_bound(automaton, config):
 def test_tolerance_gates_emission_but_not_deviation(automaton, config):
     idle = automaton.initial_state().vector
     dose1 = plant_vec(config, "V201")
-    trace = EventTrace(idle, (TraceStep(Event("V201↑", 5.4), dose1, 5.4),))
+    trace = EventTrace(idle, (TraceStep("V201↑", 5.4, dose1, 5.4),))
     # within max(0.5, 0.5) tolerance: suppressed
     assert detect(automaton, trace) == []
     # with zero tolerance the same dwell is reported, deviation vs raw bound
@@ -120,11 +120,11 @@ def test_unknown_state_reported_once_then_resynced(automaton, config):
     trace = EventTrace(
         idle,
         (
-            TraceStep(Event("V201↑", 5.0), dose1, 5.0),
-            TraceStep(Event("M201↑", 6.0), weird, 1.0),
-            TraceStep(Event("M201↓", 7.0), dose1, 1.0),
+            TraceStep("V201↑", 5.0, dose1, 5.0),
+            TraceStep("M201↑", 6.0, weird, 1.0),
+            TraceStep("M201↓", 7.0, dose1, 1.0),
             # after resync the remaining dwell is exactly nominal again
-            TraceStep(Event("V201↓,V202↑", 27.0), plant_vec(config, "V202"), 20.0),
+            TraceStep("V201↓,V202↑", 27.0, plant_vec(config, "V202"), 20.0),
         ),
     )
     found = detect(automaton, trace, ZERO_TOL)
@@ -139,7 +139,7 @@ def test_unknown_event_between_known_states(automaton, config):
     dose3 = plant_vec(config, "V203")
     trace = EventTrace(
         idle,
-        (TraceStep(Event("V203↑", 5.0), dose3, 5.0),),  # skips two dose states
+        (TraceStep("V203↑", 5.0, dose3, 5.0),),  # skips two dose states
     )
     found = detect(automaton, trace, ZERO_TOL)
     assert [a.kind for a in found] == [UNKNOWN_EVENT]
@@ -151,7 +151,7 @@ def test_unknown_event_between_known_states(automaton, config):
 def test_unknown_initial_vector(automaton, config):
     weird = plant_vec(config, "M201", "P201")
     dose1 = plant_vec(config, "V201")
-    trace = EventTrace(weird, (TraceStep(Event("M201↓,P201↓,V201↑", 4.0), dose1, 4.0),))
+    trace = EventTrace(weird, (TraceStep("M201↓,P201↓,V201↑", 4.0, dose1, 4.0),))
     found = detect(automaton, trace, ZERO_TOL)
     assert found[0].kind == UNKNOWN_STATE
     assert found[0].at_t_s == 0.0
@@ -162,14 +162,14 @@ def test_known_but_noninitial_start_is_accepted(automaton, config):
     # a trace that starts mid-cycle at the Mix state
     mix = plant_vec(config, "M201")
     transfer = plant_vec(config, "P201")
-    trace = EventTrace(mix, (TraceStep(Event("M201↓,P201↑", 10.0), transfer, 10.0),))
+    trace = EventTrace(mix, (TraceStep("M201↓,P201↑", 10.0, transfer, 10.0),))
     assert detect(automaton, trace, ZERO_TOL) == []
 
 
 def test_detect_requires_matching_actuator_sets(automaton, config, blockage_log):
     other = EventTrace(
         ActuatorVector.from_mapping({"Q1": False}),
-        (TraceStep(Event("Q1↑", 1.0), ActuatorVector.from_mapping({"Q1": True}), 1.0),),
+        (TraceStep("Q1↑", 1.0, ActuatorVector.from_mapping({"Q1": True}), 1.0),),
     )
     with pytest.raises(ActuatorMismatch):
         detect(automaton, other)

@@ -22,7 +22,6 @@ from mixdiag.automaton import (
 from mixdiag.errors import MixdiagError, ParseError
 from mixdiag.events import (
     ActuatorVector,
-    Event,
     EventTrace,
     TraceStep,
     parse_label,
@@ -74,7 +73,7 @@ def flip_flop_trace(dwells):
         t += dwell
         on = not on
         label = "x↑" if on else "x↓"
-        steps.append(TraceStep(Event(label, t), vec(x=on), dwell))
+        steps.append(TraceStep(label, t, vec(x=on), dwell))
     return EventTrace(vec(), tuple(steps))
 
 
@@ -141,12 +140,12 @@ def test_transfer_state_identity(automaton):
 
 def test_update_creates_states_and_tracks_stats():
     a = TimedAutomaton(vec())
-    s1 = a.update(0, Event("x↑", 2.0), vec(x=True), 2.0)
+    s1 = a.update(0, "x↑", vec(x=True), 2.0)
     assert s1 == 1
-    s0 = a.update(s1, Event("x↓", 5.0), vec(), 3.0)
+    s0 = a.update(s1, "x↓", vec(), 3.0)
     assert s0 == 0
     assert len(a.states) == 2
-    a.update(0, Event("x↑", 9.0), vec(x=True), 4.0)
+    a.update(0, "x↑", vec(x=True), 4.0)
     t = a.transitions[(0, "x↑")]
     assert (t.t_min_s, t.t_max_s) == (2.0, 4.0)
     assert t.mean_s == 3.0
@@ -157,38 +156,38 @@ def test_update_rejects_nonpositive_dwell():
     a = TimedAutomaton(vec())
     for dwell in (0.0, -1.0):
         with pytest.raises(InvalidDwell):
-            a.update(0, Event("x↑", 0.0), vec(x=True), dwell)
+            a.update(0, "x↑", vec(x=True), dwell)
 
 
 @pytest.mark.parametrize("dwell", [float("nan"), float("inf")])
 def test_update_rejects_non_finite_dwell(dwell):
     a = TimedAutomaton(vec())
     with pytest.raises(InvalidDwell):
-        a.update(0, Event("x↑", 0.0), vec(x=True), dwell)
+        a.update(0, "x↑", vec(x=True), dwell)
 
 
 def test_update_rejects_unknown_state():
     a = TimedAutomaton(vec())
     with pytest.raises(MixdiagError):
-        a.update(5, Event("x↑", 1.0), vec(x=True), 1.0)
+        a.update(5, "x↑", vec(x=True), 1.0)
 
 
 def test_update_rejects_label_vector_mismatch():
     a = TimedAutomaton(vec())
     with pytest.raises(DeterminismViolation):
-        a.update(0, Event("x↑", 1.0), vec(y=True), 1.0)
+        a.update(0, "x↑", vec(y=True), 1.0)
 
 
 def test_update_rejects_label_that_does_not_flip():
     a = TimedAutomaton(vec())
     with pytest.raises(DeterminismViolation):
-        a.update(0, Event("x↓", 1.0), vec(), 1.0)  # x is already off
+        a.update(0, "x↓", vec(), 1.0)  # x is already off
 
 
 def test_update_rejects_unknown_actuator_in_label():
     a = TimedAutomaton(vec())
     with pytest.raises(MixdiagError):
-        a.update(0, Event("z↑", 1.0), vec(), 1.0)
+        a.update(0, "z↑", vec(), 1.0)
 
 
 def test_welford_stats_match_statistics_module():
@@ -200,11 +199,9 @@ def test_welford_stats_match_statistics_module():
     a = TimedAutomaton(vec())
     state = 0
     on = False
-    t = 0.0
     for dwell in sequence:
         on = not on
-        t += dwell
-        state = a.update(state, Event("x↑" if on else "x↓", t), vec(x=on), dwell)
+        state = a.update(state, "x↑" if on else "x↓", vec(x=on), dwell)
     up = a.transitions[(0, "x↑")]
     ups = sequence[0::2]
     assert up.mean_s == pytest.approx(statistics.fmean(ups), abs=1e-12)
@@ -221,11 +218,9 @@ def test_welford_stats_match_statistics_module():
 def test_welford_property(dwells):
     a = TimedAutomaton(vec())
     state = 0
-    t = 0.0
     for i, dwell in enumerate(dwells):
         on = i % 2 == 0
-        t += dwell
-        state = a.update(state, Event("x↑" if on else "x↓", t), vec(x=on), dwell)
+        state = a.update(state, "x↑" if on else "x↓", vec(x=on), dwell)
     ups = dwells[0::2]
     up = a.transitions[(0, "x↑")]
     assert up.mean_s == pytest.approx(statistics.fmean(ups), rel=1e-9)
@@ -253,12 +248,11 @@ def test_no_convergence_while_structure_still_grows(cycle_traces):
 
 def test_no_convergence_while_bounds_shift():
     a = TimedAutomaton(vec())
-    state, t = 0, 0.0
+    state = 0
     # strictly growing dwells keep widening t_max
     for i, dwell in enumerate([1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 4.0, 1.0]):
         on = i % 2 == 0
-        t += dwell
-        state = a.update(state, Event("x↑" if on else "x↓", t), vec(x=on), dwell)
+        state = a.update(state, "x↑" if on else "x↓", vec(x=on), dwell)
     assert not a.has_converged(4, 0.5)
     assert a.has_converged(4, 2.0)
 
@@ -285,7 +279,7 @@ def test_learn_requires_traces():
 
 
 def test_learn_rejects_mismatched_actuator_sets(cycle_traces):
-    other = EventTrace(vec(), (TraceStep(Event("x↑", 1.0), vec(x=True), 1.0),))
+    other = EventTrace(vec(), (TraceStep("x↑", 1.0, vec(x=True), 1.0),))
     with pytest.raises(InconsistentTraces):
         learn([cycle_traces[0], other])
 
@@ -309,14 +303,14 @@ def test_a_step_along_a_known_transition_checks_only_the_target_vector():
     vector other than the target's raises the same DeterminismViolation as a
     new step would, and folds nothing."""
     a = TimedAutomaton(vec())
-    a.update(0, Event("x↑", 1.0), vec(x=True), 1.0)
+    a.update(0, "x↑", vec(x=True), 1.0)
     t = a.transitions[0, "x↑"]
     before = (t.count, t.mean_s, t.m2_s2, list(a._updates))
     with pytest.raises(
         DeterminismViolation,
         match=r"^label 'x↑' applied to state 0 does not produce the recorded vector$",
     ):
-        a.update(0, Event("x↑", 2.0), vec(x=True, y=True), 2.0)
+        a.update(0, "x↑", vec(x=True, y=True), 2.0)
     assert (t.count, t.mean_s, t.m2_s2, a._updates) == before
 
 
@@ -339,7 +333,7 @@ def test_replaying_training_data_adds_nothing(automaton, cycle_traces):
     before_stats = {k: (v.t_min_s, v.t_max_s) for k, v in a.transitions.items()}
     state = a.initial_state().id
     for step in cycle_traces[0].steps:
-        state = a.update(state, step.event, step.resulting_vector, step.dwell_s)
+        state = a.update(state, step.label, step.resulting_vector, step.dwell_s)
     assert state_set(a) == before_states
     assert {k: (v.t_min_s, v.t_max_s) for k, v in a.transitions.items()} == before_stats
 
@@ -369,7 +363,7 @@ def toggle_trace(flips):
     for i, (aid, dwell) in enumerate(flips):
         on[aid] = not on[aid]
         label = aid + ("↑" if on[aid] else "↓")
-        steps.append(TraceStep(Event(label, float(i)), ActuatorVector.from_mapping(on), dwell))
+        steps.append(TraceStep(label, float(i), ActuatorVector.from_mapping(on), dwell))
     return EventTrace(ActuatorVector.from_mapping(dict.fromkeys("xyz", False)), tuple(steps))
 
 
@@ -409,9 +403,9 @@ def test_a_dwell_whose_variance_overflows_is_refused_and_changes_nothing():
     up_vector = automaton.states[up.target].vector
     before = (up.t_min_s, up.t_max_s, up.mean_s, up.m2_s2, up.count)
     with pytest.raises(InvalidDwell, match="overflows the dwell variance"):
-        automaton.update(0, Event("x↑", 2.0), up_vector, 1.0)
+        automaton.update(0, "x↑", up_vector, 1.0)
     assert (up.t_min_s, up.t_max_s, up.mean_s, up.m2_s2, up.count) == before
-    assert automaton.update(0, Event("x↑", 2.0), up_vector, HUGE) == up.target
+    assert automaton.update(0, "x↑", up_vector, HUGE) == up.target
     json.loads(serialize(automaton), parse_constant=not_json)
     with pytest.raises(InvalidDwell):
         learn([toggle_trace([("x", HUGE), ("x", 1.0), ("x", 1.0)])])

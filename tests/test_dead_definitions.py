@@ -63,3 +63,17 @@ def test_no_definition_is_named_only_where_it_is_defined():
         if _occurrences(name, used) == 1 and _occurrences(name, outside) == 0
     )
     assert dead == KEPT
+
+
+def test_no_class_is_defined_inside_a_function():
+    """A ``class`` statement in a function body builds a new class on every
+    call."""
+    nested = sorted(
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.ClassDef)
+    )
+    assert nested == []

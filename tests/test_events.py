@@ -186,7 +186,7 @@ def test_trace_timestamps_accumulate(config, train_trace):
     t = 0.0
     for step in train_trace.steps:
         t = round(t + step.dwell_s, 3)
-        assert step.event.t_s == t
+        assert step.t_s == t
 
 
 def test_empty_log_raises():
@@ -209,7 +209,7 @@ def test_initial_vector_comes_from_first_group():
     trace = to_trace(parse_log(doc), ["V1", "V2"])
     assert trace.initial_vector.as_dict() == {"V1": True, "V2": False}
     assert len(trace.steps) == 1
-    assert trace.steps[0].event.label == "V1↓"
+    assert trace.steps[0].label == "V1↓"
     assert trace.steps[0].dwell_s == 5.0
 
 
@@ -228,7 +228,7 @@ def test_simultaneous_changes_merge_into_one_event():
     )
     trace = to_trace(parse_log(doc), ["V1", "V2"])
     assert len(trace.steps) == 1
-    assert trace.steps[0].event.label == "V1↓,V2↑"
+    assert trace.steps[0].label == "V1↓,V2↑"
 
 
 def test_no_op_records_produce_no_step():
@@ -238,7 +238,7 @@ def test_no_op_records_produce_no_step():
         (9, "actuator", "V1", 1),
     )
     trace = to_trace(parse_log(doc), ["V1"])
-    assert [s.event.label for s in trace.steps] == ["V1↑"]
+    assert [s.label for s in trace.steps] == ["V1↑"]
     # dwell counts from the trace start, not from the no-op record
     assert trace.steps[0].dwell_s == 9.0
 
@@ -254,7 +254,7 @@ def test_to_trace_derives_each_distinct_move_once(config, monkeypatch):
     )
     trace = to_trace(log, config)
     before = (trace.initial_vector, *(step.resulting_vector for step in trace.steps))
-    moves = {(vector, step.event.label) for vector, step in zip(before, trace.steps)}
+    moves = {(vector, step.label) for vector, step in zip(before, trace.steps)}
     assert len(trace.steps) == 700
     assert len(applied) <= len(moves) == 7
 
@@ -268,10 +268,10 @@ def test_merge_window_groups_nearby_changes():
     )
     trace = to_trace(parse_log(doc), ["V1", "V2"], merge_window_s=0.5)
     assert len(trace.steps) == 1
-    assert trace.steps[0].event.label == "V1↑,V2↑"
-    assert trace.steps[0].event.t_s == 10.0
+    assert trace.steps[0].label == "V1↑,V2↑"
+    assert trace.steps[0].t_s == 10.0
     without = to_trace(parse_log(doc), ["V1", "V2"])
-    assert [s.event.label for s in without.steps] == ["V1↑", "V2↑"]
+    assert [s.label for s in without.steps] == ["V1↑", "V2↑"]
 
 
 @pytest.mark.parametrize("window", [float("inf"), float("nan"), -5.0, 1e308])
@@ -342,6 +342,26 @@ def test_split_mid_cycle_start(config, train_trace):
 
 
 # ---------------------------------------------------------------------------
+# actuator vectors
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"V201": "false"}, {"V201": 1}, {7: True}],
+    ids=["string-value", "int-value", "int-id"],
+)
+def test_vector_refuses_to_coerce_ids_and_values(values):
+    """``{"V201": "false", 7: 1}`` read as two actuators on, one named ``'7'``."""
+    with pytest.raises(MixdiagError):
+        ActuatorVector.from_mapping(values)
+
+
+def test_vector_apply_refuses_a_non_bool_value():
+    with pytest.raises(MixdiagError):
+        ActuatorVector.from_mapping({"V201": False}).apply({"V201": 1})
+
+
+# ---------------------------------------------------------------------------
 # labels
 
 
@@ -401,10 +421,10 @@ def test_trace_reconstruction_property(data):
     assert len(trace.steps) == n
     previous_t = 0.0
     for step, (t_s, vec) in zip(trace.steps, expected):
-        assert step.event.t_s == t_s
+        assert step.t_s == t_s
         assert step.resulting_vector.as_dict() == vec
         assert step.dwell_s == pytest.approx(t_s - previous_t, abs=1e-9)
         previous_t = t_s
     assert sum(s.dwell_s for s in trace.steps) == pytest.approx(
-        trace.steps[-1].event.t_s, abs=1e-6
+        trace.steps[-1].t_s, abs=1e-6
     )

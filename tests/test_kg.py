@@ -64,7 +64,7 @@ def test_insert_is_set_like(family):
     before = len(family)
     again = family.insert([t("ex:alice", "ex:parentOf", "ex:bob")])
     assert len(again) == before
-    assert again == family
+    assert again.asserted == family.asserted
 
 
 def test_insert_returns_new_snapshot(family):

@@ -70,6 +70,14 @@ def test_missing_column_names_rule_and_row():
     assert "serial" in str(err.value)
 
 
+@pytest.mark.parametrize("subject", ["ex:{id.x}", "ex:{id[x]}"], ids=["attribute", "index"])
+def test_placeholder_attribute_or_index_is_a_mapping_error(subject):
+    """``{id.x}`` and ``{id[x]}`` escaped as a bare AttributeError and TypeError."""
+    with pytest.raises(MappingError, match="bad template") as err:
+        apply_mappings([rule(rid="bad-rule", subject=subject)], {"tanks.csv": TANKS_CSV})
+    assert (err.value.rule_id, err.value.row_index) == ("bad-rule", 0)
+
+
 def test_missing_source_is_an_error():
     with pytest.raises(MappingError):
         apply_mappings([rule(source="nope.csv")], {"tanks.csv": TANKS_CSV})

@@ -46,11 +46,11 @@ NOMINAL_DWELLS = {
 def test_nominal_cycle_has_exact_closed_form_dwells(config):
     log = simulate(config, 1, (), 0)
     trace = to_trace(log, config)
-    assert [s.event.label for s in trace.steps] == list(NOMINAL_DWELLS)
+    assert [s.label for s in trace.steps] == list(NOMINAL_DWELLS)
     for step in trace.steps:
-        assert step.dwell_s == NOMINAL_DWELLS[step.event.label]
+        assert step.dwell_s == NOMINAL_DWELLS[step.label]
     # one full batch takes 125 s
-    assert trace.steps[-1].event.t_s == 125.0
+    assert trace.steps[-1].t_s == 125.0
 
 
 def test_each_phase_has_a_distinct_actuator_vector(config):
@@ -61,7 +61,7 @@ def test_each_phase_has_a_distinct_actuator_vector(config):
 def test_blockage_halves_transfer_rate(config):
     log = simulate(config, 1, (FaultSpec("blockage", "P201", 0.5),), 0)
     trace = to_trace(log, config)
-    dwells = {s.event.label: s.dwell_s for s in trace.steps}
+    dwells = {s.label: s.dwell_s for s in trace.steps}
     assert dwells["P201↓,V205↑"] == 60.0
     # every other phase keeps its nominal duration
     for label, nominal in NOMINAL_DWELLS.items():
@@ -72,7 +72,7 @@ def test_blockage_halves_transfer_rate(config):
 def test_leakage_slows_dosing_and_speeds_transfer(config):
     log = simulate(config, 1, (FaultSpec("leakage", "B204", 0.02),), 0)
     trace = to_trace(log, config)
-    dwells = {s.event.label: s.dwell_s for s in trace.steps}
+    dwells = {s.label: s.dwell_s for s in trace.steps}
     # dosing at 0.1 L/s against a 0.02 L/s leak: net 0.08 L/s over 2 L
     assert dwells["V201↓,V202↑"] == 25.0
     # transfer drains a tank that lost volume to the leak, so it ends early
@@ -85,7 +85,7 @@ def test_blockage_transfer_dwell_matches_rate_arithmetic(multiplier):
     config = default_config()
     log = simulate(config, 1, (FaultSpec("blockage", "P201", multiplier),), 0)
     trace = to_trace(log, config)
-    dwell = {s.event.label: s.dwell_s for s in trace.steps}["P201↓,V205↑"]
+    dwell = {s.label: s.dwell_s for s in trace.steps}["P201↓,V205↑"]
     assert dwell >= 30.0
     # 6 L moved in integer-microliter steps of round(0.2*m*0.1 s) each
     step_ul = round(0.2 * multiplier * 0.1 * 1_000_000)
@@ -101,7 +101,7 @@ def test_stronger_blockage_never_shortens_transfer(config):
     for multiplier in (0.8, 0.5, 0.3, 0.15):
         log = simulate(config, 1, (FaultSpec("blockage", "P201", multiplier),), 0)
         trace = to_trace(log, config)
-        dwells.append({s.event.label: s.dwell_s for s in trace.steps}["P201↓,V205↑"])
+        dwells.append({s.label: s.dwell_s for s in trace.steps}["P201↓,V205↑"])
     assert dwells == sorted(dwells)
 
 
@@ -465,7 +465,7 @@ def test_cycle_with_fault_onset_inside_is_simulated(config, caplog):
     # replay cycle 1; cycle 4 establishes the blocked cycle that 5 replays
     assert replayed == 2
     transfer_dwells = [
-        s.dwell_s for s in to_trace(log, config).steps if s.event.label == "P201↓,V205↑"
+        s.dwell_s for s in to_trace(log, config).steps if s.label == "P201↓,V205↑"
     ]
     assert transfer_dwells[:3] == [30.0] * 3
     assert transfer_dwells[3] == 45.0
