@@ -14,6 +14,9 @@ one block under ``tracemalloc``.  Jobs:
 - ``train``: ``simulate``, ``to_trace``, ``split_cycles`` and ``learn`` on
   the default plant's log, per ``--cycles`` count; both trees must learn the
   same automaton text from as many trace steps.
+- ``diagnose``: the ``diagnose`` workload's op, ``run_pipeline`` with
+  ``--cycles`` training cycles, timed per scenario, a block being one op of
+  each; both trees must write byte-equal artifacts.
 - ``view``: a ``VirtualBinding``'s cold refresh of the seed-1 plant log, per
   ``--cycles`` count, then the refresh that reads 7 appended sensor rows and
   the bytes it decodes; both views must agree on size, lines and last_ms.
@@ -199,6 +202,27 @@ def cycles_cases(block, trees: dict, args, workdir: Path):
                                    for label, (package, _) in trees.items()}
 
 
+def diagnose_block(workload, laps: Laps) -> dict[str, dict[str, bytes]]:
+    """One op per scenario; each scenario's artifacts, by name."""
+    artifacts = {}
+    for scenario in workload.round_ops:
+        laps.start()
+        result = workload.run(scenario)
+        laps.stop(scenario)
+        artifacts[scenario] = {name: path.read_bytes() for name, path in result.artifacts.items()}
+        workload.finish_op(scenario)
+    return artifacts
+
+
+def diagnose_cases(trees: dict, args, workdir: Path):
+    for cycles in args.cycles:
+        yield f"{cycles} cycles", {
+            label: partial(diagnose_block, workloads.Diagnose(
+                args.seed, ROOT, workdir / f"diagnose_{cycles}_{label}", train_cycles=cycles))
+            for label, (_, workloads) in trees.items()
+        }
+
+
 def view_block(package, path: Path, text: str, tail: str, laps: Laps) -> tuple:
     """The cold refresh, then the append's refresh and the bytes it decodes."""
     path.write_text(text, encoding="utf-8")
@@ -285,7 +309,7 @@ def query_cases(name: str, trees: dict, args, workdir: Path):
 
 
 JOBS = {"write": partial(cycles_cases, write_block), "train": partial(cycles_cases, train_block),
-        "view": view_cases,
+        "diagnose": diagnose_cases, "view": view_cases,
         **{name: partial(query_cases, name) for name in ("sensor_queries", "live_updates")}}
 
 
@@ -295,9 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, default=ROOT / "src")
     parser.add_argument("--jobs", nargs="+", choices=JOBS, default=list(JOBS))
     parser.add_argument("--blocks", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=5, help="the query workloads' seed")
+    parser.add_argument("--seed", type=int, default=5, help="the workloads' seed")
     parser.add_argument("--cycles", type=int, nargs="+", default=[100, 1000],
-                        help="plant cycles of the write, train and view logs")
+                        help="plant cycles of the write, train, diagnose and view logs")
     parser.add_argument("--ops", type=int, default=32, help="sensor queries per block")
     parser.add_argument("--cold", action="store_true", help="run reference_work before each op")
     args = parser.parse_args(argv)

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import MixdiagError, ParseError, parse_json
-from .terms import XSD_BOOLEAN, XSD_DOUBLE, XSD_INTEGER, Iri, Literal, Term, Triple, iri
+from .terms import XSD_BOOLEAN, XSD_DOUBLE, XSD_INTEGER, _TRUTH, Iri, Literal, Term, Triple, iri
 
 
 class MappingError(MixdiagError):
@@ -50,22 +52,26 @@ def _fill(template: str, values: Mapping[str, object], rule: MappingRule, row: i
         raise MappingError(rule.id, row, f"bad template {template!r}: {exc}") from None
 
 
+# xsd lexical forms with ASCII digits: no space or underscore, and no NaN
+# or infinity in a double
+_DOUBLE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _canonical_literal(lexical: str, datatype: Iri, rule: MappingRule, row: int) -> Literal:
     try:
-        if datatype == XSD_DOUBLE:
-            return Literal.double(float(lexical))
-        if datatype == XSD_INTEGER:
+        if datatype == XSD_DOUBLE and _DOUBLE.fullmatch(lexical):
+            if math.isfinite(value := float(lexical)):
+                return Literal.double(value)
+        elif datatype == XSD_INTEGER and _INTEGER.fullmatch(lexical):
             return Literal.integer(int(lexical))
-        if datatype == XSD_BOOLEAN:
-            lowered = lexical.lower()
-            if lowered in ("true", "1"):
-                return Literal.boolean(True)
-            if lowered in ("false", "0"):
-                return Literal.boolean(False)
-            raise ValueError(f"not a boolean: {lexical!r}")
-    except ValueError as exc:
+        elif datatype == XSD_BOOLEAN and lexical.lower() in _TRUTH:
+            return Literal.boolean(_TRUTH[lexical.lower()])
+        elif datatype not in (XSD_DOUBLE, XSD_INTEGER, XSD_BOOLEAN):
+            return Literal(lexical, datatype)
+    except ValueError as exc:  # an integer of more digits than int reads
         raise MappingError(rule.id, row, str(exc)) from None
-    return Literal(lexical, datatype)
+    raise MappingError(rule.id, row, f"not an {datatype} lexical form: {lexical!r}")
 
 
 def _json_pointer(doc, pointer: str, rule: MappingRule):

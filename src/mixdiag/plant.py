@@ -40,10 +40,13 @@ from __future__ import annotations
 import logging
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, asdict
-from itertools import compress, count, islice
-from operator import gt, itemgetter
+from functools import cache, partial
+from itertools import chain, compress, count
+from operator import itemgetter, ne, truth
+from struct import pack
 from typing import Callable, Iterable, Mapping
 
 from .errors import MixdiagError, ParseError, dump_json, number, parse_json, reading, typed
@@ -636,18 +639,8 @@ class InvalidRecord(MixdiagError):
 
 _CHUNK = 4096  # sorted sensor records whose lines exist at once in write_log_csv
 _time = itemgetter(0)
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)``."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+_value = itemgetter(2)
+_text = itemgetter(1)  # of a (t_ms, text) block
 
 
 def format_timestamp(t_ms: int) -> str:
@@ -668,25 +661,35 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _order_ties(records: list[tuple], lines: list[str]) -> None:
-    """Put the lines of records that share time and id in text order.
+def _tails(form: str, ids: tuple[str, ...], packed: bytes) -> list[str]:
+    """The lines of a block without their stamp, ``form % (quoted id,
+    value)`` for each id and double packed in ``packed``, ordered by id and
+    then by the value's repr, which orders an actuator's 0.0 and 1.0 as
+    their ``%d`` text."""
+    values = array("d", packed)
+    lines = sorted(zip(ids, map(repr, values), values))
+    return [form % (_csv_field(rid), value) for rid, _, value in lines]
 
-    ``records`` are sorted natively, so such a run of lines is in value
-    order, while a sort on the line fields puts ``10.0`` before ``9.0`` and
-    ``-0.0`` before ``0.0``.  A run's lines differ only in the value text,
-    and ``\\n`` sorts below every character of it, so sorting the lines
-    sorts by that text.  A run out of order holds a descending pair.
-    """
-    for k in list(compress(count(), map(gt, lines, islice(lines, 1, None)))):
-        key = records[k][:2]
-        if records[k + 1][:2] != key or lines[k] <= lines[k + 1]:
-            continue
-        lo = hi = k
-        while lo and records[lo - 1][:2] == key:
-            lo -= 1
-        while hi < len(records) and records[hi][:2] == key:
-            hi += 1
-        lines[lo:hi] = sorted(lines[lo:hi])
+
+def _blocks(records: list[tuple], values: Iterable, tails: Callable) -> list[tuple[int, str]]:
+    """``(t_ms, text)`` of each millisecond of ``records``, which are sorted
+    by time and write ``values``.
+
+    The records of a millisecond are its block.  Its lines are ``tails(ids,
+    packed)``, of its ids and its values packed as doubles, both in record
+    order, so -0.0 and 0.0 key apart.  With ``tails`` cached, each distinct
+    block's lines are built once, and the rest is a few passes in C per
+    record and a stamp and a join per millisecond."""
+    times = list(map(_time, records))
+    ids = list(map(itemgetter(1), records))
+    packed = pack(f"{len(records)}d", *values)
+    starts = list(compress(count(), map(ne, times, chain([None], times))))
+    blocks = []
+    for a, b in zip(starts, starts[1:] + [len(times)]):
+        stamp = format_timestamp(times[a])
+        lines = tails(tuple(ids[a:b]), packed[a * 8 : b * 8])
+        blocks.append((times[a], stamp + stamp.join(lines)))
+    return blocks
 
 
 def write_log_csv(log: SimulationLog) -> str:
@@ -698,29 +701,26 @@ def write_log_csv(log: SimulationLog) -> str:
     ``\\n``, with each ``"`` doubled; a ``\\r`` is written as it is.  A
     record with a negative time raises :class:`InvalidRecord`.
 
-    The sorted sensor records are written ``_CHUNK`` at a time, each chunk
-    cut back to the first record of the millisecond at its end, so that
-    only one chunk's lines exist at once and no millisecond spans two
+    The text is built one millisecond block at a time: the records of one
+    time and kind, whose lines are built once per distinct block (see
+    :func:`_blocks`), so a replayed cycle's blocks cost a lookup each.  The
+    sensor records, sorted by time, are written ``_CHUNK`` at a time, each
+    chunk cut back to the first record of the millisecond at its end, so
+    that only one chunk's lines exist at once and no millisecond spans two
     chunks.  A chunk whose first millisecond holds more records runs to
     the end of that millisecond.
     """
-    actuators = sorted(log.actuator_records)
-    sensors = sorted(log.sensor_records)
+    actuators = sorted(log.actuator_records, key=_time)
+    sensors = sorted(log.sensor_records, key=_time)
     for first in actuators[:1] + sensors[:1]:
         if first[0] < 0:
             raise InvalidRecord(f"record {first!r} has a negative time")
-    # Each distinct (id, value) is formatted once, and each millisecond once
-    # for the actuator lines and once for its chunk.  A zero value is keyed
-    # with its sign: -0.0 == 0.0 as a key, but not as text.
-    stamps = _Memo(format_timestamp)
-    actuator_tails = _Memo(
-        lambda key: f",actuator,{_csv_field(key[0])},{'1' if key[1] else '0'}\n"
+    actuator_blocks = _blocks(
+        actuators, map(truth, map(_value, actuators)), cache(partial(_tails, ",actuator,%s,%d\n"))
     )
-    sensor_tails = _Memo(lambda key: f",sensor,{_csv_field(key[0])},{float(key[1])!r}\n")
-    actuator_lines = [stamps[t] + actuator_tails[rid, v] for t, rid, v in actuators]
-    _order_ties(actuators, actuator_lines)
+    sensor_tails = cache(partial(_tails, ",sensor,%s,%r\n"))
     pieces = [",".join(LOG_HEADER) + "\n"]
-    written = 0  # actuator lines in pieces
+    written = 0  # actuator blocks in pieces
     lo = 0
     while lo < len(sensors):
         hi = lo + _CHUNK
@@ -728,21 +728,14 @@ def write_log_csv(log: SimulationLog) -> str:
             cut = bisect_left(sensors, sensors[hi][0], lo, hi, key=_time)
             hi = cut if cut > lo else bisect_right(sensors, sensors[lo][0], hi, key=_time)
         chunk = sensors[lo:hi]
-        lines = [
-            stamps[t] + sensor_tails[(rid, v) if v else (rid, v, math.copysign(1.0, v))]
-            for t, rid, v in chunk
-        ]
-        _order_ties(chunk, lines)
-        # Actuator lines go before the sensor lines of the same millisecond.
-        # Inserting the last one first leaves the chunk's positions valid for
-        # the rest, and keeps the lines of one millisecond in record order.
-        end = bisect_right(actuators, chunk[-1][0], written, key=_time)
-        for k in reversed(range(written, end)):
-            lines.insert(bisect_left(chunk, actuators[k][0], key=_time), actuator_lines[k])
-        pieces.append("".join(lines))
-        stamps.clear()  # no later chunk holds these milliseconds
+        blocks = _blocks(chunk, map(_value, chunk), sensor_tails)
+        # A millisecond's actuator block goes before its sensor block: the
+        # sort is stable.
+        end = bisect_right(actuator_blocks, blocks[-1][0], written, key=_time)
+        blocks = sorted(actuator_blocks[written:end] + blocks, key=_time)
+        pieces.append("".join(map(_text, blocks)))
         written, lo = end, hi
-    pieces += actuator_lines[written:]
+    pieces += map(_text, actuator_blocks[written:])
     return "".join(pieces)
 
 

@@ -153,3 +153,45 @@ def test_a_json_source_json_cannot_load_raises_mapping_error(text):
     r = rule(kind="json", source="cfg.json", iterator="/tanks")
     with pytest.raises(MappingError, match="rule r1: invalid JSON"):
         apply_mappings([r], {"cfg.json": text})
+
+
+@pytest.mark.parametrize(
+    "datatype, lexical",
+    [
+        ("xsd:double", "nan"),
+        ("xsd:double", "NaN"),
+        ("xsd:double", "inf"),
+        ("xsd:double", "-Infinity"),
+        ("xsd:double", "1e999"),
+        ("xsd:double", "1_0"),
+        ("xsd:double", " 0.7 "),
+        ("xsd:double", "٣.٥"),
+        ("xsd:integer", " 0_7 "),
+        ("xsd:integer", "1_0"),
+        ("xsd:integer", "+7 "),
+        ("xsd:integer", "٣"),
+    ],
+)
+def test_numbers_take_only_their_xsd_lexical_forms(datatype, lexical):
+    """Python's ``float`` and ``int`` read NaN, infinity, spaces, underscores
+    and non-ASCII digits, none of which the xsd forms allow."""
+    r = rule(rid="num", source="s.csv", obj="{n}", predicate="ex:n", datatype=datatype)
+    with pytest.raises(MappingError) as err:
+        apply_mappings([r], {"s.csv": f"id,n\nx,1\ny,{lexical}\n"})
+    assert (err.value.rule_id, err.value.row_index) == ("num", 1)
+
+
+@pytest.mark.parametrize(
+    "datatype, lexical, literal",
+    [
+        ("xsd:double", "-0.0", Literal.double(-0.0)),
+        ("xsd:double", ".5", Literal.double(0.5)),
+        ("xsd:double", "5.", Literal.double(5.0)),
+        ("xsd:double", "+1E3", Literal.double(1000.0)),
+        ("xsd:double", "7", Literal.double(7.0)),
+        ("xsd:integer", "-007", Literal.integer(-7)),
+    ],
+)
+def test_xsd_number_forms_map_to_canonical_literals(datatype, lexical, literal):
+    r = rule(source="s.csv", obj="{n}", predicate="ex:n", datatype=datatype)
+    assert apply_mappings([r], {"s.csv": f"id,n\nx,{lexical}\n"})[0].object == literal

@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -483,9 +484,10 @@ def test_replayed_records_share_one_int_per_millisecond(config):
 
 
 def test_log_writer_peak_is_bounded_by_its_text(config):
-    """``write_log_csv`` holds one chunk's lines at a time, so what it
-    allocates above its input peaks below four times the text it returns:
-    not every line, the list of them and the joined text at once."""
+    """``write_log_csv`` holds one chunk's millisecond blocks at a time, and
+    the lines of each distinct block once, so what it allocates above its
+    input peaks below four times the text it returns: not every line, the
+    list of them and the joined text at once."""
     log = simulate(config, 100)
     gc.collect()
     tracemalloc.start()
@@ -495,3 +497,26 @@ def test_log_writer_peak_is_bounded_by_its_text(config):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(text)
+
+
+def test_log_writer_runs_few_python_lines_per_record(config):
+    """Python-level work in ``write_log_csv`` is per millisecond or per
+    distinct block, not per record: the 100-cycle log's 87,507 sensor
+    records, in 12,501 milliseconds, run fewer than two traced lines each.
+    A count of events does not depend on the host's speed."""
+    log = simulate(config, 100)
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        write_log_csv(log)
+    finally:
+        sys.settrace(previous)
+    assert len(log.sensor_records) == 87_507
+    assert lines < 2 * len(log.sensor_records)

@@ -400,6 +400,30 @@ def _tied(kind, rid, values):
         + [("actuator", 7, "V1", False), ("sensor", 8, "L201", 9.0), ("actuator", 9, "V2", True)]
     )
 )
+# two milliseconds whose blocks differ only in the sign of a zero
+@example(
+    log=_split(
+        [("sensor", 1, "L201", 0.0), ("sensor", 1, "a,b", 1.0)]
+        + [("sensor", 2, "L201", -0.0), ("sensor", 2, "a,b", 1.0)]
+        + [("actuator", 2, "V1", 0.0), ("actuator", 3, "V1", -0.0), ("sensor", 3, "L201", 0.0)]
+    )
+)
+# NaN blocks, one of them repeated
+@example(
+    log=_split(
+        _tied("sensor", "L201", [math.nan, 1.0, -math.nan])
+        + [("sensor", 8, "L201", value) for value in (math.nan, 1.0, -math.nan)]
+        + [("sensor", 9, "a,b", math.nan), ("actuator", 9, "V1", math.nan)]
+    )
+)
+# equal blocks whose records come in another order
+@example(
+    log=_split(
+        [("sensor", 1, "L201", 9.0), ("sensor", 1, "a,b", 10.0), ("sensor", 1, "L201", 10.0)]
+        + [("sensor", 2, "a,b", 10.0), ("sensor", 2, "L201", 10.0), ("sensor", 2, "L201", 9.0)]
+        + [("sensor", 3, "L201", 10.0), ("sensor", 3, "a,b", 10.0), ("sensor", 3, "L201", 9.0)]
+    )
+)
 def test_write_log_csv_matches_csv_writer(log):
     """At the default chunk size and at chunks smaller than the sensor
     records of one millisecond, whose tie runs and signed zeros then fill
