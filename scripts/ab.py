@@ -10,10 +10,13 @@ ratio per step: the change's median over the base's.  Each side then runs
 one block under ``tracemalloc``.  Jobs:
 
 - ``write``: ``simulate`` and ``write_log_csv`` of the default plant, per
-  ``--cycles`` count; both trees must write the same text.
+  ``--cycles`` count, and the characters written; both trees must write
+  the same text.
 - ``train``: ``simulate``, ``to_trace``, ``split_cycles`` and ``learn`` on
   the default plant's log, per ``--cycles`` count; both trees must learn the
   same automaton text from as many trace steps.
+
+  Both simulate with seed 0 and ``--noise`` as the sensor noise's sigma.
 - ``diagnose``: the ``diagnose`` workload's op, ``run_pipeline`` with
   ``--cycles`` training cycles, timed per scenario, a block being one op of
   each; both trees must write byte-equal artifacts.
@@ -28,7 +31,7 @@ one block under ``tracemalloc``.  Jobs:
 Prints one JSON object (see README.md, "Same-process A/B").  Stdlib only.
 
     python scripts/ab.py BASE_SRC [--change SRC] [--jobs JOB ...] [--blocks 10]
-        [--seed 5] [--cycles 100 1000] [--ops 32] [--cold]
+        [--seed 5] [--cycles 100 1000] [--noise 0] [--ops 32] [--cold]
 
 ``BASE_SRC`` is the ``src`` of, say, a ``git archive`` of the parent commit;
 ``--change`` defaults to this checkout's ``src``.
@@ -172,19 +175,20 @@ def compare(sides: dict, blocks: int) -> dict:
     }
 
 
-def write_block(package, cycles: int, laps: Laps) -> str:
+def write_block(package, cycles: int, noise: float, laps: Laps) -> str:
     laps.start()
-    log = package.simulate(package.default_config(), cycles)
+    log = package.simulate(package.default_config(), cycles, noise_sigma=noise)
     laps.stop("simulate")
     text = package.write_log_csv(log)
     laps.stop("write_log_csv")
+    laps.add("csv_chars", len(text), into="counts")
     return text
 
 
-def train_block(package, cycles: int, laps: Laps) -> tuple[str, int]:
+def train_block(package, cycles: int, noise: float, laps: Laps) -> tuple[str, int]:
     config = package.default_config()
     laps.start()
-    log = package.simulate(config, cycles)
+    log = package.simulate(config, cycles, noise_sigma=noise)
     laps.stop("simulate")
     trace = package.to_trace(log, config)
     laps.stop("to_trace")
@@ -198,7 +202,7 @@ def train_block(package, cycles: int, laps: Laps) -> tuple[str, int]:
 def cycles_cases(block, trees: dict, args, workdir: Path):
     """One case per ``--cycles`` count, running ``block`` on each tree."""
     for cycles in args.cycles:
-        yield f"{cycles} cycles", {label: partial(block, package, cycles)
+        yield f"{cycles} cycles", {label: partial(block, package, cycles, args.noise)
                                    for label, (package, _) in trees.items()}
 
 
@@ -322,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=5, help="the workloads' seed")
     parser.add_argument("--cycles", type=int, nargs="+", default=[100, 1000],
                         help="plant cycles of the write, train, diagnose and view logs")
+    parser.add_argument("--noise", type=float, default=0.0,
+                        help="sensor noise sigma of the write and train logs")
     parser.add_argument("--ops", type=int, default=32, help="sensor queries per block")
     parser.add_argument("--cold", action="store_true", help="run reference_work before each op")
     args = parser.parse_args(argv)

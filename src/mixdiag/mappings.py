@@ -65,8 +65,8 @@ def _canonical_literal(lexical: str, datatype: Iri, rule: MappingRule, row: int)
                 return Literal.double(value)
         elif datatype == XSD_INTEGER and _INTEGER.fullmatch(lexical):
             return Literal.integer(int(lexical))
-        elif datatype == XSD_BOOLEAN and lexical.lower() in _TRUTH:
-            return Literal.boolean(_TRUTH[lexical.lower()])
+        elif datatype == XSD_BOOLEAN and lexical in _TRUTH:
+            return Literal.boolean(_TRUTH[lexical])
         elif datatype not in (XSD_DOUBLE, XSD_INTEGER, XSD_BOOLEAN):
             return Literal(lexical, datatype)
     except ValueError as exc:  # an integer of more digits than int reads

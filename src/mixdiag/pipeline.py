@@ -183,7 +183,10 @@ def run_pipeline(
     def write(name: str, text: str) -> Path:
         path = out / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        # In 64 KiB slices, so no UTF-8 copy of a whole log is held.
+        with path.open("w", encoding="utf-8") as f:
+            for start in range(0, len(text), 1 << 16):
+                f.write(text[start : start + (1 << 16)])
         artifacts[name] = path
         return path
 

@@ -32,7 +32,11 @@ Conventions that downstream code relies on:
   re-emitted shifted in time, without integrating.  This holds only without
   noise and without an ``on_step`` hook, and only when no fault starts or
   ends strictly inside either cycle's window, so the log is byte-identical
-  to a stepwise run.
+  to a stepwise run.  The log records each replay, and ``write_log_csv``
+  writes the lines strictly inside a replay's window from its stored
+  cycle's lines, built once per call: two replays of one cycle start a
+  whole number of seconds apart, so only the whole seconds of each stamp
+  change.
 """
 
 from __future__ import annotations
@@ -42,12 +46,12 @@ import math
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, asdict
-from functools import cache, partial
-from itertools import chain, compress, count
-from operator import itemgetter, ne, truth
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, partial
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, ge, itemgetter, mul, ne, sub, truth
 from struct import pack
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import MixdiagError, ParseError, dump_json, number, parse_json, reading, typed
 
@@ -56,6 +60,8 @@ logger = logging.getLogger(__name__)
 AMBIENT_TEMPERATURE_C = 20.0
 
 LOG_HEADER = ("t_s", "kind", "id", "value")
+
+_time = itemgetter(0)  # of a record
 
 _UL_PER_L = 1_000_000
 
@@ -263,10 +269,19 @@ class FaultSpec:
 @dataclass
 class SimulationLog:
     """Actuator records ``(t_ms, actuator_id, value: bool)`` and sensor
-    records ``(t_ms, sensor_id, value: float)``, each a plain tuple."""
+    records ``(t_ms, sensor_id, value: float)``, each a plain tuple.
+
+    A log that :func:`simulate` returns also records each cycle it replayed
+    (``_replays``, see :class:`_Replay`), which :func:`write_log_csv` reads.
+    That record takes no part in ``==`` or ``repr``, and a log built any
+    other way, by ``parse_log``, by hand or by ``dataclasses.replace``,
+    holds none.
+    It indexes the record lists, which nothing edits after ``simulate``
+    returns them."""
 
     actuator_records: list[tuple[int, str, bool]]
     sensor_records: list[tuple[int, str, float]]
+    _replays: tuple[_Replay, ...] = field(default=(), init=False, repr=False, compare=False)
 
 
 def default_config() -> PlantConfig:
@@ -335,13 +350,15 @@ def _prepare_fault(f: FaultSpec) -> _PreparedFault:
     return _PreparedFault(f.kind, f.target, f.magnitude, onset_ms, end_ms)
 
 
-@dataclass
+@dataclass(eq=False)
 class _StoredCycle:
     """A simulated cycle kept for replay: its duration, the state it ended
     in, and its records with each time replaced by its index in
     ``offsets``, the cycle's distinct times less its start, in order.  A
     replay shifts each distinct time once, so the records of one
-    millisecond share one int, as simulated ones do."""
+    millisecond share one int, as simulated ones do.  ``inside`` holds the
+    index ranges, in ``actuators`` and ``sensors``, of the records strictly
+    between the cycle's start and end."""
 
     duration_ms: int
     levels: dict[str, int]
@@ -349,6 +366,7 @@ class _StoredCycle:
     offsets: list[int]
     actuators: list[tuple[int, str, bool]]
     sensors: list[tuple[int, str, float]]
+    inside: tuple[slice, slice]
 
     @classmethod
     def of(
@@ -358,9 +376,16 @@ class _StoredCycle:
         """The cycle from ``start_ms`` to ``end_ms`` that emitted these records."""
         times = sorted({t for t, _, _ in actuators} | {t for t, _, _ in sensors})
         index = {t: k for k, t in enumerate(times)}
+        inside = tuple(
+            slice(
+                bisect_right(records, start_ms, key=_time), bisect_left(records, end_ms, key=_time)
+            )
+            for records in (actuators, sensors)
+        )
         return cls(
             end_ms - start_ms, dict(levels), dict(vector), [t - start_ms for t in times],
             [(index[t], i, v) for t, i, v in actuators], [(index[t], i, v) for t, i, v in sensors],
+            inside,
         )
 
     def replay(
@@ -368,21 +393,40 @@ class _StoredCycle:
         start_ms: int,
         actuator_records: list[tuple[int, str, bool]],
         sensor_records: list[tuple[int, str, float]],
-    ) -> int:
+    ) -> _Replay:
         """Append this cycle's records again, shifted to start at ``start_ms``,
-        and return the time it ends at.  A record at the start holds the
-        ``start_ms`` object, and the time returned is the last record's when
-        that is at the end, so the records of a millisecond that two cycles
-        share hold one int."""
+        and return the replay.  A record at the start holds the ``start_ms``
+        object, and the replay ends at the last record's time when that is
+        at the end, so the records of a millisecond that two cycles share
+        hold one int."""
         offsets = self.offsets
         shifted = [start_ms + t for t in offsets]
         if offsets and offsets[0] == 0:
             shifted[0] = start_ms
+        inside = [  # taken before the records are appended
+            slice(len(records) + r.start, len(records) + r.stop)
+            for records, r in zip((actuator_records, sensor_records), self.inside)
+        ]
         actuator_records.extend([(shifted[k], i, v) for k, i, v in self.actuators])
         sensor_records.extend([(shifted[k], i, v) for k, i, v in self.sensors])
+        end_ms = start_ms + self.duration_ms
         if offsets and offsets[-1] == self.duration_ms:
-            return shifted[-1]
-        return start_ms + self.duration_ms
+            end_ms = shifted[-1]
+        return _Replay(self, start_ms, end_ms, *inside)
+
+
+class _Replay(NamedTuple):
+    """A replay of ``cycle`` in a log, from ``start_ms`` to ``end_ms``.
+    ``actuators`` and ``sensors`` are the index ranges, in the log's record
+    lists, of its records strictly inside that window.  They are the
+    cycle's records there, shifted by a whole number of seconds from those
+    of any other replay of it, since the replay key holds ``t_ms % 1000``."""
+
+    cycle: _StoredCycle
+    start_ms: int
+    end_ms: int
+    actuators: slice
+    sensors: slice
 
 
 def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
@@ -526,7 +570,7 @@ def simulate(
     # key formed below, so a repeated key replays the stored cycle.
     replayable = noise_sigma == 0 and on_step is None
     stored: dict[tuple, _StoredCycle] = {}
-    replayed = 0
+    replays: list[_Replay] = []
     for cycle in range(n_cycles):
         for tid in source_tanks:
             delta = initial_ul[tid] - levels[tid]
@@ -546,11 +590,11 @@ def simulate(
             if hit is not None and not _fault_boundary_inside(
                 prepared, start_ms, start_ms + hit.duration_ms
             ):
-                t_ms = hit.replay(start_ms, actuator_records, sensor_records)
+                replays.append(hit.replay(start_ms, actuator_records, sensor_records))
+                t_ms = replays[-1].end_ms
                 levels = dict(hit.levels)
                 current = dict(hit.vector)
                 pending_inflow = 0
-                replayed += 1
                 continue
         actuator_lo, sensor_lo = len(actuator_records), len(sensor_records)
         for phase in config.phases:
@@ -629,8 +673,10 @@ def simulate(
     # Close the final cycle by returning to the first phase's vector.
     enter_vector(config.phases[0].actuator_vector)
 
-    logger.debug("simulated %d cycles, replayed %d", n_cycles - replayed, replayed)
-    return SimulationLog(actuator_records, sensor_records)
+    logger.debug("simulated %d cycles, replayed %d", n_cycles - len(replays), len(replays))
+    log = SimulationLog(actuator_records, sensor_records)
+    log._replays = tuple(replays)
+    return log
 
 
 class InvalidRecord(MixdiagError):
@@ -638,7 +684,7 @@ class InvalidRecord(MixdiagError):
 
 
 _CHUNK = 4096  # sorted sensor records whose lines exist at once in write_log_csv
-_time = itemgetter(0)
+_HELD = 1024  # distinct blocks of each kind, and id tuples, whose text write_log_csv keeps
 _value = itemgetter(2)
 _text = itemgetter(1)  # of a (t_ms, text) block
 
@@ -654,6 +700,15 @@ def format_timestamp(t_ms: int) -> str:
     return f"{whole}.{frac:03d}".rstrip("0")
 
 
+def _stamps(times: Iterable[int], form: str = "%d.%03d", shift: int = 0) -> Iterator[str]:
+    """:func:`format_timestamp` of each of ``times``, none negative, in C.
+    A template's stamps pass ``form="%%(%d)s.%03d"``, which names each
+    stamp's whole seconds, less ``shift``'s, as a key to fill in."""
+    splits = map(divmod, map(sub, times, repeat(shift)), repeat(1000))
+    texts = map(form.__mod__, splits)
+    return map(str.rstrip, map(str.rstrip, texts, repeat("0")), repeat("."))
+
+
 def _csv_field(text: str) -> str:
     """Quote ``text`` where ``csv.writer(lineterminator="\\n")`` would."""
     if "," in text or '"' in text or "\n" in text:
@@ -661,35 +716,102 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _tails(form: str, ids: tuple[str, ...], packed: bytes) -> list[str]:
+def _fields(ids: tuple[str, ...]) -> tuple[str, ...]:
+    """Each of ``ids`` quoted for CSV."""
+    return tuple(map(_csv_field, ids))
+
+
+def _tails(form: str, fields: Callable, ids: tuple[str, ...], packed: bytes) -> list[str]:
     """The lines of a block without their stamp, ``form % (quoted id,
     value)`` for each id and double packed in ``packed``, ordered by id and
     then by the value's repr, which orders an actuator's 0.0 and 1.0 as
-    their ``%d`` text."""
+    their ``%d`` text.  ``fields`` is :func:`_fields`, cached."""
     values = array("d", packed)
-    lines = sorted(zip(ids, map(repr, values), values))
-    return [form % (_csv_field(rid), value) for rid, _, value in lines]
+    if any(map(ge, ids, ids[1:])):  # a tie, or ids out of order
+        ids, _, values = zip(*sorted(zip(ids, map(repr, values), values)))
+    return list(map(form.__mod__, zip(fields(ids), values)))
 
 
-def _blocks(records: list[tuple], values: Iterable, tails: Callable) -> list[tuple[int, str]]:
+def _escaped(tails: Callable) -> Callable:
+    """``tails`` with each ``%`` of its lines doubled, for a ``%`` template."""
+    return lambda ids, packed: [line.replace("%", "%%") for line in tails(ids, packed)]
+
+
+def _blocks(
+    records: list[tuple], values: Iterable, tails: Callable, stamps: Callable = _stamps
+) -> list[tuple[int, str]]:
     """``(t_ms, text)`` of each millisecond of ``records``, which are sorted
     by time and write ``values``.
 
     The records of a millisecond are its block.  Its lines are ``tails(ids,
     packed)``, of its ids and its values packed as doubles, both in record
-    order, so -0.0 and 0.0 key apart.  With ``tails`` cached, each distinct
-    block's lines are built once, and the rest is a few passes in C per
-    record and a stamp and a join per millisecond."""
+    order, so -0.0 and 0.0 key apart, and each line starts with the
+    block's entry of ``stamps(times)``.  With ``tails`` cached, each
+    distinct block's lines are built once, and the rest is a few passes in
+    C per record and per millisecond."""
     times = list(map(_time, records))
-    ids = list(map(itemgetter(1), records))
+    ids = tuple(map(itemgetter(1), records))
     packed = pack(f"{len(records)}d", *values)
-    starts = list(compress(count(), map(ne, times, chain([None], times))))
-    blocks = []
-    for a, b in zip(starts, starts[1:] + [len(times)]):
-        stamp = format_timestamp(times[a])
-        lines = tails(tuple(ids[a:b]), packed[a * 8 : b * 8])
-        blocks.append((times[a], stamp + stamp.join(lines)))
-    return blocks
+    bounds = [*compress(count(), map(ne, times, chain([None], times))), len(times)]
+    octets = list(map(mul, bounds, repeat(8)))
+    lines = map(
+        tails,
+        map(ids.__getitem__, map(slice, bounds, bounds[1:])),
+        map(packed.__getitem__, map(slice, octets, octets[1:])),
+    )
+    starts = list(map(times.__getitem__, bounds[:-1]))
+    stamped = list(stamps(starts))
+    return list(zip(starts, map(add, stamped, map(str.join, stamped, lines))))
+
+
+def _outside(records: list[tuple], inside: Iterable[slice]) -> list[tuple]:
+    """``records`` less the index ranges ``inside``, which are disjoint and
+    in order, sorted by time."""
+    inside = list(inside)
+    starts = [0, *map(attrgetter("stop"), inside)]
+    stops = [*map(attrgetter("start"), inside), len(records)]
+    kept = chain.from_iterable(map(records.__getitem__, map(slice, starts, stops)))
+    return sorted(kept, key=_time)
+
+
+def _template(
+    log: SimulationLog, replay: _Replay, actuator_tails: Callable, sensor_tails: Callable
+) -> tuple[str, tuple[str, ...]]:
+    """The lines of ``replay``'s records strictly inside its window as a
+    ``%`` template, and its keys.  Each stamp names its whole seconds, less
+    those of the replay's start, as the key ``%(n)s``; the keys are
+    ``"0"``, ``"1"`` and on to the last such ``n``.  Each ``%`` of an id
+    is doubled."""
+    actuators, sensors = log.actuator_records[replay.actuators], log.sensor_records[replay.sensors]
+    shift = replay.start_ms - replay.start_ms % 1000
+    stamps = partial(_stamps, form="%%(%d)s.%03d", shift=shift)
+    blocks = _blocks(
+        actuators, map(truth, map(_value, actuators)), _escaped(actuator_tails), stamps
+    ) + _blocks(sensors, map(_value, sensors), _escaped(sensor_tails), stamps)
+    keys = tuple(map(str, range((replay.end_ms - shift) // 1000 + 1)))
+    return "".join(map(_text, sorted(blocks, key=_time))), keys
+
+
+def _insides(
+    log: SimulationLog, actuator_tails: Callable, sensor_tails: Callable
+) -> list[tuple[int, str]]:
+    """``(start_ms, text)`` of the records strictly inside each replay's
+    window, in time order.
+
+    Two replays of one stored cycle start a whole number of seconds apart,
+    so their lines differ only in the whole seconds of their stamps.  Each
+    cycle's lines are built once, as a template from its last replay, and
+    one ``%`` per replay fills in that replay's seconds."""
+    if not log._replays:
+        return []
+    cycles, starts = list(zip(*log._replays))[:2]
+    templates = {
+        cycle: _template(log, replay, actuator_tails, sensor_tails)
+        for cycle, replay in dict(zip(cycles, log._replays)).items()
+    }
+    pairs = zip(starts, map(templates.__getitem__, cycles))
+    fill = [form % dict(zip(keys, map(str, count(t // 1000)))) for t, (form, keys) in pairs]
+    return list(zip(starts, fill))
 
 
 def write_log_csv(log: SimulationLog) -> str:
@@ -701,26 +823,29 @@ def write_log_csv(log: SimulationLog) -> str:
     ``\\n``, with each ``"`` doubled; a ``\\r`` is written as it is.  A
     record with a negative time raises :class:`InvalidRecord`.
 
-    The text is built one millisecond block at a time: the records of one
-    time and kind, whose lines are built once per distinct block (see
-    :func:`_blocks`), so a replayed cycle's blocks cost a lookup each.  The
-    sensor records, sorted by time, are written ``_CHUNK`` at a time, each
-    chunk cut back to the first record of the millisecond at its end, so
-    that only one chunk's lines exist at once and no millisecond spans two
+    The records strictly inside a replayed cycle's window are written from
+    their cycle's template (see :func:`_insides`).  The rest are written
+    one millisecond block at a time: the records of one time and kind,
+    whose lines are built once per distinct block (see :func:`_blocks`),
+    of which the last ``_HELD`` of each kind are kept.  The rest's sensor
+    records, sorted by time, are written ``_CHUNK`` at a time, each chunk
+    cut back to the first record of the millisecond at its end, so that
+    only one chunk's blocks exist at once and no millisecond spans two
     chunks.  A chunk whose first millisecond holds more records runs to
     the end of that millisecond.
     """
-    actuators = sorted(log.actuator_records, key=_time)
-    sensors = sorted(log.sensor_records, key=_time)
+    actuators = _outside(log.actuator_records, map(attrgetter("actuators"), log._replays))
+    sensors = _outside(log.sensor_records, map(attrgetter("sensors"), log._replays))
     for first in actuators[:1] + sensors[:1]:
         if first[0] < 0:
             raise InvalidRecord(f"record {first!r} has a negative time")
-    actuator_blocks = _blocks(
-        actuators, map(truth, map(_value, actuators)), cache(partial(_tails, ",actuator,%s,%d\n"))
-    )
-    sensor_tails = cache(partial(_tails, ",sensor,%s,%r\n"))
+    fields = lru_cache(_HELD)(_fields)
+    actuator_tails = lru_cache(_HELD)(partial(_tails, ",actuator,%s,%d\n", fields))
+    sensor_tails = lru_cache(_HELD)(partial(_tails, ",sensor,%s,%r\n", fields))
+    insides = _insides(log, actuator_tails, sensor_tails)
+    actuator_blocks = _blocks(actuators, map(truth, map(_value, actuators)), actuator_tails)
     pieces = [",".join(LOG_HEADER) + "\n"]
-    written = 0  # actuator blocks in pieces
+    written = placed = 0  # actuator blocks and insides in pieces
     lo = 0
     while lo < len(sensors):
         hi = lo + _CHUNK
@@ -729,13 +854,16 @@ def write_log_csv(log: SimulationLog) -> str:
             hi = cut if cut > lo else bisect_right(sensors, sensors[lo][0], hi, key=_time)
         chunk = sensors[lo:hi]
         blocks = _blocks(chunk, map(_value, chunk), sensor_tails)
-        # A millisecond's actuator block goes before its sensor block: the
-        # sort is stable.
-        end = bisect_right(actuator_blocks, blocks[-1][0], written, key=_time)
-        blocks = sorted(actuator_blocks[written:end] + blocks, key=_time)
-        pieces.append("".join(map(_text, blocks)))
-        written, lo = end, hi
-    pieces += map(_text, actuator_blocks[written:])
+        last = blocks[-1][0]
+        end = bisect_right(actuator_blocks, last, written, key=_time)
+        inner = bisect_right(insides, last, placed, key=_time)
+        # A millisecond's actuator block goes before its sensor block, and
+        # both before the inside of a replay that starts there: the sort is
+        # stable.
+        blocks = actuator_blocks[written:end] + blocks + insides[placed:inner]
+        pieces += map(_text, sorted(blocks, key=_time))
+        written, placed, lo = end, inner, hi
+    pieces += map(_text, sorted(actuator_blocks[written:] + insides[placed:], key=_time))
     return "".join(pieces)
 
 

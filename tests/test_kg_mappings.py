@@ -170,11 +170,15 @@ def test_a_json_source_json_cannot_load_raises_mapping_error(text):
         ("xsd:integer", "1_0"),
         ("xsd:integer", "+7 "),
         ("xsd:integer", "٣"),
+        ("xsd:boolean", "TRUE"),
+        ("xsd:boolean", "False"),
+        ("xsd:boolean", " true"),
     ],
 )
 def test_numbers_take_only_their_xsd_lexical_forms(datatype, lexical):
     """Python's ``float`` and ``int`` read NaN, infinity, spaces, underscores
-    and non-ASCII digits, none of which the xsd forms allow."""
+    and non-ASCII digits, none of which the xsd forms allow.  A boolean
+    takes only ``true``, ``false``, ``1`` and ``0``, in that case."""
     r = rule(rid="num", source="s.csv", obj="{n}", predicate="ex:n", datatype=datatype)
     with pytest.raises(MappingError) as err:
         apply_mappings([r], {"s.csv": f"id,n\nx,1\ny,{lexical}\n"})
@@ -190,6 +194,8 @@ def test_numbers_take_only_their_xsd_lexical_forms(datatype, lexical):
         ("xsd:double", "+1E3", Literal.double(1000.0)),
         ("xsd:double", "7", Literal.double(7.0)),
         ("xsd:integer", "-007", Literal.integer(-7)),
+        ("xsd:boolean", "true", Literal.boolean(True)),
+        ("xsd:boolean", "0", Literal.boolean(False)),
     ],
 )
 def test_xsd_number_forms_map_to_canonical_literals(datatype, lexical, literal):

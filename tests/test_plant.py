@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixdiag import plant
 from mixdiag.cli import main
 from mixdiag.errors import ParseError
 from mixdiag.events import _parse_rows, parse_log, to_trace
@@ -373,6 +374,7 @@ def test_format_timestamp_rejects_negative(ms):
 @given(ms=st.integers(min_value=0, max_value=10_000_000))
 def test_format_timestamp_round_trips_through_float(ms):
     assert float(format_timestamp(ms)) == ms / 1000.0
+    assert list(plant._stamps([ms])) == [format_timestamp(ms)]  # the writer's stamps
 
 
 def test_phase_cap_trips_after_ten_times_nominal(config):
@@ -497,6 +499,67 @@ def test_log_writer_peak_is_bounded_by_its_text(config):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(text)
+
+
+def test_noisy_log_writer_peak_is_bounded_by_its_text(config):
+    """A noisy log's blocks never repeat, so a memo that kept every block's
+    lines would hold them all; the writer keeps the last ``_HELD`` of each
+    kind, and peaks below four times its text as on a noise-free log."""
+    log = simulate(config, 100, noise_sigma=0.05)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = write_log_csv(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
+
+
+def _writer_line_events(log):
+    """The Python line events that writing ``log`` runs."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        write_log_csv(log)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_replayed_cycles_cost_the_writer_almost_no_python(config):
+    """The lines strictly inside a replay's window are its cycle's template
+    with the seconds filled in by one ``%``, so the Python-level work of a
+    write hardly grows with replays: under half a line event per sensor
+    record at 100 cycles, and less than twice that for ten times the
+    cycles.  A count of events does not depend on the host's speed."""
+    short, long = simulate(config, 100), simulate(config, 1000)
+    assert (len(short._replays), len(long._replays)) == (98, 998)
+    events = _writer_line_events(short)
+    assert events < 0.5 * len(short.sensor_records)
+    assert _writer_line_events(long) < 2 * events
+
+
+def test_only_a_replaying_run_records_its_replays(config):
+    """The replay record takes no part in ``==`` or ``repr``, and a log that
+    no replaying ``simulate`` built holds none: with noise or a step hook
+    nothing is replayed, and a log read back, copied or built by hand has
+    no replays whatever its records."""
+    log = simulate(config, 3)
+    assert len(log._replays) == 1
+    plain = SimulationLog(log.actuator_records, log.sensor_records)
+    assert plain._replays == () and log == plain and repr(log) == repr(plain)
+    assert replace(log)._replays == ()
+    assert parse_log(write_log_csv(log))._replays == ()
+    assert simulate(config, 3, noise_sigma=0.01)._replays == ()
+    assert simulate(config, 3, on_step=lambda *args: None)._replays == ()
 
 
 def test_log_writer_runs_few_python_lines_per_record(config):

@@ -15,13 +15,18 @@ chunk of sensor records at a time.  ``head_write_log_csv`` is the writer it
 replaced, ``csv.writer`` over sorted rows, and the two must agree byte for
 byte on any log, hand-built ones with quoted ids, tied records and signed
 zeros included, at any chunk size.
+
+A simulated log also records its replays, and ``write_log_csv`` writes
+the lines inside each replay's window from its stored cycle's template.
+The same records in a log without that record take the path above, and
+both must write the same text.
 """
 
 import csv
 import io
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 from hypothesis import example, given, settings, strategies as st
@@ -32,8 +37,11 @@ from mixdiag.plant import (
     LOG_HEADER,
     _UL_PER_L,
     FaultSpec,
+    LevelReached,
+    Phase,
     PhaseUnreachable,
     PlantConfig,
+    TimerElapsed,
     _condition_met,
     _phase_cap_and_direction,
     _prepare_fault,
@@ -309,6 +317,106 @@ def test_simulate_agrees_with_naive_oracle(n_cycles, faults, seed, noise_sigma):
         (r.t_s, r.sensor_id, r.value) for r in naive.sensor_records
     ]
     assert write_log_csv(fast) == naive_write_log_csv(naive)
+
+
+# ---------------------------------------------------------------------------
+# a replayed cycle's lines versus its records
+
+
+def _renamed(config: PlantConfig, names: Mapping[str, str], idle_s: float) -> PlantConfig:
+    """``config`` with each id ``i`` renamed ``names.get(i, i)`` and its first
+    phase's timer set to ``idle_s``."""
+
+    def name(i):
+        return names.get(i, i)
+
+    def condition(c):
+        return replace(c, tank=name(c.tank)) if isinstance(c, LevelReached) else c
+
+    phases = tuple(
+        Phase(
+            p.name,
+            {name(a): on for a, on in p.actuator_vector.items()},
+            condition(p.end_condition),
+        )
+        for p in config.phases
+    )
+    return PlantConfig(
+        tuple(replace(t, id=name(t.id)) for t in config.tanks),
+        tuple(
+            replace(a, id=name(a.id), from_tank=name(a.from_tank), to_tank=name(a.to_tank))
+            for a in config.actuators
+        ),
+        tuple(replace(s, id=name(s.id), attached_to=name(s.attached_to)) for s in config.sensors),
+        {name(a): rate for a, rate in config.flows.items()},
+        (replace(phases[0], end_condition=TimerElapsed(idle_s)),) + phases[1:],
+        config.dt_s,
+    )
+
+
+_DEFAULT = default_config()
+_IDS = sorted(
+    _DEFAULT.tank_ids() | _DEFAULT.actuator_ids() | {s.id for s in _DEFAULT.sensors}
+)
+
+
+@st.composite
+def plant_variants(draw):
+    """Renames of the default plant's ids, some to ids that hold ``%`` or
+    that CSV quotes, and an Idle timer: at 5 s or 6 s a cycle ends on a
+    whole second, where its last sample and the next cycle's first
+    actuator block share a millisecond; at 5.3 s or 5.5 s the cycles start
+    at several sampling phases, and only every tenth or second one can
+    replay a stored cycle."""
+    names = {i: draw(st.sampled_from(["", "%", "%d", "a,", 'q"', '%,"'])) + i for i in _IDS}
+    return names, draw(st.sampled_from([5.0, 6.0, 5.3, 5.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    plant_variant=plant_variants(),
+    n_cycles=st.integers(min_value=1, max_value=12),
+    faults=st.lists(fault_specs(), max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+# ids holding %, "," and '"', in blocks on both sides of a replay's window
+@example(
+    plant_variant=({"L204": '%"L,204', "V201": "%d,V201", "B204": 'B"204', "P201": "%%P"}, 5.0),
+    n_cycles=5,
+    faults=[],
+    seed=0,
+)
+# a blockage that starts inside cycle 3 and ends inside cycle 5; cycles 6
+# on replay the stored nominal cycle again
+@example(
+    plant_variant=({}, 5.0),
+    n_cycles=12,
+    faults=[FaultSpec("blockage", "P201", 0.5, 3 * 125.0 + 90.0, 250.0)],
+    seed=0,
+)
+# 126 s cycles, each ending on a whole second that the next one starts at
+@example(plant_variant=({}, 6.0), n_cycles=6, faults=[], seed=0)
+# 125.3 s cycles: cycle 11 replays cycle 1, ten cycles later
+@example(plant_variant=({}, 5.3), n_cycles=12, faults=[], seed=0)
+def test_replayed_cycles_write_as_their_records_do(plant_variant, n_cycles, faults, seed):
+    """A simulated log writes the text that its records write in a log that
+    records no replay, at the default chunk size and at chunks that end
+    inside and at the edges of replay windows."""
+    names, idle_s = plant_variant
+    config = _renamed(_DEFAULT, names, idle_s)
+    faults = [replace(f, target=names.get(f.target, f.target)) for f in faults]
+    try:
+        log = simulate(config, n_cycles, faults, seed)
+    except PhaseUnreachable:
+        return
+    expected = write_log_csv(plant.SimulationLog(log.actuator_records, log.sensor_records))
+    default = plant._CHUNK
+    try:
+        for size in (1, 10, default):
+            plant._CHUNK = size
+            assert write_log_csv(log) == expected
+    finally:
+        plant._CHUNK = default
 
 
 # ---------------------------------------------------------------------------
