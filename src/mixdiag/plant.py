@@ -34,9 +34,9 @@ Conventions that downstream code relies on:
   ends strictly inside either cycle's window, so the log is byte-identical
   to a stepwise run.  The log records each replay, and ``write_log_csv``
   writes the lines strictly inside a replay's window from its stored
-  cycle's lines, built once per call: two replays of one cycle start a
-  whole number of seconds apart, so only the whole seconds of each stamp
-  change.
+  cycle's millisecond blocks, built once per call and re-stamped for each
+  replay: two replays of one cycle start a whole number of seconds apart,
+  so only the whole seconds of each stamp change.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, compress, count, repeat
-from operator import add, attrgetter, ge, itemgetter, mul, ne, sub, truth
+from operator import add, attrgetter, floordiv, ge, itemgetter, mod, mul, ne, sub, truth
 from struct import pack
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -474,23 +474,17 @@ def _phase_cap_and_direction(
     return cap, direction
 
 
-def _condition_met(
-    cond: EndCondition,
-    levels_ul: Mapping[str, int],
-    steps: int,
-    dt_ms: int,
-    transferred_ul: int,
-    direction: int,
-) -> bool:
+def _end_test(cond: EndCondition, levels_ul: dict, dt_ms: int, direction: int) -> Callable:
+    """A freshly entered phase's end condition as a test of its steps and
+    µL transferred so far, its threshold resolved once.  A level target
+    holds on or past it in ``direction``, at once for ``direction`` 0."""
     if isinstance(cond, TimerElapsed):
-        return steps * dt_ms >= round(cond.seconds * 1000)
-    if isinstance(cond, LevelReached):
-        if direction > 0:
-            return levels_ul[cond.tank] >= _ul(cond.liters)
-        if direction < 0:
-            return levels_ul[cond.tank] <= _ul(cond.liters)
-        return True
-    return transferred_ul >= _ul(cond.liters)
+        end_ms = round(cond.seconds * 1000)
+        return lambda steps, transferred: steps * dt_ms >= end_ms
+    target_ul = _ul(cond.liters)
+    if isinstance(cond, VolumeTransferred):
+        return lambda steps, transferred: transferred >= target_ul
+    return lambda steps, transferred: (levels_ul[cond.tank] - target_ul) * direction >= 0
 
 
 def simulate(
@@ -525,6 +519,10 @@ def simulate(
     for f in faults:
         f.validate(config)
     prepared = [_prepare_fault(f) for f in faults]
+    blockages = {
+        a: [f for f in prepared if f.kind == "blockage" and f.target == a] for a in config.flows
+    }
+    leakages = [f for f in prepared if f.kind == "leakage"]
 
     dt_ms = config.dt_ms()
     dt_s = dt_ms / 1000.0
@@ -611,6 +609,9 @@ def simulate(
             cap_steps, direction = _phase_cap_and_direction(
                 phase, levels, config, active, dt_ms, cycle
             )
+            ended = _end_test(phase.end_condition, levels, dt_ms, direction)
+            # each active actuator, its unfaulted per-step amount and its blockages
+            moving = [(a, _ul(config.flows[a.id] * dt_s), blockages[a.id]) for a in active]
             transferred = 0
             steps = 0
             while True:
@@ -618,12 +619,13 @@ def simulate(
                 inflow, outflow, leaked = pending_inflow, 0, 0
                 pending_inflow = 0
                 rates: dict[str, float] = {}
-                for a in active:
+                for a, amount, blocking in moving:
                     mult = 1.0
-                    for f in prepared:
-                        if f.kind == "blockage" and f.target == a.id and f.active(step_start):
+                    for f in blocking:
+                        if f.active(step_start):
                             mult *= f.magnitude
-                    amount = _ul(config.flows[a.id] * mult * dt_s)
+                    if mult != 1.0:
+                        amount = _ul(config.flows[a.id] * mult * dt_s)
                     if a.from_tank is not None:
                         amount = min(amount, levels[a.from_tank])
                     if a.to_tank is not None:
@@ -639,8 +641,8 @@ def simulate(
                         outflow += amount
                     rates[a.id] = amount / _UL_PER_L / dt_s
                     transferred += amount
-                for f in prepared:
-                    if f.kind == "leakage" and f.active(step_start):
+                for f in leakages:
+                    if f.active(step_start):
                         lost = min(_ul(f.magnitude * dt_s), levels[f.target])
                         if lost > 0:
                             levels[f.target] -= lost
@@ -657,9 +659,7 @@ def simulate(
                     )
                 if t_ms % 1000 == 0:
                     sample_sensors(rates)
-                if _condition_met(
-                    phase.end_condition, levels, steps, dt_ms, transferred, direction
-                ):
+                if ended(steps, transferred):
                     break
                 if steps >= cap_steps:
                     raise PhaseUnreachable(
@@ -686,7 +686,7 @@ class InvalidRecord(MixdiagError):
 _CHUNK = 4096  # sorted sensor records whose lines exist at once in write_log_csv
 _HELD = 1024  # distinct blocks of each kind, and id tuples, whose text write_log_csv keeps
 _value = itemgetter(2)
-_text = itemgetter(1)  # of a (t_ms, text) block
+_body = itemgetter(1)  # of a (t_ms, text) or (t_ms, lines) block
 
 
 def format_timestamp(t_ms: int) -> str:
@@ -700,12 +700,9 @@ def format_timestamp(t_ms: int) -> str:
     return f"{whole}.{frac:03d}".rstrip("0")
 
 
-def _stamps(times: Iterable[int], form: str = "%d.%03d", shift: int = 0) -> Iterator[str]:
-    """:func:`format_timestamp` of each of ``times``, none negative, in C.
-    A template's stamps pass ``form="%%(%d)s.%03d"``, which names each
-    stamp's whole seconds, less ``shift``'s, as a key to fill in."""
-    splits = map(divmod, map(sub, times, repeat(shift)), repeat(1000))
-    texts = map(form.__mod__, splits)
+def _stamps(times: Iterable[int]) -> Iterator[str]:
+    """:func:`format_timestamp` of each of ``times``, none negative, in C."""
+    texts = map("%d.%03d".__mod__, map(divmod, times, repeat(1000)))
     return map(str.rstrip, map(str.rstrip, texts, repeat("0")), repeat("."))
 
 
@@ -725,30 +722,23 @@ def _tails(form: str, fields: Callable, ids: tuple[str, ...], packed: bytes) -> 
     """The lines of a block without their stamp, ``form % (quoted id,
     value)`` for each id and double packed in ``packed``, ordered by id and
     then by the value's repr, which orders an actuator's 0.0 and 1.0 as
-    their ``%d`` text.  ``fields`` is :func:`_fields`, cached."""
+    their ``%d`` text.  The list starts with ``""``, so that a stamp joins
+    it into the block's text.  ``fields`` is :func:`_fields`, cached."""
     values = array("d", packed)
     if any(map(ge, ids, ids[1:])):  # a tie, or ids out of order
         ids, _, values = zip(*sorted(zip(ids, map(repr, values), values)))
-    return list(map(form.__mod__, zip(fields(ids), values)))
+    return ["", *map(form.__mod__, zip(fields(ids), values))]
 
 
-def _escaped(tails: Callable) -> Callable:
-    """``tails`` with each ``%`` of its lines doubled, for a ``%`` template."""
-    return lambda ids, packed: [line.replace("%", "%%") for line in tails(ids, packed)]
-
-
-def _blocks(
-    records: list[tuple], values: Iterable, tails: Callable, stamps: Callable = _stamps
-) -> list[tuple[int, str]]:
-    """``(t_ms, text)`` of each millisecond of ``records``, which are sorted
+def _lines(records: list[tuple], values: Iterable, tails: Callable) -> list[tuple[int, list[str]]]:
+    """``(t_ms, lines)`` of each millisecond of ``records``, which are sorted
     by time and write ``values``.
 
     The records of a millisecond are its block.  Its lines are ``tails(ids,
     packed)``, of its ids and its values packed as doubles, both in record
-    order, so -0.0 and 0.0 key apart, and each line starts with the
-    block's entry of ``stamps(times)``.  With ``tails`` cached, each
-    distinct block's lines are built once, and the rest is a few passes in
-    C per record and per millisecond."""
+    order, so -0.0 and 0.0 key apart.  With ``tails`` cached, each distinct
+    block's lines are built once, and the rest is a few passes in C per
+    record and per millisecond."""
     times = list(map(_time, records))
     ids = tuple(map(itemgetter(1), records))
     packed = pack(f"{len(records)}d", *values)
@@ -759,9 +749,15 @@ def _blocks(
         map(ids.__getitem__, map(slice, bounds, bounds[1:])),
         map(packed.__getitem__, map(slice, octets, octets[1:])),
     )
-    starts = list(map(times.__getitem__, bounds[:-1]))
-    stamped = list(stamps(starts))
-    return list(zip(starts, map(add, stamped, map(str.join, stamped, lines))))
+    return list(zip(map(times.__getitem__, bounds[:-1]), lines))
+
+
+def _blocks(records: list[tuple], values: Iterable, tails: Callable) -> list[tuple[int, str]]:
+    """``(t_ms, text)`` of each millisecond block of ``records`` (see
+    :func:`_lines`), each of its lines stamped with the block's time."""
+    blocks = _lines(records, values, tails)
+    starts = list(map(_time, blocks))
+    return list(zip(starts, map(str.join, _stamps(starts), map(_body, blocks))))
 
 
 def _outside(records: list[tuple], inside: Iterable[slice]) -> list[tuple]:
@@ -774,22 +770,23 @@ def _outside(records: list[tuple], inside: Iterable[slice]) -> list[tuple]:
     return sorted(kept, key=_time)
 
 
-def _template(
+def _cycle_blocks(
     log: SimulationLog, replay: _Replay, actuator_tails: Callable, sensor_tails: Callable
-) -> tuple[str, tuple[str, ...]]:
-    """The lines of ``replay``'s records strictly inside its window as a
-    ``%`` template, and its keys.  Each stamp names its whole seconds, less
-    those of the replay's start, as the key ``%(n)s``; the keys are
-    ``"0"``, ``"1"`` and on to the last such ``n``.  Each ``%`` of an id
-    is doubled."""
+) -> tuple[list[int], list[str], list[list[str]]]:
+    """The millisecond blocks of ``replay``'s records strictly inside its
+    window, in time order: the whole seconds of each block's time less
+    those of the replay's start, its stamp's fraction (``".4"``, or ``""``
+    on a whole second), and its lines (see :func:`_lines`)."""
     actuators, sensors = log.actuator_records[replay.actuators], log.sensor_records[replay.sensors]
-    shift = replay.start_ms - replay.start_ms % 1000
-    stamps = partial(_stamps, form="%%(%d)s.%03d", shift=shift)
-    blocks = _blocks(
-        actuators, map(truth, map(_value, actuators)), _escaped(actuator_tails), stamps
-    ) + _blocks(sensors, map(_value, sensors), _escaped(sensor_tails), stamps)
-    keys = tuple(map(str, range((replay.end_ms - shift) // 1000 + 1)))
-    return "".join(map(_text, sorted(blocks, key=_time))), keys
+    blocks = sorted(
+        _lines(actuators, map(truth, map(_value, actuators)), actuator_tails)
+        + _lines(sensors, map(_value, sensors), sensor_tails),
+        key=_time,
+    )
+    times = list(map(_time, blocks))
+    offsets = map(sub, map(floordiv, times, repeat(1000)), repeat(replay.start_ms // 1000))
+    fractions = map(str.removeprefix, _stamps(map(mod, times, repeat(1000))), repeat("0"))
+    return list(offsets), list(fractions), list(map(_body, blocks))
 
 
 def _insides(
@@ -800,18 +797,21 @@ def _insides(
 
     Two replays of one stored cycle start a whole number of seconds apart,
     so their lines differ only in the whole seconds of their stamps.  Each
-    cycle's lines are built once, as a template from its last replay, and
-    one ``%`` per replay fills in that replay's seconds."""
+    cycle's blocks are built once, from its last replay.  Nested maps
+    re-stamp them in C for each replay, one ``str.join`` per block, each
+    stamp the replay's start second plus the block's offset, then the
+    block's fraction."""
     if not log._replays:
         return []
     cycles, starts = list(zip(*log._replays))[:2]
-    templates = {
-        cycle: _template(log, replay, actuator_tails, sensor_tails)
+    blocks = {
+        cycle: _cycle_blocks(log, replay, actuator_tails, sensor_tails)
         for cycle, replay in dict(zip(cycles, log._replays)).items()
     }
-    pairs = zip(starts, map(templates.__getitem__, cycles))
-    fill = [form % dict(zip(keys, map(str, count(t // 1000)))) for t, (form, keys) in pairs]
-    return list(zip(starts, fill))
+    offsets, fractions, lines = zip(*map(blocks.__getitem__, cycles))
+    whole = map(map, repeat(add), offsets, map(repeat, map(floordiv, starts, repeat(1000))))
+    stamps = map(map, repeat(add), map(map, repeat(str), whole), fractions)
+    return list(zip(starts, map("".join, map(map, repeat(str.join), stamps, lines))))
 
 
 def write_log_csv(log: SimulationLog) -> str:
@@ -824,7 +824,7 @@ def write_log_csv(log: SimulationLog) -> str:
     record with a negative time raises :class:`InvalidRecord`.
 
     The records strictly inside a replayed cycle's window are written from
-    their cycle's template (see :func:`_insides`).  The rest are written
+    their cycle's blocks, re-stamped (see :func:`_insides`).  The rest are written
     one millisecond block at a time: the records of one time and kind,
     whose lines are built once per distinct block (see :func:`_blocks`),
     of which the last ``_HELD`` of each kind are kept.  The rest's sensor
@@ -861,9 +861,9 @@ def write_log_csv(log: SimulationLog) -> str:
         # both before the inside of a replay that starts there: the sort is
         # stable.
         blocks = actuator_blocks[written:end] + blocks + insides[placed:inner]
-        pieces += map(_text, sorted(blocks, key=_time))
+        pieces += map(_body, sorted(blocks, key=_time))
         written, placed, lo = end, inner, hi
-    pieces += map(_text, sorted(actuator_blocks[written:] + insides[placed:], key=_time))
+    pieces += map(_body, sorted(actuator_blocks[written:] + insides[placed:], key=_time))
     return "".join(pieces)
 
 

@@ -535,10 +535,10 @@ def _writer_line_events(log):
 
 
 def test_replayed_cycles_cost_the_writer_almost_no_python(config):
-    """The lines strictly inside a replay's window are its cycle's template
-    with the seconds filled in by one ``%``, so the Python-level work of a
-    write hardly grows with replays: under half a line event per sensor
-    record at 100 cycles, and less than twice that for ten times the
+    """The lines strictly inside a replay's window are its cycle's blocks,
+    re-stamped with the replay's seconds by maps in C, so the Python-level
+    work of a write hardly grows with replays: under half a line event per
+    sensor record at 100 cycles, and less than twice that for ten times the
     cycles.  A count of events does not depend on the host's speed."""
     short, long = simulate(config, 100), simulate(config, 1000)
     assert (len(short._replays), len(long._replays)) == (98, 998)

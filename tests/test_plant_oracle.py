@@ -17,7 +17,8 @@ byte on any log, hand-built ones with quoted ids, tied records and signed
 zeros included, at any chunk size.
 
 A simulated log also records its replays, and ``write_log_csv`` writes
-the lines inside each replay's window from its stored cycle's template.
+the lines inside each replay's window from its stored cycle's blocks,
+re-stamped with the replay's seconds.
 The same records in a log without that record take the path above, and
 both must write the same text.
 """
@@ -34,6 +35,7 @@ from hypothesis import example, given, settings, strategies as st
 from mixdiag import plant
 from mixdiag.plant import (
     AMBIENT_TEMPERATURE_C,
+    EndCondition,
     LOG_HEADER,
     _UL_PER_L,
     FaultSpec,
@@ -42,7 +44,7 @@ from mixdiag.plant import (
     PhaseUnreachable,
     PlantConfig,
     TimerElapsed,
-    _condition_met,
+    VolumeTransferred,
     _phase_cap_and_direction,
     _prepare_fault,
     _ul,
@@ -82,6 +84,25 @@ def format_timestamp(t_s: float) -> str:
     if frac == 0:
         return str(whole)
     return f"{whole}.{frac:03d}".rstrip("0")
+
+
+def _condition_met(
+    cond: EndCondition,
+    levels_ul: Mapping[str, int],
+    steps: int,
+    dt_ms: int,
+    transferred_ul: int,
+    direction: int,
+) -> bool:
+    if isinstance(cond, TimerElapsed):
+        return steps * dt_ms >= round(cond.seconds * 1000)
+    if isinstance(cond, LevelReached):
+        if direction > 0:
+            return levels_ul[cond.tank] >= _ul(cond.liters)
+        if direction < 0:
+            return levels_ul[cond.tank] <= _ul(cond.liters)
+        return True
+    return transferred_ul >= _ul(cond.liters)
 
 
 def naive_simulate(
@@ -280,11 +301,24 @@ def fault_specs(draw):
     return FaultSpec(kind, target, magnitude, onset_ms / 1000, duration_s)
 
 
-def _run(sim, n_cycles, faults, seed, noise_sigma):
+def _run(sim, n_cycles, faults, seed, noise_sigma, config=None):
     try:
-        return sim(default_config(), n_cycles, faults, seed, noise_sigma=noise_sigma)
+        return sim(config or default_config(), n_cycles, faults, seed, noise_sigma=noise_sigma)
     except PhaseUnreachable as exc:
         return str(exc)
+
+
+def _assert_agree(fast, naive):
+    if isinstance(naive, str):
+        assert fast == naive
+        return
+    assert [(t_ms / 1000, aid, v) for t_ms, aid, v in fast.actuator_records] == [
+        (r.t_s, r.actuator_id, r.value) for r in naive.actuator_records
+    ]
+    assert [(t_ms / 1000, sid, v) for t_ms, sid, v in fast.sensor_records] == [
+        (r.t_s, r.sensor_id, r.value) for r in naive.sensor_records
+    ]
+    assert write_log_csv(fast) == naive_write_log_csv(naive)
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,16 +341,31 @@ def _run(sim, n_cycles, faults, seed, noise_sigma):
 def test_simulate_agrees_with_naive_oracle(n_cycles, faults, seed, noise_sigma):
     fast = _run(simulate, n_cycles, faults, seed, noise_sigma)
     naive = _run(naive_simulate, n_cycles, faults, seed, noise_sigma)
-    if isinstance(naive, str):
-        assert fast == naive
-        return
-    assert [(t_ms / 1000, aid, v) for t_ms, aid, v in fast.actuator_records] == [
-        (r.t_s, r.actuator_id, r.value) for r in naive.actuator_records
-    ]
-    assert [(t_ms / 1000, sid, v) for t_ms, sid, v in fast.sensor_records] == [
-        (r.t_s, r.sensor_id, r.value) for r in naive.sensor_records
-    ]
-    assert write_log_csv(fast) == naive_write_log_csv(naive)
+    _assert_agree(fast, naive)
+
+
+def _every_end_condition(config: PlantConfig) -> PlantConfig:
+    """``config`` with a Check phase after Idle that starts on its level
+    target, and Dose2 ending on a transferred volume."""
+    idle, dose1, dose2, *rest = config.phases
+    check = Phase("Check", idle.actuator_vector, LevelReached("B204", 0.0))
+    dose2 = replace(dose2, end_condition=VolumeTransferred(2.0))
+    return replace(config, phases=(idle, check, dose1, dose2, *rest))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_cycles=st.integers(min_value=1, max_value=4),
+    faults=st.lists(fault_specs(), max_size=2),
+)
+@example(n_cycles=3, faults=[FaultSpec("blockage", "V202", 0.5)])
+def test_every_end_condition_agrees_with_naive_oracle(n_cycles, faults):
+    """Timers, rising and falling levels, a level that is already on its
+    target and a volume each end a phase where the oracle's own end test
+    does, blocked or leaking too."""
+    config = _every_end_condition(default_config())
+    fast = _run(simulate, n_cycles, faults, 0, 0.0, config)
+    _assert_agree(fast, _run(naive_simulate, n_cycles, faults, 0, 0.0, config))
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +443,12 @@ def plant_variants(draw):
     faults=[FaultSpec("blockage", "P201", 0.5, 3 * 125.0 + 90.0, 250.0)],
     seed=0,
 )
-# 126 s cycles, each ending on a whole second that the next one starts at
-@example(plant_variant=({}, 6.0), n_cycles=6, faults=[], seed=0)
-# 125.3 s cycles: cycle 11 replays cycle 1, ten cycles later
+# 126 s cycles, each ending on a whole second that the next one starts at;
+# cycle 7 replays from 882 s to 1,008 s, so its stamps' whole seconds gain
+# a digit inside its window
+@example(plant_variant=({}, 6.0), n_cycles=8, faults=[], seed=0)
+# 125.3 s cycles: cycle 11 replays cycle 1, ten cycles later; its blocks
+# mix whole-second stamps with fractional ones
 @example(plant_variant=({}, 5.3), n_cycles=12, faults=[], seed=0)
 def test_replayed_cycles_write_as_their_records_do(plant_variant, n_cycles, faults, seed):
     """A simulated log writes the text that its records write in a log that
