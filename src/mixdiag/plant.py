@@ -32,11 +32,14 @@ Conventions that downstream code relies on:
   re-emitted shifted in time, without integrating.  This holds only without
   noise and without an ``on_step`` hook, and only when no fault starts or
   ends strictly inside either cycle's window, so the log is byte-identical
-  to a stepwise run.  The log records each replay, and ``write_log_csv``
-  writes the lines strictly inside a replay's window from its stored
-  cycle's millisecond blocks, built once per call and re-stamped for each
-  replay: two replays of one cycle start a whole number of seconds apart,
-  so only the whole seconds of each stamp change.
+  to a stepwise run.  The log records each replay.  Of a replay's sensor
+  records it holds only those at its start and end milliseconds; the rest
+  are built when ``sensor_records`` is first read, which neither
+  ``write_log_csv`` nor ``to_trace`` does.  ``write_log_csv`` writes the
+  lines strictly inside a replay's window from its stored cycle's
+  millisecond blocks, built once per call and re-stamped for each replay:
+  two replays of one cycle start a whole number of seconds apart, so only
+  the whole seconds of each stamp change.
 """
 
 from __future__ import annotations
@@ -272,16 +275,39 @@ class SimulationLog:
     records ``(t_ms, sensor_id, value: float)``, each a plain tuple.
 
     A log that :func:`simulate` returns also records each cycle it replayed
-    (``_replays``, see :class:`_Replay`), which :func:`write_log_csv` reads.
-    That record takes no part in ``==`` or ``repr``, and a log built any
-    other way, by ``parse_log``, by hand or by ``dataclasses.replace``,
-    holds none.
-    It indexes the record lists, which nothing edits after ``simulate``
-    returns them."""
+    (``_replays``, see :class:`_Replay`), and when it replayed one, it holds
+    as ``_outside_sensors`` only the sensor records outside the replays'
+    windows: those of its simulated cycles and of each replay's start and
+    end milliseconds.  ``sensor_records`` is built from these two on its
+    first read, equal to the list a stepwise run gives, and then kept.
+    :func:`write_log_csv` reads the two instead, so writing the log builds
+    no replayed sensor record.  They take no part in ``==`` or ``repr``,
+    copies and pickles keep them, and a log built any other way, by
+    ``parse_log``, by hand or by ``dataclasses.replace``, holds neither.
+    Nothing edits the record lists after ``simulate`` returns them."""
 
     actuator_records: list[tuple[int, str, bool]]
     sensor_records: list[tuple[int, str, float]]
     _replays: tuple[_Replay, ...] = field(default=(), init=False, repr=False, compare=False)
+    _outside_sensors: list[tuple[int, str, float]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getattr__(self, name: str):
+        """Build ``sensor_records`` of a log that :func:`simulate` returned
+        on its first read; any other missing attribute is missing."""
+        outside = self._outside_sensors
+        if name != "sensor_records" or outside is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.sensor_records = records = []
+        lo = 0
+        for replay in self._replays:  # see _StoredCycle.replay
+            cycle, times = replay.cycle, replay.times
+            records += outside[lo : replay.at]
+            records += [(times[k], i, v) for k, i, v in cycle.sensors[cycle.inside[1]]]
+            lo = replay.at
+        records += outside[lo:]
+        return records
 
 
 def default_config() -> PlantConfig:
@@ -358,7 +384,10 @@ class _StoredCycle:
     replay shifts each distinct time once, so the records of one
     millisecond share one int, as simulated ones do.  ``inside`` holds the
     index ranges, in ``actuators`` and ``sensors``, of the records strictly
-    between the cycle's start and end."""
+    between the cycle's start and end.  Its sensor records in that range
+    stand for those of every replay of it until the log's
+    ``sensor_records`` is read, and :func:`write_log_csv` writes them
+    from here."""
 
     duration_ms: int
     levels: dict[str, int]
@@ -394,39 +423,46 @@ class _StoredCycle:
         actuator_records: list[tuple[int, str, bool]],
         sensor_records: list[tuple[int, str, float]],
     ) -> _Replay:
-        """Append this cycle's records again, shifted to start at ``start_ms``,
-        and return the replay.  A record at the start holds the ``start_ms``
-        object, and the replay ends at the last record's time when that is
-        at the end, so the records of a millisecond that two cycles share
-        hold one int."""
+        """Append this cycle's actuator records again, shifted to start at
+        ``start_ms``, and its sensor records outside ``inside``, and return
+        the replay, from which the rest are shifted when the log's
+        ``sensor_records`` is first read.  A record at the start holds the
+        ``start_ms`` object, and the replay ends at the last record's time
+        when that is at the end, so the records of a millisecond that two
+        cycles share hold one int."""
         offsets = self.offsets
         shifted = [start_ms + t for t in offsets]
         if offsets and offsets[0] == 0:
             shifted[0] = start_ms
-        inside = [  # taken before the records are appended
-            slice(len(records) + r.start, len(records) + r.stop)
-            for records, r in zip((actuator_records, sensor_records), self.inside)
-        ]
+        actuators, sensors = self.inside
+        n = len(actuator_records)  # taken before the records are appended
+        actuators = slice(n + actuators.start, n + actuators.stop)
         actuator_records.extend([(shifted[k], i, v) for k, i, v in self.actuators])
-        sensor_records.extend([(shifted[k], i, v) for k, i, v in self.sensors])
+        sensor_records.extend([(shifted[k], i, v) for k, i, v in self.sensors[: sensors.start]])
+        at = len(sensor_records)
+        sensor_records.extend([(shifted[k], i, v) for k, i, v in self.sensors[sensors.stop :]])
         end_ms = start_ms + self.duration_ms
         if offsets and offsets[-1] == self.duration_ms:
             end_ms = shifted[-1]
-        return _Replay(self, start_ms, end_ms, *inside)
+        return _Replay(self, start_ms, end_ms, shifted, actuators, at)
 
 
 class _Replay(NamedTuple):
     """A replay of ``cycle`` in a log, from ``start_ms`` to ``end_ms``.
-    ``actuators`` and ``sensors`` are the index ranges, in the log's record
-    lists, of its records strictly inside that window.  They are the
-    cycle's records there, shifted by a whole number of seconds from those
-    of any other replay of it, since the replay key holds ``t_ms % 1000``."""
+    ``times`` holds the cycle's ``offsets`` shifted to ``start_ms``, one int
+    per millisecond.  ``actuators`` is the index range, in the log's
+    actuator records, of those strictly inside that window.  Its sensor
+    records there are not in the log's ``_outside_sensors``: ``at`` is the
+    index in it before which they belong.  They are the cycle's records
+    there, shifted by a whole number of seconds from those of any other
+    replay of it, since the replay key holds ``t_ms % 1000``."""
 
     cycle: _StoredCycle
     start_ms: int
     end_ms: int
+    times: list[int]
     actuators: slice
-    sensors: slice
+    at: int
 
 
 def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
@@ -675,7 +711,9 @@ def simulate(
 
     logger.debug("simulated %d cycles, replayed %d", n_cycles - len(replays), len(replays))
     log = SimulationLog(actuator_records, sensor_records)
-    log._replays = tuple(replays)
+    if replays:  # sensor_records is built on its first read
+        del log.sensor_records
+        log._replays, log._outside_sensors = tuple(replays), sensor_records
     return log
 
 
@@ -771,29 +809,31 @@ def _outside(records: list[tuple], inside: Iterable[slice]) -> list[tuple]:
 
 
 def _cycle_blocks(
-    log: SimulationLog, replay: _Replay, actuator_tails: Callable, sensor_tails: Callable
+    replay: _Replay, actuator_tails: Callable, sensor_tails: Callable
 ) -> tuple[list[int], list[str], list[list[str]]]:
     """The millisecond blocks of ``replay``'s records strictly inside its
-    window, in time order: the whole seconds of each block's time less
-    those of the replay's start, its stamp's fraction (``".4"``, or ``""``
-    on a whole second), and its lines (see :func:`_lines`)."""
-    actuators, sensors = log.actuator_records[replay.actuators], log.sensor_records[replay.sensors]
-    blocks = sorted(
+    window, read from its stored cycle, in time order: the whole seconds of
+    each block's time less those of the replay's start, its stamp's
+    fraction (``".4"``, or ``""`` on a whole second), and its lines (see
+    :func:`_lines`)."""
+    cycle = replay.cycle
+    actuators, sensors = cycle.actuators[cycle.inside[0]], cycle.sensors[cycle.inside[1]]
+    blocks = sorted(  # each block's time is the index of its time in replay.times
         _lines(actuators, map(truth, map(_value, actuators)), actuator_tails)
         + _lines(sensors, map(_value, sensors), sensor_tails),
         key=_time,
     )
-    times = list(map(_time, blocks))
+    times = list(map(replay.times.__getitem__, map(_time, blocks)))
     offsets = map(sub, map(floordiv, times, repeat(1000)), repeat(replay.start_ms // 1000))
     fractions = map(str.removeprefix, _stamps(map(mod, times, repeat(1000))), repeat("0"))
     return list(offsets), list(fractions), list(map(_body, blocks))
 
 
 def _insides(
-    log: SimulationLog, actuator_tails: Callable, sensor_tails: Callable
+    replays: tuple[_Replay, ...], actuator_tails: Callable, sensor_tails: Callable
 ) -> list[tuple[int, str]]:
-    """``(start_ms, text)`` of the records strictly inside each replay's
-    window, in time order.
+    """``(start_ms, text)`` of the records strictly inside each of
+    ``replays``' windows, in time order.
 
     Two replays of one stored cycle start a whole number of seconds apart,
     so their lines differ only in the whole seconds of their stamps.  Each
@@ -801,12 +841,12 @@ def _insides(
     re-stamp them in C for each replay, one ``str.join`` per block, each
     stamp the replay's start second plus the block's offset, then the
     block's fraction."""
-    if not log._replays:
+    if not replays:
         return []
-    cycles, starts = list(zip(*log._replays))[:2]
+    cycles, starts = list(zip(*replays))[:2]
     blocks = {
-        cycle: _cycle_blocks(log, replay, actuator_tails, sensor_tails)
-        for cycle, replay in dict(zip(cycles, log._replays)).items()
+        cycle: _cycle_blocks(replay, actuator_tails, sensor_tails)
+        for cycle, replay in dict(zip(cycles, replays)).items()
     }
     offsets, fractions, lines = zip(*map(blocks.__getitem__, cycles))
     whole = map(map, repeat(add), offsets, map(repeat, map(floordiv, starts, repeat(1000))))
@@ -824,7 +864,8 @@ def write_log_csv(log: SimulationLog) -> str:
     record with a negative time raises :class:`InvalidRecord`.
 
     The records strictly inside a replayed cycle's window are written from
-    their cycle's blocks, re-stamped (see :func:`_insides`).  The rest are written
+    their stored cycle's blocks, re-stamped (see :func:`_insides`), so a
+    simulated log's ``sensor_records`` is not built.  The rest are written
     one millisecond block at a time: the records of one time and kind,
     whose lines are built once per distinct block (see :func:`_blocks`),
     of which the last ``_HELD`` of each kind are kept.  The rest's sensor
@@ -835,14 +876,15 @@ def write_log_csv(log: SimulationLog) -> str:
     the end of that millisecond.
     """
     actuators = _outside(log.actuator_records, map(attrgetter("actuators"), log._replays))
-    sensors = _outside(log.sensor_records, map(attrgetter("sensors"), log._replays))
+    sensors = log.sensor_records if log._outside_sensors is None else log._outside_sensors
+    sensors = sorted(sensors, key=_time)
     for first in actuators[:1] + sensors[:1]:
         if first[0] < 0:
             raise InvalidRecord(f"record {first!r} has a negative time")
     fields = lru_cache(_HELD)(_fields)
     actuator_tails = lru_cache(_HELD)(partial(_tails, ",actuator,%s,%d\n", fields))
     sensor_tails = lru_cache(_HELD)(partial(_tails, ",sensor,%s,%r\n", fields))
-    insides = _insides(log, actuator_tails, sensor_tails)
+    insides = _insides(log._replays, actuator_tails, sensor_tails)
     actuator_blocks = _blocks(actuators, map(truth, map(_value, actuators)), actuator_tails)
     pieces = [",".join(LOG_HEADER) + "\n"]
     written = placed = 0  # actuator blocks and insides in pieces

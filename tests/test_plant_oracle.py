@@ -20,19 +20,26 @@ A simulated log also records its replays, and ``write_log_csv`` writes
 the lines inside each replay's window from its stored cycle's blocks,
 re-stamped with the replay's seconds.
 The same records in a log without that record take the path above, and
-both must write the same text.
+both must write the same text.  Until its ``sensor_records`` is read, a
+simulated log holds only the sensor records outside its replays' windows;
+such a log, and its copies and pickles, must write, trace and compare as
+the records of the same run taken step by step.
 """
 
+import copy
 import csv
 import io
 import math
+import pickle
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from hypothesis import example, given, settings, strategies as st
 
 from mixdiag import plant
+from mixdiag.events import to_trace
 from mixdiag.plant import (
     AMBIENT_TEMPERATURE_C,
     EndCondition,
@@ -469,6 +476,48 @@ def test_replayed_cycles_write_as_their_records_do(plant_variant, n_cycles, faul
             assert write_log_csv(log) == expected
     finally:
         plant._CHUNK = default
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plant_variant=plant_variants(),
+    n_cycles=st.integers(min_value=1, max_value=12),
+    faults=st.lists(fault_specs(), max_size=2),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(plant_variant=({}, 5.0), n_cycles=100, faults=[], seed=0)
+@example(plant_variant=({}, 5.3), n_cycles=12, faults=[], seed=0)
+@example(
+    plant_variant=({}, 5.0),
+    n_cycles=12,
+    faults=[FaultSpec("blockage", "P201", 0.5, 3 * 125.0 + 90.0, 250.0)],
+    seed=0,
+)
+def test_fresh_simulated_log_is_its_stepwise_records(plant_variant, n_cycles, faults, seed):
+    """A log straight from ``simulate``, whose replayed sensor records are
+    not built yet, writes the text and gives the trace that the same run's
+    records give, taken with a no-op step hook, which replays nothing.
+    Its copies, deep copies and pickles do too before their records are
+    built, and it, they and a ``dataclasses.replace`` of it equal that
+    run's log once they are."""
+    names, idle_s = plant_variant
+    config = _renamed(_DEFAULT, names, idle_s)
+    faults = [replace(f, target=names.get(f.target, f.target)) for f in faults]
+    log = _run(simulate, n_cycles, faults, seed, 0.0, config)
+    hooked = partial(simulate, on_step=lambda *step: None)
+    stepwise = _run(hooked, n_cycles, faults, seed, 0.0, config)
+    if isinstance(stepwise, str):
+        assert log == stepwise
+        return
+    expected = plant.SimulationLog(stepwise.actuator_records, stepwise.sensor_records)
+    text, trace = write_log_csv(expected), to_trace(expected, config)
+    fresh = [log, copy.copy(log), copy.deepcopy(log), pickle.loads(pickle.dumps(log))]
+    for each in fresh:
+        assert write_log_csv(each) == text
+        assert to_trace(each, config) == trace
+    assert not any("sensor_records" in vars(each) for each in fresh if each._replays)
+    for each in fresh + [replace(log)]:
+        assert each == expected and repr(each) == repr(expected)
 
 
 # ---------------------------------------------------------------------------
