@@ -10,8 +10,9 @@ ratio per step: the change's median over the base's.  Each side then runs
 one block under ``tracemalloc``.  Jobs:
 
 - ``write``: ``simulate`` and ``write_log_csv`` of the default plant, per
-  ``--cycles`` count, and the characters written; both trees must write
-  the same text.
+  ``--cycles`` count, and the characters written, then ``simulate`` of one
+  cycle under the pipeline's blockage and leakage scenarios; both trees
+  must write the same text and give the same faulted records.
 - ``train``: ``simulate``, ``to_trace``, ``split_cycles`` and ``learn`` on
   the default plant's log, per ``--cycles`` count; both trees must learn the
   same automaton text from as many trace steps.
@@ -175,14 +176,21 @@ def compare(sides: dict, blocks: int) -> dict:
     }
 
 
-def write_block(package, cycles: int, noise: float, laps: Laps) -> str:
+def write_block(package, cycles: int, noise: float, laps: Laps) -> tuple[str, list]:
+    config = package.default_config()
     laps.start()
-    log = package.simulate(package.default_config(), cycles, noise_sigma=noise)
+    log = package.simulate(config, cycles, noise_sigma=noise)
     laps.stop("simulate")
     text = package.write_log_csv(log)
     laps.stop("write_log_csv")
     laps.add("csv_chars", len(text), into="counts")
-    return text
+    faulted = []
+    for scenario in ("blockage", "leakage"):
+        laps.start()
+        one = package.simulate(config, 1, package.pipeline.SCENARIOS[scenario], noise_sigma=noise)
+        laps.stop(f"simulate_{scenario}")
+        faulted.append((one.actuator_records, one.sensor_records))
+    return text, faulted
 
 
 def train_block(package, cycles: int, noise: float, laps: Laps) -> tuple[str, int]:

@@ -19,6 +19,16 @@ Conventions that downstream code relies on:
 * Phase end conditions are evaluated after each integration step, so the
   minimum phase duration is one step.  Hitting a threshold exactly ends the
   phase.
+* A phase advances in stretches: one step as written, then at once as many
+  more steps as move and leak as much each.  A stretch stops at the step
+  that ends the phase, before the first step that a fault's start or end
+  changes, at the phase's cap, and before the first step in which a
+  transfer or a leak would be clamped.  A transfer from an empty tank or
+  into a full one, or a leak from an empty tank, moves nothing, and stops
+  no stretch while that tank's level stays put.  Levels are integer
+  microliters, linear in the steps of a stretch, so its levels, samples,
+  noise draws and errors are those of single steps.  An ``on_step`` hook
+  makes every stretch one step.
 * Levels are clamped to ``[0, capacity]`` by limiting each transfer to what
   the source holds and the target can still take.
 * Tanks that only ever feed flows (never receive one) are refilled to their
@@ -52,7 +62,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, compress, count, repeat
-from operator import add, attrgetter, floordiv, ge, itemgetter, mod, mul, ne, sub, truth
+from operator import add, attrgetter, floordiv, ge, itemgetter, mod, mul, ne, sub, truediv, truth
 from struct import pack
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -302,7 +312,13 @@ class SimulationLog:
         self.sensor_records = records = []
         lo = 0
         for replay in self._replays:  # see _StoredCycle.replay
-            cycle, times = replay.cycle, replay.times
+            cycle = replay.cycle
+            times = [replay.start_ms + t for t in cycle.offsets]
+            # a millisecond's records hold one int: that of its actuator records
+            for (k, _, _), (t, _, _) in zip(
+                cycle.actuators[cycle.inside[0]], self.actuator_records[replay.actuators]
+            ):
+                times[k] = t
             records += outside[lo : replay.at]
             records += [(times[k], i, v) for k, i, v in cycle.sensors[cycle.inside[1]]]
             lo = replay.at
@@ -444,23 +460,22 @@ class _StoredCycle:
         end_ms = start_ms + self.duration_ms
         if offsets and offsets[-1] == self.duration_ms:
             end_ms = shifted[-1]
-        return _Replay(self, start_ms, end_ms, shifted, actuators, at)
+        return _Replay(self, start_ms, end_ms, actuators, at)
 
 
 class _Replay(NamedTuple):
     """A replay of ``cycle`` in a log, from ``start_ms`` to ``end_ms``.
-    ``times`` holds the cycle's ``offsets`` shifted to ``start_ms``, one int
-    per millisecond.  ``actuators`` is the index range, in the log's
-    actuator records, of those strictly inside that window.  Its sensor
-    records there are not in the log's ``_outside_sensors``: ``at`` is the
-    index in it before which they belong.  They are the cycle's records
-    there, shifted by a whole number of seconds from those of any other
-    replay of it, since the replay key holds ``t_ms % 1000``."""
+    ``actuators`` is the index range, in the log's actuator records, of
+    those strictly inside that window.  Its sensor records there are not in
+    the log's ``_outside_sensors``: ``at`` is the index in it before which
+    they belong.  They are the cycle's records there, shifted by a whole
+    number of seconds from those of any other replay of it, since the
+    replay key holds ``t_ms % 1000``; their shifted times are made when the
+    log's ``sensor_records`` is first read."""
 
     cycle: _StoredCycle
     start_ms: int
     end_ms: int
-    times: list[int]
     actuators: slice
     at: int
 
@@ -510,17 +525,31 @@ def _phase_cap_and_direction(
     return cap, direction
 
 
-def _end_test(cond: EndCondition, levels_ul: dict, dt_ms: int, direction: int) -> Callable:
-    """A freshly entered phase's end condition as a test of its steps and
-    µL transferred so far, its threshold resolved once.  A level target
-    holds on or past it in ``direction``, at once for ``direction`` 0."""
+def _steps_to_end(cond: EndCondition, levels_ul: dict, dt_ms: int, direction: int) -> Callable:
+    """A freshly entered phase's end condition, its threshold resolved
+    once, as the number of further steps after which it first holds, given
+    the steps taken and µL transferred so far, and the µL that each further
+    step transfers and adds to each tank: 0 once it holds, ``math.inf``
+    while those rates never meet it.  A level target holds on or past it in
+    ``direction``, at once for ``direction`` 0."""
     if isinstance(cond, TimerElapsed):
-        end_ms = round(cond.seconds * 1000)
-        return lambda steps, transferred: steps * dt_ms >= end_ms
+        end_steps = -(-round(cond.seconds * 1000) // dt_ms)
+        return lambda steps, transferred, moved, delta: max(end_steps - steps, 0)
     target_ul = _ul(cond.liters)
     if isinstance(cond, VolumeTransferred):
-        return lambda steps, transferred: transferred >= target_ul
-    return lambda steps, transferred: (levels_ul[cond.tank] - target_ul) * direction >= 0
+        return lambda steps, transferred, moved, delta: _steps_to(transferred - target_ul, moved)
+    tank = cond.tank
+    return lambda steps, transferred, moved, delta: _steps_to(
+        (levels_ul[tank] - target_ul) * direction, delta[tank] * direction
+    )
+
+
+def _steps_to(short: int, rate: int) -> int | float:
+    """The steps after which ``short`` plus ``rate`` per step first reaches
+    zero: 0 when it already has, ``math.inf`` when it never will."""
+    if short >= 0:
+        return 0
+    return -(short // rate) if rate > 0 else math.inf
 
 
 def simulate(
@@ -537,7 +566,9 @@ def simulate(
     ``on_step`` is an instrumentation hook called after every integration
     step with ``(t_s, levels, inflow_l, outflow_l, leaked_l)``; the three
     volumes are what entered, left, and leaked from the plant during that
-    step, which lets callers audit mass conservation exactly.
+    step, which lets callers audit mass conservation exactly.  A phase's
+    steps are taken in stretches of equal steps (see the module
+    docstring); with a hook, each stretch is one step, so it sees them all.
 
     ``noise_sigma`` adds Gaussian noise to sensor values only; actuator
     records are always noise free.  With the default of zero the run is
@@ -569,6 +600,11 @@ def simulate(
     capacity_ul = {t.id: _ul(t.capacity_l) for t in config.tanks}
     source_tanks = sorted(config.source_tank_ids())
     sensors = sorted(config.sensors, key=lambda s: s.id)
+    sensor_ids = tuple(s.id for s in sensors)
+    # t_ms is always a whole number of steps, so the whole seconds it passes
+    # are the multiples of this
+    sample_every = math.lcm(dt_ms, 1000)
+    edges = sorted({b for f in prepared for b in (f.onset_ms, f.end_ms) if b is not None})
 
     actuator_records: list[tuple[int, str, bool]] = []
     sensor_records: list[tuple[int, str, float]] = []
@@ -584,21 +620,36 @@ def simulate(
                 actuator_records.append((t_ms, aid, full[aid]))
         current = full
 
-    def sample_sensors(step_rates: Mapping[str, float]) -> None:
+    def sample_sensors(
+        times: list[int], first: int, every: int, delta: Mapping[str, int],
+        step_rates: Mapping[str, float],
+    ) -> None:
+        """Sample every sensor at each of ``times``, in record order: the
+        first of them ``first`` steps after the current levels, each next
+        one ``every`` steps on, while each step adds ``delta`` to the
+        levels and moves at ``step_rates``."""
+        columns = []
         for s in sensors:
             if s.kind == "level":
-                value = levels[s.attached_to] / _UL_PER_L
+                change = delta[s.attached_to]
+                level = levels[s.attached_to] + first * change
+                change *= every
+                ul = range(level, level + len(times) * change, change) if change else repeat(level)
+                columns.append(map(truediv, ul, repeat(_UL_PER_L, len(times))))
             elif s.kind == "flow":
-                value = step_rates.get(s.attached_to, 0.0)
+                columns.append(repeat(step_rates.get(s.attached_to, 0.0), len(times)))
             else:
-                value = AMBIENT_TEMPERATURE_C
-            if noise_sigma > 0:
-                value += rng.gauss(0.0, noise_sigma)
-                if not math.isfinite(value):
-                    raise ConfigError(f"noise_sigma {noise_sigma!r} gives a non-finite sample")
-            sensor_records.append((t_ms, s.id, value))
+                columns.append(repeat(AMBIENT_TEMPERATURE_C, len(times)))
+        values = chain.from_iterable(zip(*columns))
+        if noise_sigma > 0:
+            noise = map(rng.gauss, repeat(0.0, len(times) * len(sensors)), repeat(noise_sigma))
+            values = list(map(add, values, noise))
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"noise_sigma {noise_sigma!r} gives a non-finite sample")
+        stamps = chain.from_iterable(map(repeat, times, repeat(len(sensors))))
+        sensor_records.extend(zip(stamps, sensor_ids * len(times), values))
 
-    sample_sensors({})
+    sample_sensors([t_ms], 0, 1, dict.fromkeys(levels, 0), {})
     establishing = True
     # Without noise or a per-step hook, a cycle is a pure function of the
     # key formed below, so a repeated key replays the stored cycle.
@@ -645,16 +696,24 @@ def simulate(
             cap_steps, direction = _phase_cap_and_direction(
                 phase, levels, config, active, dt_ms, cycle
             )
-            ended = _end_test(phase.end_condition, levels, dt_ms, direction)
+            steps_left = _steps_to_end(phase.end_condition, levels, dt_ms, direction)
             # each active actuator, its unfaulted per-step amount and its blockages
             moving = [(a, _ul(config.flows[a.id] * dt_s), blockages[a.id]) for a in active]
             transferred = 0
             steps = 0
             while True:
+                # One step, then a stretch of ``more`` steps that move and
+                # leak as much each, levels rising by ``delta`` per step.
                 step_start = t_ms
-                inflow, outflow, leaked = pending_inflow, 0, 0
+                before = levels.copy()
+                inflow, outflow, leaked, moved = pending_inflow, 0, 0, 0
                 pending_inflow = 0
                 rates: dict[str, float] = {}
+                # each clamp's µL to spare in this step, the tank it reads,
+                # and the sign with which that tank's level adds to it; an
+                # empty source or full target moves nothing, and keeps so
+                # until the level moves the other way
+                spare: list[tuple[int, str, int]] = []
                 for a, amount, blocking in moving:
                     mult = 1.0
                     for f in blocking:
@@ -663,9 +722,15 @@ def simulate(
                     if mult != 1.0:
                         amount = _ul(config.flows[a.id] * mult * dt_s)
                     if a.from_tank is not None:
-                        amount = min(amount, levels[a.from_tank])
+                        held = levels[a.from_tank]
+                        spare.append(
+                            (held - amount, a.from_tank, 1) if held else (0, a.from_tank, -1)
+                        )
+                        amount = min(amount, held)
                     if a.to_tank is not None:
-                        amount = min(amount, capacity_ul[a.to_tank] - levels[a.to_tank])
+                        room = capacity_ul[a.to_tank] - levels[a.to_tank]
+                        spare.append((room - amount, a.to_tank, -1) if room else (0, a.to_tank, 1))
+                        amount = min(amount, room)
                     amount = max(amount, 0)
                     if a.from_tank is not None:
                         levels[a.from_tank] -= amount
@@ -676,13 +741,16 @@ def simulate(
                     else:
                         outflow += amount
                     rates[a.id] = amount / _UL_PER_L / dt_s
-                    transferred += amount
+                    moved += amount
                 for f in leakages:
                     if f.active(step_start):
-                        lost = min(_ul(f.magnitude * dt_s), levels[f.target])
+                        loss, held = _ul(f.magnitude * dt_s), levels[f.target]
+                        spare.append((held - loss, f.target, 1) if held else (0, f.target, -1))
+                        lost = min(loss, held)
                         if lost > 0:
                             levels[f.target] -= lost
                             leaked += lost
+                transferred += moved
                 t_ms += dt_ms
                 steps += 1
                 if on_step is not None:
@@ -693,9 +761,38 @@ def simulate(
                         outflow / _UL_PER_L,
                         leaked / _UL_PER_L,
                     )
-                if t_ms % 1000 == 0:
-                    sample_sensors(rates)
-                if ended(steps, transferred):
+                delta = {tid: levels[tid] - level for tid, level in before.items()}
+                left = steps_left(steps, transferred, moved, delta)
+                more = 0
+                if on_step is None and left:
+                    # up to the step that ends the phase or meets its cap,
+                    # and short of a binding clamp and a fault's start or end
+                    more = min(left, cap_steps - steps)
+                    for room, tank, sign in spare:
+                        change = sign * delta[tank]
+                        if room < 0:
+                            more = 0
+                        elif change < 0:
+                            more = min(more, room // -change)
+                    edge = bisect_right(edges, step_start)
+                    if edge < len(edges):
+                        more = min(more, max(0, (edges[edge] - t_ms - 1) // dt_ms + 1))
+                end_ms = t_ms + more * dt_ms
+                first = (step_start // sample_every + 1) * sample_every
+                if first <= end_ms:
+                    times = list(range(first, end_ms + 1, sample_every))
+                    sample_sensors(
+                        times, (first - t_ms) // dt_ms, sample_every // dt_ms, delta, rates
+                    )
+                    if times[-1] == end_ms:
+                        end_ms = times[-1]  # its records and the next phase's share one int
+                if more:
+                    for tid, change in delta.items():
+                        levels[tid] += more * change
+                    transferred += more * moved
+                    steps += more
+                t_ms = end_ms
+                if more == left:
                     break
                 if steps >= cap_steps:
                     raise PhaseUnreachable(
@@ -818,12 +915,14 @@ def _cycle_blocks(
     :func:`_lines`)."""
     cycle = replay.cycle
     actuators, sensors = cycle.actuators[cycle.inside[0]], cycle.sensors[cycle.inside[1]]
-    blocks = sorted(  # each block's time is the index of its time in replay.times
+    blocks = sorted(  # each block's time is the index of its offset in cycle.offsets
         _lines(actuators, map(truth, map(_value, actuators)), actuator_tails)
         + _lines(sensors, map(_value, sensors), sensor_tails),
         key=_time,
     )
-    times = list(map(replay.times.__getitem__, map(_time, blocks)))
+    times = list(
+        map(add, map(cycle.offsets.__getitem__, map(_time, blocks)), repeat(replay.start_ms))
+    )
     offsets = map(sub, map(floordiv, times, repeat(1000)), repeat(replay.start_ms // 1000))
     fractions = map(str.removeprefix, _stamps(map(mod, times, repeat(1000))), repeat("0"))
     return list(offsets), list(fractions), list(map(_body, blocks))

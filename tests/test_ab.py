@@ -37,6 +37,10 @@ def test_every_job_reports_a_ratio_equal_outputs_and_the_machine(capsys):
                 assert math.isfinite(ratio["median"]) and ratio["median"] > 0, job
                 assert ratio["blocks"] == 2
             assert set(case["tracemalloc_mib"]) == {"base", "change"}
+    (write,) = report["jobs"]["write"].values()
+    assert set(write["block_ratio"]) == {
+        "simulate", "write_log_csv", "simulate_blockage", "simulate_leakage"
+    }
     assert report["python"] and report["platform"] and report["cpus"] >= 1
     assert sys.modules["mixdiag"] is mixdiag  # the loader put the package back
 

@@ -1,9 +1,10 @@
 """The simulator and the log writer versus their plain stepwise versions.
 
 ``simulate`` replays a cycle that starts from the same state as an earlier
-one instead of integrating it again, and ``write_log_csv`` formats each
-distinct timestamp once.  The oracles below are the versions without
-either shortcut: every cycle is integrated step by step and every row is
+one instead of integrating it again, and advances a phase in stretches of
+equal steps at once, and ``write_log_csv`` formats each distinct
+timestamp once.  The oracles below are the versions without these
+shortcuts: every cycle is integrated one step at a time and every row is
 formatted on its own.  They keep their own float-second records and
 timestamp formatting, so they do not share the integer-millisecond record
 type they check.  Equal records and byte-equal CSV on random runs, faults
@@ -373,6 +374,73 @@ def test_every_end_condition_agrees_with_naive_oracle(n_cycles, faults):
     config = _every_end_condition(default_config())
     fast = _run(simulate, n_cycles, faults, 0, 0.0, config)
     _assert_agree(fast, _run(naive_simulate, n_cycles, faults, 0, 0.0, config))
+
+
+def _stepped(config: PlantConfig, dt_s: float, b205_l: float) -> PlantConfig:
+    """``config`` stepped at ``dt_s``, its B205 holding at most ``b205_l``."""
+    tanks = tuple(replace(t, capacity_l=b205_l) if t.id == "B205" else t for t in config.tanks)
+    return replace(config, tanks=tanks, dt_s=dt_s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dt_s=st.sampled_from([0.1, 0.15, 0.3]),
+    b205_l=st.sampled_from([20.0, 5.0]),
+    n_cycles=st.integers(min_value=1, max_value=4),
+    faults=st.lists(fault_specs(), max_size=2),
+    noise_sigma=st.just(0.0) | st.floats(0.001, 0.5),
+)
+# steps that do not divide a second: a sample every 3 s
+@example(dt_s=0.15, b205_l=20.0, n_cycles=3, faults=[], noise_sigma=0.0)
+@example(dt_s=0.3, b205_l=20.0, n_cycles=2, faults=[], noise_sigma=0.05)
+# B205 fills mid-Transfer, so P201 moves nothing more and B204 never empties
+@example(dt_s=0.1, b205_l=5.0, n_cycles=1, faults=[], noise_sigma=0.0)
+# a leak empties the source B201 mid-Dose1, which V201 then never ends
+@example(
+    dt_s=0.1, b205_l=20.0, n_cycles=1, faults=[FaultSpec("leakage", "B201", 0.7)],
+    noise_sigma=0.0,
+)
+# a 0.7 L/s leak empties B204 mid-Mix, and then loses nothing while it is empty
+@example(
+    dt_s=0.1, b205_l=20.0, n_cycles=2, faults=[FaultSpec("leakage", "B204", 0.7)],
+    noise_sigma=0.0,
+)
+# a blockage from 130.05 s, between two steps of cycle 1's Dose1
+@example(
+    dt_s=0.1, b205_l=20.0, n_cycles=3, faults=[FaultSpec("blockage", "V201", 0.5, 130.05)],
+    noise_sigma=0.0,
+)
+@example(
+    dt_s=0.15, b205_l=20.0, n_cycles=2,
+    faults=[FaultSpec("leakage", "B204", 0.3, 130.05, 20.0)], noise_sigma=0.0,
+)
+def test_stretch_edges_agree_with_naive_oracle(dt_s, b205_l, n_cycles, faults, noise_sigma):
+    """Where a run of equal steps must end or may go on: at a sample of a
+    step that does not divide a second, at a capacity that stops an inflow,
+    at a leak that empties its tank and at a fault edge between two steps,
+    the records, the text and any ``PhaseUnreachable`` message are the
+    oracle's."""
+    config = _stepped(default_config(), dt_s, b205_l)
+    fast = _run(simulate, n_cycles, faults, 0, noise_sigma, config)
+    _assert_agree(fast, _run(naive_simulate, n_cycles, faults, 0, noise_sigma, config))
+
+
+def test_full_target_drained_in_the_same_step_agrees_with_naive_oracle():
+    """B205 starts full, and Transfer pumps into it while V205 drains it:
+    P201 moves nothing in Transfer's first step, and its full amount once
+    V205 has made room, so that first step ends a stretch."""
+    config = default_config()
+    tanks = tuple(
+        replace(t, capacity_l=5.0, initial_l=5.0) if t.id == "B205" else t for t in config.tanks
+    )
+    phases = tuple(
+        replace(p, actuator_vector={**p.actuator_vector, "V205": True})
+        if p.name == "Transfer" else p
+        for p in config.phases
+    )
+    config = replace(config, tanks=tanks, phases=phases)
+    fast = _run(simulate, 2, [], 0, 0.0, config)
+    _assert_agree(fast, _run(naive_simulate, 2, [], 0, 0.0, config))
 
 
 # ---------------------------------------------------------------------------
