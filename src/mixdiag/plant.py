@@ -26,9 +26,9 @@ Conventions that downstream code relies on:
   transfer or a leak would be clamped.  A transfer from an empty tank or
   into a full one, or a leak from an empty tank, moves nothing, and stops
   no stretch while that tank's level stays put.  Levels are integer
-  microliters, linear in the steps of a stretch, so its levels, samples,
-  noise draws and errors are those of single steps.  An ``on_step`` hook
-  makes every stretch one step.
+  microliters, linear in the steps of a stretch, so its levels, samples
+  and errors are those of single steps, and an ``on_step`` hook is called
+  for each of its steps.
 * Levels are clamped to ``[0, capacity]`` by limiting each transfer to what
   the source holds and the target can still take.
 * Tanks that only ever feed flows (never receive one) are refilled to their
@@ -40,9 +40,9 @@ Conventions that downstream code relies on:
   vector, sensor-sampling phase (``t_ms % 1000``) and fault activity as an
   earlier simulated cycle is replayed: the earlier cycle's records are
   re-emitted shifted in time, without integrating.  This holds only without
-  noise and without an ``on_step`` hook, and only when no fault starts or
-  ends strictly inside either cycle's window, so the log is byte-identical
-  to a stepwise run.  The log records each replay.  Of a replay's sensor
+  an ``on_step`` hook, and only when no fault starts or ends strictly
+  inside either cycle's window, so the log is byte-identical to a
+  stepwise run.  The log records each replay.  Of a replay's sensor
   records it holds only those at its start and end milliseconds; the rest
   are built when ``sensor_records`` is first read, which neither
   ``write_log_csv`` nor ``to_trace`` does.  ``write_log_csv`` writes the
@@ -50,6 +50,9 @@ Conventions that downstream code relies on:
   millisecond blocks, built once per call and re-stamped for each replay:
   two replays of one cycle start a whole number of seconds apart, so only
   the whole seconds of each stamp change.
+* Noise never feeds the dynamics: a noisy log is the noise-free run's, its
+  replays included, with the noise added to its sensor values in one pass
+  in record order, and records no replay.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ AMBIENT_TEMPERATURE_C = 20.0
 
 LOG_HEADER = ("t_s", "kind", "id", "value")
 
-_time = itemgetter(0)  # of a record
+_time, _id, _value = itemgetter(0), itemgetter(1), itemgetter(2)  # of a record
 
 _UL_PER_L = 1_000_000
 
@@ -284,7 +287,7 @@ class SimulationLog:
     """Actuator records ``(t_ms, actuator_id, value: bool)`` and sensor
     records ``(t_ms, sensor_id, value: float)``, each a plain tuple.
 
-    A log that :func:`simulate` returns also records each cycle it replayed
+    A noise-free log from :func:`simulate` also records each cycle it replayed
     (``_replays``, see :class:`_Replay`), and when it replayed one, it holds
     as ``_outside_sensors`` only the sensor records outside the replays'
     windows: those of its simulated cycles and of each replay's start and
@@ -306,24 +309,32 @@ class SimulationLog:
     def __getattr__(self, name: str):
         """Build ``sensor_records`` of a log that :func:`simulate` returned
         on its first read; any other missing attribute is missing."""
-        outside = self._outside_sensors
-        if name != "sensor_records" or outside is None:
+        if name != "sensor_records" or self._outside_sensors is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.sensor_records = records = []
-        lo = 0
-        for replay in self._replays:  # see _StoredCycle.replay
-            cycle = replay.cycle
-            times = [replay.start_ms + t for t in cycle.offsets]
-            # a millisecond's records hold one int: that of its actuator records
-            for (k, _, _), (t, _, _) in zip(
-                cycle.actuators[cycle.inside[0]], self.actuator_records[replay.actuators]
-            ):
-                times[k] = t
-            records += outside[lo : replay.at]
-            records += [(times[k], i, v) for k, i, v in cycle.sensors[cycle.inside[1]]]
-            lo = replay.at
-        records += outside[lo:]
+        parts = _sensor_parts(self.actuator_records, self._outside_sensors, self._replays)
+        self.sensor_records = records = list(chain.from_iterable(parts))
         return records
+
+
+def _sensor_parts(
+    actuator_records: list[tuple], outside: list[tuple], replays: Iterable[_Replay]
+) -> Iterator[list[tuple[int, str, float]]]:
+    """The sensor records of a simulated run, in order, a list at a time:
+    ``outside`` holds those outside its ``replays``' windows, and each
+    replay's inside is shifted from its stored cycle."""
+    lo = 0
+    for replay in replays:  # see _StoredCycle.replay
+        cycle = replay.cycle
+        times = [replay.start_ms + t for t in cycle.offsets]
+        # a millisecond's records hold one int: that of its actuator records
+        for (k, _, _), (t, _, _) in zip(
+            cycle.actuators[cycle.inside[0]], actuator_records[replay.actuators]
+        ):
+            times[k] = t
+        yield outside[lo : replay.at]
+        yield [(times[k], i, v) for k, i, v in cycle.sensors[cycle.inside[1]]]
+        lo = replay.at
+    yield outside[lo:]
 
 
 def default_config() -> PlantConfig:
@@ -434,10 +445,7 @@ class _StoredCycle:
         )
 
     def replay(
-        self,
-        start_ms: int,
-        actuator_records: list[tuple[int, str, bool]],
-        sensor_records: list[tuple[int, str, float]],
+        self, start_ms: int, actuator_records: list[tuple], sensor_records: list[tuple]
     ) -> _Replay:
         """Append this cycle's actuator records again, shifted to start at
         ``start_ms``, and its sensor records outside ``inside``, and return
@@ -480,76 +488,46 @@ class _Replay(NamedTuple):
     at: int
 
 
-def _fault_boundary_inside(prepared: list[_PreparedFault], lo_ms: int, hi_ms: int) -> bool:
-    """Whether a fault starts or ends strictly inside ``(lo_ms, hi_ms)``."""
-    return any(
-        lo_ms < b < hi_ms for f in prepared for b in (f.onset_ms, f.end_ms) if b is not None
-    )
+def _phase_end(
+    phase: Phase, levels_ul: Mapping[str, int], config: PlantConfig, active: list[Actuator],
+    dt_ms: int, cycle: int,
+) -> tuple[int, Callable]:
+    """A freshly entered phase's cap, ten times its nominal steps at
+    unfaulted rates, and its end condition as the further steps after which
+    it first holds, given the steps taken and µL transferred so far, and
+    the µL each further step transfers and adds to each tank: 0 once it
+    holds, ``math.inf`` while those rates never meet it.  A level target
+    holds on or past it, seen from where the level starts; on it, at once."""
 
+    def steps_left(*progress) -> int | float:
+        short, rate = gap(*progress)  # the condition holds once short reaches 0
+        return 0 if short >= 0 else -(short // rate) if rate > 0 else math.inf
 
-def _phase_cap_and_direction(
-    phase: Phase,
-    levels_ul: Mapping[str, int],
-    config: PlantConfig,
-    active: list[Actuator],
-    dt_ms: int,
-    cycle: int,
-) -> tuple[int, int]:
-    """Return (cap in steps, level direction) for a freshly entered phase.
-
-    Direction is +1/-1 for a rising/falling LevelReached target, 0 when the
-    level already sits on the target (or for non-level conditions).
-    """
     cond = phase.end_condition
-    direction = 0
     if isinstance(cond, TimerElapsed):
-        nominal_s = cond.seconds
-    elif isinstance(cond, LevelReached):
-        start_ul = levels_ul[cond.tank]
-        target_ul = _ul(cond.liters)
-        if start_ul == target_ul:
-            return 1, 0
-        direction = 1 if start_ul < target_ul else -1
-        net = sum(config.flows.get(a.id, 0.0) for a in active if a.to_tank == cond.tank)
-        net -= sum(config.flows.get(a.id, 0.0) for a in active if a.from_tank == cond.tank)
-        toward = net * direction
-        if toward <= 0:
-            raise PhaseUnreachable(phase.name, cycle, "no net flow toward target level")
-        nominal_s = abs(target_ul - start_ul) / _UL_PER_L / toward
-    else:
+        nominal_s, end_steps = cond.seconds, -(-round(cond.seconds * 1000) // dt_ms)
+        gap = lambda steps, transferred, moved, delta: (steps - end_steps, 1)
+    elif isinstance(cond, VolumeTransferred):
         rate = sum(config.flows.get(a.id, 0.0) for a in active)
         if rate <= 0:
             raise PhaseUnreachable(phase.name, cycle, "no active flow for volume target")
-        nominal_s = cond.liters / rate
-    cap = max(1, math.ceil(nominal_s * 10_000 / dt_ms))
-    return cap, direction
-
-
-def _steps_to_end(cond: EndCondition, levels_ul: dict, dt_ms: int, direction: int) -> Callable:
-    """A freshly entered phase's end condition, its threshold resolved
-    once, as the number of further steps after which it first holds, given
-    the steps taken and µL transferred so far, and the µL that each further
-    step transfers and adds to each tank: 0 once it holds, ``math.inf``
-    while those rates never meet it.  A level target holds on or past it in
-    ``direction``, at once for ``direction`` 0."""
-    if isinstance(cond, TimerElapsed):
-        end_steps = -(-round(cond.seconds * 1000) // dt_ms)
-        return lambda steps, transferred, moved, delta: max(end_steps - steps, 0)
-    target_ul = _ul(cond.liters)
-    if isinstance(cond, VolumeTransferred):
-        return lambda steps, transferred, moved, delta: _steps_to(transferred - target_ul, moved)
-    tank = cond.tank
-    return lambda steps, transferred, moved, delta: _steps_to(
-        (levels_ul[tank] - target_ul) * direction, delta[tank] * direction
-    )
-
-
-def _steps_to(short: int, rate: int) -> int | float:
-    """The steps after which ``short`` plus ``rate`` per step first reaches
-    zero: 0 when it already has, ``math.inf`` when it never will."""
-    if short >= 0:
-        return 0
-    return -(short // rate) if rate > 0 else math.inf
+        nominal_s, target_ul = cond.liters / rate, _ul(cond.liters)
+        gap = lambda steps, transferred, moved, delta: (transferred - target_ul, moved)
+    else:
+        tank, target_ul = cond.tank, _ul(cond.liters)
+        direction = (levels_ul[tank] < target_ul) - (levels_ul[tank] > target_ul)
+        gap = lambda steps, transferred, moved, delta: (
+            (levels_ul[tank] - target_ul) * direction, delta[tank] * direction
+        )
+        if not direction:
+            return 1, steps_left
+        net = sum(config.flows.get(a.id, 0.0) for a in active if a.to_tank == tank)
+        net -= sum(config.flows.get(a.id, 0.0) for a in active if a.from_tank == tank)
+        toward = net * direction
+        if toward <= 0:
+            raise PhaseUnreachable(phase.name, cycle, "no net flow toward target level")
+        nominal_s = abs(target_ul - levels_ul[tank]) / _UL_PER_L / toward
+    return max(1, math.ceil(nominal_s * 10_000 / dt_ms)), steps_left
 
 
 def simulate(
@@ -566,15 +544,17 @@ def simulate(
     ``on_step`` is an instrumentation hook called after every integration
     step with ``(t_s, levels, inflow_l, outflow_l, leaked_l)``; the three
     volumes are what entered, left, and leaked from the plant during that
-    step, which lets callers audit mass conservation exactly.  A phase's
-    steps are taken in stretches of equal steps (see the module
-    docstring); with a hook, each stretch is one step, so it sees them all.
+    step, which lets callers audit mass conservation exactly.  It is called
+    for each step of each stretch of equal steps (see the module
+    docstring), and a hooked run replays no cycle.
 
     ``noise_sigma`` adds Gaussian noise to sensor values only; actuator
     records are always noise free.  With the default of zero the run is
-    byte-deterministic regardless of seed.  A NaN, infinite or negative
-    ``noise_sigma``, or one so large that a noisy sample is not finite,
-    raises :class:`ConfigError`.
+    byte-deterministic regardless of seed.  It is drawn in one pass over
+    the noise-free run's sensor records (see the module docstring).  A
+    NaN, infinite or negative ``noise_sigma``, or one so large that a noisy
+    sample is not finite, raises :class:`ConfigError`, also ahead of a
+    :class:`PhaseUnreachable` that came after such a sample.
     """
     config.validate()
     if isinstance(n_cycles, bool) or not isinstance(n_cycles, int) or n_cycles < 1:
@@ -585,6 +565,38 @@ def simulate(
     faults = tuple(faults)
     for f in faults:
         f.validate(config)
+    records: tuple[list, list, list] = ([], [], [])  # actuators, sensors, replays
+    try:
+        log = _integrate(config, n_cycles, faults, on_step, *records)
+    except PhaseUnreachable:
+        if noise_sigma > 0:  # a non-finite sample made before it is the first error
+            _noisy(records, noise_sigma, seed)
+        raise
+    return _noisy(records, noise_sigma, seed) if noise_sigma > 0 else log
+
+
+def _noisy(run: tuple[list, list, list], sigma: float, seed: int) -> SimulationLog:
+    """The log of a noise-free ``run``'s records and replays with
+    ``random.Random(seed).gauss(0.0, sigma)`` added to each sensor value in
+    record order, a part at a time, so that its replayed records are never
+    all built.  A noisy value that is not finite raises :class:`ConfigError`."""
+    rng = random.Random(seed)
+    noisy: list[tuple[int, str, float]] = []
+    for records in _sensor_parts(*run):
+        noise = map(rng.gauss, repeat(0.0, len(records)), repeat(sigma))
+        values = list(map(add, map(_value, records), noise))
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"noise_sigma {sigma!r} gives a non-finite sample")
+        noisy += zip(map(_time, records), map(_id, records), values)
+    return SimulationLog(run[0], noisy)
+
+
+def _integrate(
+    config: PlantConfig, n_cycles: int, faults: tuple[FaultSpec, ...], on_step: Callable | None,
+    actuator_records: list[tuple], sensor_records: list[tuple], replays: list[_Replay],
+) -> SimulationLog:
+    """The noise-free log of :func:`simulate`, its records and replays
+    appended to the three lists as they are made."""
     prepared = [_prepare_fault(f) for f in faults]
     blockages = {
         a: [f for f in prepared if f.kind == "blockage" and f.target == a] for a in config.flows
@@ -593,7 +605,6 @@ def simulate(
 
     dt_ms = config.dt_ms()
     dt_s = dt_ms / 1000.0
-    rng = random.Random(seed)
     acts = {a.id: a for a in config.actuators}
     levels = {t.id: _ul(t.initial_l) for t in config.tanks}
     initial_ul = {t.id: _ul(t.initial_l) for t in config.tanks}
@@ -606,8 +617,6 @@ def simulate(
     sample_every = math.lcm(dt_ms, 1000)
     edges = sorted({b for f in prepared for b in (f.onset_ms, f.end_ms) if b is not None})
 
-    actuator_records: list[tuple[int, str, bool]] = []
-    sensor_records: list[tuple[int, str, float]] = []
     current: dict[str, bool] = {}
     t_ms = 0
     pending_inflow = 0
@@ -640,22 +649,14 @@ def simulate(
                 columns.append(repeat(step_rates.get(s.attached_to, 0.0), len(times)))
             else:
                 columns.append(repeat(AMBIENT_TEMPERATURE_C, len(times)))
-        values = chain.from_iterable(zip(*columns))
-        if noise_sigma > 0:
-            noise = map(rng.gauss, repeat(0.0, len(times) * len(sensors)), repeat(noise_sigma))
-            values = list(map(add, values, noise))
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"noise_sigma {noise_sigma!r} gives a non-finite sample")
         stamps = chain.from_iterable(map(repeat, times, repeat(len(sensors))))
-        sensor_records.extend(zip(stamps, sensor_ids * len(times), values))
+        sensor_records.extend(
+            zip(stamps, sensor_ids * len(times), chain.from_iterable(zip(*columns)))
+        )
 
     sample_sensors([t_ms], 0, 1, dict.fromkeys(levels, 0), {})
     establishing = True
-    # Without noise or a per-step hook, a cycle is a pure function of the
-    # key formed below, so a repeated key replays the stored cycle.
-    replayable = noise_sigma == 0 and on_step is None
     stored: dict[tuple, _StoredCycle] = {}
-    replays: list[_Replay] = []
     for cycle in range(n_cycles):
         for tid in source_tanks:
             delta = initial_ul[tid] - levels[tid]
@@ -663,8 +664,11 @@ def simulate(
                 levels[tid] = initial_ul[tid]
                 pending_inflow += delta
         start_ms = t_ms
+        first_edge = bisect_right(edges, start_ms)  # index of the first fault edge after it
         key = None
-        if replayable and not establishing:
+        # Without a per-step hook, a cycle is a pure function of this key, so
+        # a repeated key replays the stored cycle if no fault edge is inside.
+        if on_step is None and not establishing:
             key = (
                 tuple(levels.items()),
                 tuple(current.items()),
@@ -672,9 +676,7 @@ def simulate(
                 tuple(f.active(t_ms) for f in prepared),
             )
             hit = stored.get(key)
-            if hit is not None and not _fault_boundary_inside(
-                prepared, start_ms, start_ms + hit.duration_ms
-            ):
+            if hit is not None and first_edge == bisect_left(edges, start_ms + hit.duration_ms):
                 replays.append(hit.replay(start_ms, actuator_records, sensor_records))
                 t_ms = replays[-1].end_ms
                 levels = dict(hit.levels)
@@ -693,10 +695,7 @@ def simulate(
                 ),
                 key=lambda a: a.id,
             )
-            cap_steps, direction = _phase_cap_and_direction(
-                phase, levels, config, active, dt_ms, cycle
-            )
-            steps_left = _steps_to_end(phase.end_condition, levels, dt_ms, direction)
+            cap_steps, steps_left = _phase_end(phase, levels, config, active, dt_ms, cycle)
             # each active actuator, its unfaulted per-step amount and its blockages
             moving = [(a, _ul(config.flows[a.id] * dt_s), blockages[a.id]) for a in active]
             transferred = 0
@@ -706,8 +705,8 @@ def simulate(
                 # leak as much each, levels rising by ``delta`` per step.
                 step_start = t_ms
                 before = levels.copy()
-                inflow, outflow, leaked, moved = pending_inflow, 0, 0, 0
-                pending_inflow = 0
+                refill, pending_inflow = pending_inflow, 0
+                inflow, outflow, leaked, moved = refill, 0, 0, 0
                 rates: dict[str, float] = {}
                 # each clamp's µL to spare in this step, the tank it reads,
                 # and the sign with which that tank's level adds to it; an
@@ -753,18 +752,10 @@ def simulate(
                 transferred += moved
                 t_ms += dt_ms
                 steps += 1
-                if on_step is not None:
-                    on_step(
-                        t_ms / 1000.0,
-                        {tid: ul / _UL_PER_L for tid, ul in levels.items()},
-                        inflow / _UL_PER_L,
-                        outflow / _UL_PER_L,
-                        leaked / _UL_PER_L,
-                    )
                 delta = {tid: levels[tid] - level for tid, level in before.items()}
                 left = steps_left(steps, transferred, moved, delta)
                 more = 0
-                if on_step is None and left:
+                if left:
                     # up to the step that ends the phase or meets its cap,
                     # and short of a binding clamp and a fault's start or end
                     more = min(left, cap_steps - steps)
@@ -777,6 +768,15 @@ def simulate(
                     edge = bisect_right(edges, step_start)
                     if edge < len(edges):
                         more = min(more, max(0, (edges[edge] - t_ms - 1) // dt_ms + 1))
+                if on_step is not None:
+                    for j in range(more + 1):  # the cycle's refill is in its first step
+                        on_step(
+                            (t_ms + j * dt_ms) / 1000.0,
+                            {tid: (ul + j * delta[tid]) / _UL_PER_L for tid, ul in levels.items()},
+                            (inflow if j == 0 else inflow - refill) / _UL_PER_L,
+                            outflow / _UL_PER_L,
+                            leaked / _UL_PER_L,
+                        )
                 end_ms = t_ms + more * dt_ms
                 first = (step_start // sample_every + 1) * sample_every
                 if first <= end_ms:
@@ -798,7 +798,7 @@ def simulate(
                     raise PhaseUnreachable(
                         phase.name, cycle, "end condition not reached within 10x nominal time"
                     )
-        if key is not None and not _fault_boundary_inside(prepared, start_ms, t_ms):
+        if key is not None and first_edge == bisect_left(edges, t_ms):
             stored[key] = _StoredCycle.of(
                 start_ms, t_ms, actuator_records[actuator_lo:], sensor_records[sensor_lo:],
                 levels, current,
@@ -820,7 +820,6 @@ class InvalidRecord(MixdiagError):
 
 _CHUNK = 4096  # sorted sensor records whose lines exist at once in write_log_csv
 _HELD = 1024  # distinct blocks of each kind, and id tuples, whose text write_log_csv keeps
-_value = itemgetter(2)
 _body = itemgetter(1)  # of a (t_ms, text) or (t_ms, lines) block
 
 
@@ -875,7 +874,7 @@ def _lines(records: list[tuple], values: Iterable, tails: Callable) -> list[tupl
     block's lines are built once, and the rest is a few passes in C per
     record and per millisecond."""
     times = list(map(_time, records))
-    ids = tuple(map(itemgetter(1), records))
+    ids = tuple(map(_id, records))
     packed = pack(f"{len(records)}d", *values)
     bounds = [*compress(count(), map(ne, times, chain([None], times))), len(times)]
     octets = list(map(mul, bounds, repeat(8)))

@@ -453,9 +453,41 @@ def test_records_are_exact_tuples_the_collector_untracks(config, caplog):
     assert not any(gc.is_tracked(r) for r in samples)
 
 
-def test_noise_and_step_hook_disable_replay(config, caplog):
-    assert _simulate_counting_replays(caplog, config, 4, noise_sigma=0.01)[1] == 0
+def test_noisy_run_replays_as_many_cycles_as_a_noise_free_one(config, caplog):
+    """Noise never feeds the dynamics, so it is drawn over the records of a
+    noise-free run, which replays 98 of 100 nominal cycles."""
+    log, replayed = _simulate_counting_replays(caplog, config, 100, (), 7, noise_sigma=0.05)
+    assert replayed == 98
+    assert log._replays == ()  # the noisy log holds its records
+    assert log.actuator_records == simulate(config, 100).actuator_records
+
+
+def test_step_hook_disables_replay(config, caplog):
     assert _simulate_counting_replays(caplog, config, 4, on_step=lambda *args: None)[1] == 0
+
+
+_NON_FINITE = "noise_sigma 1e+308 gives a non-finite sample"
+_CAP = "phase 'Dose1' (cycle {}): end condition not reached within 10x nominal time"
+
+
+@pytest.mark.parametrize(
+    "sigma, onset_s, error, message",
+    [
+        (1e308, 0.0, ConfigError, _NON_FINITE),
+        (0.05, 0.0, PhaseUnreachable, _CAP.format(0)),
+        # cycle 2 is replayed before the blockage trips the cap in cycle 3
+        (1e308, 385.0, ConfigError, _NON_FINITE),
+        (0.05, 385.0, PhaseUnreachable, _CAP.format(3)),
+    ],
+)
+def test_noisy_run_raises_the_first_error(config, sigma, onset_s, error, message):
+    """A 0.05 blockage of V201 trips Dose1's cap.  With noise so large that
+    a sample made before that is not finite, that sample's ``ConfigError``
+    is the first error; with small noise, the ``PhaseUnreachable`` is."""
+    with pytest.raises(error) as raised:
+        simulate(config, 6, (FaultSpec("blockage", "V201", 0.05, onset_s),), noise_sigma=sigma)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_cycle_with_fault_onset_inside_is_simulated(config, caplog):
@@ -581,9 +613,10 @@ def test_replayed_cycles_cost_the_writer_almost_no_python(config):
 
 def test_only_a_replaying_run_records_its_replays(config):
     """The replay record takes no part in ``==`` or ``repr``, and a log that
-    no replaying ``simulate`` built holds none: with noise or a step hook
-    nothing is replayed, and a log read back, copied or built by hand has
-    no replays whatever its records."""
+    no replaying ``simulate`` built holds none: a noisy log is new records
+    drawn over a run that replayed, a hooked run replays nothing, and a log
+    read back, copied or built by hand has no replays whatever its
+    records."""
     log = simulate(config, 3)
     assert len(log._replays) == 1
     plain = SimulationLog(log.actuator_records, log.sensor_records)

@@ -1,9 +1,10 @@
 """The simulator and the log writer versus their plain stepwise versions.
 
 ``simulate`` replays a cycle that starts from the same state as an earlier
-one instead of integrating it again, and advances a phase in stretches of
-equal steps at once, and ``write_log_csv`` formats each distinct
-timestamp once.  The oracles below are the versions without these
+one instead of integrating it again, advances a phase in stretches of
+equal steps at once, and draws noise in one pass over the noise-free
+run's records, and ``write_log_csv`` formats each distinct timestamp
+once.  The oracles below are the versions without these
 shortcuts: every cycle is integrated one step at a time and every row is
 formatted on its own.  They keep their own float-second records and
 timestamp formatting, so they do not share the integer-millisecond record
@@ -43,6 +44,7 @@ from mixdiag import plant
 from mixdiag.events import to_trace
 from mixdiag.plant import (
     AMBIENT_TEMPERATURE_C,
+    Actuator,
     EndCondition,
     LOG_HEADER,
     _UL_PER_L,
@@ -53,7 +55,6 @@ from mixdiag.plant import (
     PlantConfig,
     TimerElapsed,
     VolumeTransferred,
-    _phase_cap_and_direction,
     _prepare_fault,
     _ul,
     default_config,
@@ -92,6 +93,44 @@ def format_timestamp(t_s: float) -> str:
     if frac == 0:
         return str(whole)
     return f"{whole}.{frac:03d}".rstrip("0")
+
+
+def _phase_cap_and_direction(
+    phase: Phase,
+    levels_ul: Mapping[str, int],
+    config: PlantConfig,
+    active: list[Actuator],
+    dt_ms: int,
+    cycle: int,
+) -> tuple[int, int]:
+    """Return (cap in steps, level direction) for a freshly entered phase.
+
+    Direction is +1/-1 for a rising/falling LevelReached target, 0 when the
+    level already sits on the target (or for non-level conditions).
+    """
+    cond = phase.end_condition
+    direction = 0
+    if isinstance(cond, TimerElapsed):
+        nominal_s = cond.seconds
+    elif isinstance(cond, LevelReached):
+        start_ul = levels_ul[cond.tank]
+        target_ul = _ul(cond.liters)
+        if start_ul == target_ul:
+            return 1, 0
+        direction = 1 if start_ul < target_ul else -1
+        net = sum(config.flows.get(a.id, 0.0) for a in active if a.to_tank == cond.tank)
+        net -= sum(config.flows.get(a.id, 0.0) for a in active if a.from_tank == cond.tank)
+        toward = net * direction
+        if toward <= 0:
+            raise PhaseUnreachable(phase.name, cycle, "no net flow toward target level")
+        nominal_s = abs(target_ul - start_ul) / _UL_PER_L / toward
+    else:
+        rate = sum(config.flows.get(a.id, 0.0) for a in active)
+        if rate <= 0:
+            raise PhaseUnreachable(phase.name, cycle, "no active flow for volume target")
+        nominal_s = cond.liters / rate
+    cap = max(1, math.ceil(nominal_s * 10_000 / dt_ms))
+    return cap, direction
 
 
 def _condition_met(
@@ -337,6 +376,8 @@ def _assert_agree(fast, naive):
     noise_sigma=st.just(0.0) | st.floats(0.001, 0.5),
 )
 @example(n_cycles=100, faults=[], seed=0, noise_sigma=0.0)
+# noise drawn over a run that replays 98 cycles
+@example(n_cycles=100, faults=[], seed=0, noise_sigma=0.05)
 # a 137.9 s blocked cycle starts each cycle at a new sampling phase
 @example(n_cycles=4, faults=[FaultSpec("blockage", "P201", 0.7)], seed=0, noise_sigma=0.0)
 # a blockage that starts inside cycle 3 (mid-Transfer) and ends inside cycle 5
@@ -423,6 +464,31 @@ def test_stretch_edges_agree_with_naive_oracle(dt_s, b205_l, n_cycles, faults, n
     config = _stepped(default_config(), dt_s, b205_l)
     fast = _run(simulate, n_cycles, faults, 0, noise_sigma, config)
     _assert_agree(fast, _run(naive_simulate, n_cycles, faults, 0, noise_sigma, config))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dt_s=st.sampled_from([0.1, 0.15, 0.3]),
+    n_cycles=st.integers(min_value=1, max_value=3),
+    faults=st.lists(fault_specs(), max_size=2),
+)
+# cycle 1 starts by refilling B201-B203, an inflow of its first step only
+@example(dt_s=0.1, n_cycles=2, faults=[])
+@example(dt_s=0.15, n_cycles=2, faults=[FaultSpec("leakage", "B204", 0.3, 130.05, 20.0)])
+def test_step_hook_calls_agree_with_naive_oracle(dt_s, n_cycles, faults):
+    """A hooked run advances in stretches too, and calls the hook for each
+    step of a stretch with what the oracle's single step gives it: its
+    time, the levels, and the inflow, outflow and leak, the cycle's refill
+    in its first step only.  The calls up to a ``PhaseUnreachable`` agree
+    as well."""
+    config = replace(default_config(), dt_s=dt_s)
+    calls: dict[Callable, list[tuple]] = {simulate: [], naive_simulate: []}
+    for sim, steps in calls.items():
+        hooked = partial(sim, on_step=lambda *step, steps=steps: steps.append(step))
+        finished = not isinstance(_run(hooked, n_cycles, faults, 0, 0.0, config), str)
+    assert calls[simulate] == calls[naive_simulate]
+    if finished and n_cycles > 1:
+        assert any(inflow > 0 for _, _, inflow, _, _ in calls[simulate])
 
 
 def test_full_target_drained_in_the_same_step_agrees_with_naive_oracle():
