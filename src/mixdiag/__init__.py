@@ -18,23 +18,14 @@ from .anomalies import (
 from .annotate import annotate_anomalies, annotate_automaton, rebuild_automaton
 from .automaton import State, TimedAutomaton, Transition, deserialize, learn, serialize
 from .catalog import CqCatalog, CqItem, default_catalog, validate_catalog
+from .config import FaultSpec, PlantConfig, config_from_json, config_to_json
 from .errors import MixdiagError, ParseError
 from .events import ActuatorVector, EventTrace, parse_log, split_cycles, to_trace
 from .kg import KnowledgeGraph
 from .mappings import MappingRule, apply_mappings
 from .ntriples import parse_ntriples, serialize_ntriples
 from .pipeline import PipelineResult, run_pipeline
-from .plant import (
-    FaultSpec,
-    PhaseUnreachable,
-    PlantConfig,
-    SimulationLog,
-    config_from_json,
-    config_to_json,
-    default_config,
-    simulate,
-    write_log_csv,
-)
+from .plant import PhaseUnreachable, SimulationLog, default_config, simulate, write_log_csv
 from .query import Filter, Query
 from .report import Report
 from .terms import Iri, Literal, Triple, Var, iri

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .config import PlantConfig
 from .errors import MixdiagError, ParseError
-from .plant import LOG_HEADER, PlantConfig, SimulationLog
+from .plant import LOG_HEADER, SimulationLog
 
 RISE = "↑"
 FALL = "↓"

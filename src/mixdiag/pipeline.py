@@ -24,12 +24,13 @@ from . import annotate as ann
 from .anomalies import Anomaly, DetectionSettings, anomalies_to_json, detect
 from .automaton import TimedAutomaton, learn, serialize
 from .catalog import CqResult, catalog_to_json, default_catalog, validate_catalog
+from .config import FaultSpec, PlantConfig, config_to_json
 from .errors import MixdiagError, dump_json
 from .events import split_cycles, to_trace
 from .kg import KnowledgeGraph
 from .mappings import MappingRule, apply_mappings
 from .ntriples import serialize_ntriples
-from .plant import FaultSpec, PlantConfig, config_to_json, default_config, simulate, write_log_csv
+from .plant import default_config, simulate, write_log_csv
 from .report import AnomalyContext, Report, context_service, render_report
 from .terms import Iri, iri
 from .virtual import VirtualBinding

@@ -4,7 +4,8 @@ import pytest
 
 from mixdiag.automaton import learn
 from mixdiag.events import split_cycles, to_trace
-from mixdiag.plant import FaultSpec, default_config, simulate
+from mixdiag.config import FaultSpec
+from mixdiag.plant import default_config, simulate
 
 
 @pytest.fixture(scope="session")

@@ -17,13 +17,12 @@ from mixdiag.catalog import (
     validate_catalog,
 )
 from mixdiag.cli import main
+from mixdiag.config import ConfigError, config_from_json, config_to_json
 from mixdiag.errors import MixdiagError, ParseError, parse_json
 from mixdiag.kg import KnowledgeGraph
 from mixdiag.ntriples import parse_ntriples
 from mixdiag.pipeline import PipelineError, equipment_map_for, run_pipeline
-from mixdiag.plant import (
-    ConfigError, config_from_json, config_to_json, default_config, write_log_csv,
-)
+from mixdiag.plant import default_config, write_log_csv
 from mixdiag.query import QueryError, query_from_dict
 from mixdiag.report import context_service, render_report
 from mixdiag.terms import iri

@@ -16,21 +16,22 @@ from mixdiag.cli import main
 from mixdiag.errors import ParseError
 from mixdiag.events import _parse_rows, parse_log, to_trace
 from mixdiag.pipeline import SCENARIOS
-from mixdiag.plant import (
+from mixdiag.config import (
     ConfigError,
     FaultSpec,
-    InvalidRecord,
     LevelReached,
-    PhaseUnreachable,
     PlantConfig,
-    SimulationLog,
     Tank,
     TimerElapsed,
     VolumeTransferred,
     config_from_json,
     config_to_json,
+)
+from mixdiag.plant import (
+    InvalidRecord,
+    PhaseUnreachable,
+    SimulationLog,
     default_config,
-    format_timestamp,
     simulate,
     write_log_csv,
 )
@@ -179,6 +180,24 @@ def test_total_leak_makes_dosing_unreachable(config):
         simulate(config, 1, (FaultSpec("leakage", "B204", 0.1),))
     assert err.value.phase == "Dose1"
     assert err.value.cycle == 0
+
+
+def test_level_target_that_no_step_moves_toward_is_unreachable(config):
+    """V201-V203 fill B204 while V205 drains it.  In floats 0.1 + 0.1 + 0.1
+    - 0.3 L/s is 5.6e-17, which made Dose3's cap some 1e19 steps and its
+    samples a MemoryError."""
+    actuators = tuple(
+        replace(a, from_tank="B204") if a.id == "V205" else a for a in config.actuators
+    )
+    phases = tuple(
+        replace(p, actuator_vector={**p.actuator_vector, "V201": True, "V202": True, "V205": True})
+        if p.name == "Dose3"
+        else p
+        for p in config.phases
+    )
+    with pytest.raises(PhaseUnreachable, match="no net flow toward target level") as err:
+        simulate(replace(config, actuators=actuators, phases=phases), 1)
+    assert err.value.phase == "Dose3"
 
 
 def test_fault_validation(config):
@@ -358,24 +377,16 @@ def test_config_validation_catches_structural_errors(config):
         overfull.validate()
 
 
-def test_format_timestamp_examples():
-    assert format_timestamp(5000) == "5"
-    assert format_timestamp(20100) == "20.1"
-    assert format_timestamp(250) == "0.25"
-    assert format_timestamp(1234) == "1.234"
-    assert format_timestamp(0) == "0"
-
-
-@pytest.mark.parametrize("ms", [-1, -1500])
-def test_format_timestamp_rejects_negative(ms):
-    with pytest.raises(InvalidRecord, match="negative"):
-        format_timestamp(ms)
+def test_stamp_examples():
+    stamps = plant._stamps([5000, 20100, 250, 1234, 0])
+    assert list(stamps) == ["5", "20.1", "0.25", "1.234", "0"]
 
 
 @given(ms=st.integers(min_value=0, max_value=10_000_000))
-def test_format_timestamp_round_trips_through_float(ms):
-    assert float(format_timestamp(ms)) == ms / 1000.0
-    assert list(plant._stamps([ms])) == [format_timestamp(ms)]  # the writer's stamps
+def test_stamp_round_trips_through_float(ms):
+    (stamp,) = plant._stamps([ms])
+    assert float(stamp) == ms / 1000.0
+    assert stamp == f"{ms / 1000:.3f}".rstrip("0").rstrip(".")
 
 
 def test_phase_cap_trips_after_ten_times_nominal(config):

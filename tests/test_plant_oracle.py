@@ -41,22 +41,24 @@ from typing import Callable, Iterable, Mapping
 from hypothesis import example, given, settings, strategies as st
 
 from mixdiag import plant
-from mixdiag.events import to_trace
-from mixdiag.plant import (
-    AMBIENT_TEMPERATURE_C,
+from mixdiag.config import (
     Actuator,
     EndCondition,
-    LOG_HEADER,
     _UL_PER_L,
     FaultSpec,
     LevelReached,
     Phase,
-    PhaseUnreachable,
     PlantConfig,
     TimerElapsed,
     VolumeTransferred,
-    _prepare_fault,
     _ul,
+)
+from mixdiag.events import to_trace
+from mixdiag.plant import (
+    AMBIENT_TEMPERATURE_C,
+    LOG_HEADER,
+    PhaseUnreachable,
+    _prepare_fault,
     default_config,
     simulate,
     write_log_csv,
@@ -672,7 +674,7 @@ def head_write_log_csv(log: plant.SimulationLog) -> str:
     )
     rows.sort()
     # Every sensor sample shares its stamp with the rest of the snapshot.
-    stamps = {t_ms: plant.format_timestamp(t_ms) for t_ms in {row[0] for row in rows}}
+    stamps = {t_ms: format_timestamp(t_ms / 1000.0) for t_ms in {row[0] for row in rows}}
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LOG_HEADER)
